@@ -14,7 +14,7 @@ GO ?= go
 # gates are all concurrent by construction.
 RACE_PKGS = ./internal/core ./internal/parallel ./internal/assign ./internal/sim ./internal/trace ./internal/obs ./internal/metrics ./internal/serve
 
-.PHONY: all build vet test test-race bench-short bench-short-parallel bench json bench-serve bench-serve-shards bench-diff fuzz-short serve-smoke serve-smoke-shards obs-smoke scenario-smoke ci clean
+.PHONY: all build vet test test-race bench-short bench-short-parallel bench json bench-serve bench-serve-shards bench-diff fuzz-short serve-smoke serve-smoke-shards obs-smoke scenario-smoke perfbench-test ci clean
 
 all: vet test
 
@@ -91,14 +91,16 @@ bench-diff:
 	$(GO) run ./cmd/lfscbench -benchserve /tmp/BENCH_head.json
 	$(GO) run ./cmd/benchdiff BENCH_core.json /tmp/BENCH_head.json
 
-# Short fuzz passes over the three decoders that parse untrusted bytes:
-# the checkpoint loader, the wire-format request decoder, and the
-# scenario config parser. Go allows one -fuzz pattern per invocation,
-# hence three runs.
+# Short fuzz passes over the decoders that parse untrusted bytes: the
+# checkpoint loader, the JSON and binary-frame wire request decoders, and
+# the scenario config parser. Go allows one fuzz target per invocation
+# (hence the anchored patterns: FuzzWireDecode is a prefix of
+# FuzzWireDecodeBinary), so each gets its own run.
 fuzz-short:
-	$(GO) test -run '^$$' -fuzz FuzzCheckpointLoad -fuzztime 5s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 5s ./internal/serve
-	$(GO) test -run '^$$' -fuzz FuzzScenarioParse -fuzztime 5s ./internal/scenario
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointLoad$$' -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 5s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzWireDecodeBinary$$' -fuzztime 5s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzScenarioParse$$' -fuzztime 5s ./internal/scenario
 
 # The serving-layer smoke: boot lfscd on an ephemeral port, drive 200
 # slots of a shared trace over real HTTP with periodic checkpointing,
@@ -136,6 +138,13 @@ obs-smoke:
 scenario-smoke:
 	$(GO) test -race -count=1 -run 'TestScenarioServeSmokeResume|TestScenarioLockstepThreeWayIdentity|TestScenarioObservability' ./internal/serve
 
+# perfbench/ (the BENCHMARK.json runner) is a nested Go module, so the
+# root `go test ./...` never reaches its package tests; vet and test it
+# from inside the module.
+perfbench-test:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+
 # Everything a commit must pass, in the order a CI runner would execute:
 # static checks, the full test suite, the race-detector suite over the
 # concurrency-contract packages, the serving-layer kill-and-resume
@@ -143,8 +152,9 @@ scenario-smoke:
 # scenario churn smoke, the quick perf kernels (which also assert 0
 # allocs/op on the steady-state paths) at Workers=1 and again at
 # Workers=NumCPU under the race detector, the short-mode shard-scaling
-# curve, and a short fuzz pass over the untrusted-input decoders.
-ci: vet test test-race serve-smoke serve-smoke-shards obs-smoke scenario-smoke bench-short bench-short-parallel bench-serve-shards fuzz-short
+# curve, a short fuzz pass over the untrusted-input decoders, and the
+# perfbench module's own vet and tests.
+ci: vet test test-race serve-smoke serve-smoke-shards obs-smoke scenario-smoke bench-short bench-short-parallel bench-serve-shards fuzz-short perfbench-test
 
 clean:
 	$(GO) clean ./...

@@ -28,6 +28,15 @@ type Server struct {
 	srv *http.Server
 }
 
+// Connection limits against slow or idle clients. A client must finish
+// its request headers within readHeaderTimeout, and a kept-alive
+// connection may sit idle between requests for idleTimeout. There is no
+// write timeout: /debug/pprof/profile streams for 30 s.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // expvarState is the process-global source behind the published "lfsc"
 // expvar. expvar.Publish is forever (re-publishing panics), so the var is
 // registered once and re-pointed at the latest server's probe/registry.
@@ -84,7 +93,11 @@ func StartServer(addr string, probe *Probe, reg *Registry, metrics *Metrics) (*S
 		WriteStatus(w, probe, reg, time.Since(start))
 	})
 
-	s := &Server{ln: ln, srv: &http.Server{Handler: mux}}
+	s := &Server{ln: ln, srv: &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}}
 	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
 	return s, nil
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -134,4 +135,34 @@ func (b *syncBuilder) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.sb.String()
+}
+
+// TestServerClosesStalledHeader is the slow-client limit: a connection
+// that stalls mid-header is closed once readHeaderTimeout passes instead
+// of pinning a server goroutine for as long as the client likes.
+func TestServerClosesStalledHeader(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 100 * time.Millisecond
+	srv, err := StartServer("127.0.0.1:0", NewProbe(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /metrics HTTP/1.1\r\nHost: lfsc\r\nAcc"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	start := time.Now()
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled connection still open after %v: %v", time.Since(start).Round(time.Millisecond), err)
+	}
+	if el := time.Since(start); el < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, before the header timeout", el)
+	}
 }

@@ -17,10 +17,10 @@ import (
 // This file is the serve-layer perf harness behind `make bench-serve`
 // (cmd/lfscbench -benchserve) and the zero-allocation pin in wire_test.go.
 // It drives the daemon's actual HTTP handlers — handleStep/handleReport —
-// without a network in between: requests are encoded with the client-side
-// wire encoders, handed to the handler through a reusable fake
-// ResponseWriter, and the response is parsed back with the client-side
-// parsers. What it measures is therefore the full serving data plane
+// without a network in between: requests are encoded as JSON or as binary
+// frames with the wire encoders, handed to the handler through a reusable
+// fake ResponseWriter, and the response is parsed back with the matching
+// parser. What it measures is therefore the full serving data plane
 // (decode → validate → dispatch → Decide/Observe → encode) at
 // function-call cost, with the HTTP stack's own socket handling factored
 // out; a separate real-HTTP phase measures end-to-end round trips per
@@ -130,6 +130,8 @@ func (b *fakeBody) Close() error { return nil }
 type stepHarness struct {
 	eng *Engine
 	rep *Replayer
+	// frame selects the binary frame encoding instead of JSON.
+	frame bool
 
 	w    fakeRW
 	body fakeBody
@@ -155,7 +157,8 @@ type stepHarness struct {
 // skew the protocol and allocate on the late-report path. mutate, when
 // non-nil, adjusts the engine config before construction (the obs
 // zero-alloc test enables the full instrumentation stack through it).
-func newStepHarness(T int, seed uint64, mutate func(*Config)) (*stepHarness, error) {
+// frame selects the request encoding: binary frames or JSON.
+func newStepHarness(T int, seed uint64, frame bool, mutate func(*Config)) (*stepHarness, error) {
 	sc := benchScenario(T, seed)
 	cfg, err := sc.EngineConfig()
 	if err != nil {
@@ -173,8 +176,11 @@ func newStepHarness(T int, seed uint64, mutate func(*Config)) (*stepHarness, err
 	if err != nil {
 		return nil, err
 	}
-	h := &stepHarness{eng: eng, rep: rep}
-	h.req = &http.Request{Method: http.MethodPost, Body: &h.body}
+	h := &stepHarness{eng: eng, rep: rep, frame: frame}
+	h.req = &http.Request{Method: http.MethodPost, Body: &h.body, Header: http.Header{}}
+	if frame {
+		h.req.Header["Content-Type"] = ctFrame
+	}
 	eng.Start()
 	return h, nil
 }
@@ -194,7 +200,11 @@ func (h *stepHarness) step() error {
 	}
 	r.buildSpecs()
 
-	h.enc = appendStepRequest(h.enc[:0], h.pendSlot, h.pend, r.specs, true)
+	if h.frame {
+		h.enc = appendStepFrame(h.enc[:0], h.pendSlot, h.pend, r.specs, true)
+	} else {
+		h.enc = appendStepRequest(h.enc[:0], h.pendSlot, h.pend, r.specs, true)
+	}
 	h.body.Reset(h.enc)
 	h.w.reset()
 	if h.countAllocs {
@@ -209,7 +219,13 @@ func (h *stepHarness) step() error {
 	if h.w.code != http.StatusOK {
 		return fmt.Errorf("serve: bench slot %d: status %d: %s", t, h.w.code, h.w.buf)
 	}
-	if err := parseStepResponse(h.w.buf, &h.resp); err != nil {
+	var err error
+	if h.frame {
+		err = parseStepFrame(h.w.buf, &h.resp)
+	} else {
+		err = parseStepResponse(h.w.buf, &h.resp)
+	}
+	if err != nil {
 		return fmt.Errorf("serve: bench slot %d: %w", t, err)
 	}
 	if len(h.pend) > 0 && h.resp.ReportError != "" {
@@ -242,7 +258,11 @@ func (h *stepHarness) flush() error {
 	if len(h.pend) == 0 {
 		return nil
 	}
-	h.enc = appendReportRequest(h.enc[:0], h.pendSlot, h.pend)
+	if h.frame {
+		h.enc = appendReportFrame(h.enc[:0], h.pendSlot, h.pend)
+	} else {
+		h.enc = appendReportRequest(h.enc[:0], h.pendSlot, h.pend)
+	}
 	h.body.Reset(h.enc)
 	h.w.reset()
 	h.eng.handleReport(&h.w, h.req)
@@ -450,7 +470,7 @@ func RunBench(slots, httpSlots int, seed uint64) (BenchResult, error) {
 
 	// Handler loop: exercises the full wire path (encode → handleStep →
 	// parse → realise) and attributes the handler's own mallocs.
-	h, err := newStepHarness(warmup+allocReqs+16, seed, nil)
+	h, err := newStepHarness(warmup+allocReqs+16, seed, false, nil)
 	if err != nil {
 		return res, err
 	}

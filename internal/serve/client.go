@@ -13,12 +13,12 @@ import (
 )
 
 // Client is a typed wrapper over the daemon's HTTP API, used by the
-// lfscload replayer and the serve tests. It speaks the same hand-rolled
-// wire codec as the daemon (append-based encoders, in-place response
-// parsing into reusable buffers) and keeps a tuned transport with
-// generous per-host idle connections, counting connection reuse so a
-// load generator can prove it is not bottlenecking the daemon it
-// measures.
+// lfscload replayer and the serve tests. It speaks binary frames on the
+// three data-plane endpoints (append-based encoders, in-place response
+// parsing into reusable buffers; see frameContentType) and keeps a tuned
+// transport with generous per-host idle connections, counting connection
+// reuse so a load generator can prove it is not bottlenecking the daemon
+// it measures.
 type Client struct {
 	base string
 	hc   *http.Client
@@ -110,16 +110,17 @@ type ErrLate struct{ Msg string }
 
 func (e *ErrLate) Error() string { return "serve client: late report: " + e.Msg }
 
-// post sends b.out to path and reads the response into b.in, mapping
-// non-200 statuses to the typed errors. The caller parses b.in on nil
-// error.
+// post sends the frame in b.out to path and reads the response into
+// b.in, mapping non-200 statuses (whose bodies are always the JSON error
+// envelope) to the typed errors. The caller parses the reply frame in
+// b.in on nil error.
 func (c *Client) post(path string, b *cliBuf) error {
 	b.rd.Reset(b.out)
 	req, err := http.NewRequestWithContext(c.ctx, http.MethodPost, c.base+path, &b.rd)
 	if err != nil {
 		return fmt.Errorf("serve client: %s: %w", path, err)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", frameContentType)
 	req.ContentLength = int64(len(b.out))
 	hr, err := c.hc.Do(req)
 	if err != nil {
@@ -167,12 +168,12 @@ func readInto(dst []byte, r io.Reader) ([]byte, error) {
 // reusing resp.Assigned. The allocation-lean path for replay loops.
 func (c *Client) SubmitInto(req *SubmitRequest, resp *SubmitResponse) error {
 	b := c.getBuf()
-	b.out = appendSubmitRequest(b.out[:0], req.Tasks, req.Close)
+	b.out = appendStepFrame(b.out[:0], 0, nil, req.Tasks, req.Close)
 	if err := c.post("/v1/submit", b); err != nil {
 		c.putBuf(b)
 		return err
 	}
-	err := parseSubmitResponse(b.in, resp)
+	err := parseSubmitFrame(b.in, resp)
 	c.putBuf(b)
 	if err != nil {
 		return fmt.Errorf("serve client: /v1/submit: decode: %w", err)
@@ -192,13 +193,13 @@ func (c *Client) Submit(req *SubmitRequest) (*SubmitResponse, error) {
 // Report posts realised outcomes for an open slot.
 func (c *Client) Report(req *ReportRequest) (*ReportResponse, error) {
 	b := c.getBuf()
-	b.out = appendReportRequest(b.out[:0], req.Slot, req.Reports)
+	b.out = appendReportFrame(b.out[:0], req.Slot, req.Reports)
 	if err := c.post("/v1/report", b); err != nil {
 		c.putBuf(b)
 		return nil, err
 	}
 	var resp ReportResponse
-	err := parseReportResponse(b.in, &resp)
+	err := parseReportFrame(b.in, &resp)
 	c.putBuf(b)
 	if err != nil {
 		return nil, fmt.Errorf("serve client: /v1/report: decode: %w", err)
@@ -212,12 +213,12 @@ func (c *Client) Report(req *ReportRequest) (*ReportResponse, error) {
 // reports slice on the first step.
 func (c *Client) StepInto(repSlot int, reports []TaskReport, tasks []TaskSpec, close bool, resp *StepResponse) error {
 	b := c.getBuf()
-	b.out = appendStepRequest(b.out[:0], repSlot, reports, tasks, close)
+	b.out = appendStepFrame(b.out[:0], repSlot, reports, tasks, close)
 	if err := c.post("/v1/step", b); err != nil {
 		c.putBuf(b)
 		return err
 	}
-	err := parseStepResponse(b.in, resp)
+	err := parseStepFrame(b.in, resp)
 	c.putBuf(b)
 	if err != nil {
 		return fmt.Errorf("serve client: /v1/step: decode: %w", err)

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"strings"
 	"sync"
 	"time"
 
@@ -30,10 +31,21 @@ import (
 // The three POST endpoints are the zero-allocation data plane: bodies
 // decode in place into pooled request objects and replies encode into
 // pooled scratch (see wire.go); steady-state handling allocates nothing.
+// Each takes JSON or a binary frame, selected by the request's
+// Content-Type.
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
 }
+
+// Connection limits against slow or idle clients. A client must finish
+// its request headers within readHeaderTimeout, and a kept-alive
+// connection may sit idle between requests for idleTimeout. There is no
+// write timeout: /debug/pprof/profile streams for 30 s.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 // serveExpvar mirrors the obs expvar pattern: Publish is forever, so the
 // "lfsc_serve" var registers once and re-points at the latest engine.
@@ -89,7 +101,11 @@ func StartServer(addr string, eng *Engine) (*Server, error) {
 		eng.writeStatus(w, time.Since(start))
 	})
 
-	s := &Server{ln: ln, srv: &http.Server{Handler: mux}}
+	s := &Server{ln: ln, srv: &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}}
 	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
 	return s, nil
 }
@@ -100,37 +116,78 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Close shuts the HTTP server down (the engine keeps running).
 func (s *Server) Close() error { return s.srv.Close() }
 
-// ctJSON is the shared Content-Type value the hot handlers install by
-// direct map assignment — http.Header.Set allocates a fresh []string per
-// call, which would break the 0 allocs/request pin.
-var ctJSON = []string{"application/json"}
+// ctJSON and ctFrame are the shared Content-Type values the hot handlers
+// install by direct map assignment — http.Header.Set allocates a fresh
+// []string per call, which would break the 0 allocs/request pin.
+var (
+	ctJSON  = []string{"application/json"}
+	ctFrame = []string{frameContentType}
+)
 
-func setJSONHeader(w http.ResponseWriter) {
-	h := w.Header()
-	if len(h["Content-Type"]) == 0 {
-		h["Content-Type"] = ctJSON
+// isFrame reports whether a request's Content-Type names the binary frame
+// encoding (media type compared case-insensitively, parameters ignored).
+// Anything else is JSON.
+func isFrame(h http.Header) bool {
+	ct := h.Get("Content-Type")
+	if i := strings.IndexByte(ct, ';'); i >= 0 {
+		ct = ct[:i]
 	}
+	return strings.EqualFold(strings.TrimSpace(ct), frameContentType)
+}
+
+// readReq takes a pooled request and reads and decodes r's body into it,
+// in the encoding r's Content-Type selects. On failure it has already
+// answered 400 and recycled the request, and returns nil.
+func (e *Engine) readReq(w http.ResponseWriter, r *http.Request) *wireReq {
+	q := e.getReq()
+	q.frame = isFrame(r.Header)
+	if err := q.readBody(r.Body); err != nil {
+		e.writeErrReq(w, q, http.StatusBadRequest, err.Error(), 0)
+		return nil
+	}
+	var err error
+	if q.frame {
+		err = q.decodeFrame()
+	} else {
+		err = q.decode()
+	}
+	if err != nil {
+		msg := "serve: decode: " + err.Error()
+		q.reset()
+		e.writeErrReq(w, q, http.StatusBadRequest, msg, 0)
+		return nil
+	}
+	return q
 }
 
 // writeBody sends the encoded response in q.out and recycles q.
-func (e *Engine) writeBody(w http.ResponseWriter, q *wireReq, status int) {
-	setJSONHeader(w)
+func (e *Engine) writeBody(w http.ResponseWriter, q *wireReq, status int, ct []string) {
+	w.Header()["Content-Type"] = ct
 	w.WriteHeader(status)
 	w.Write(q.out) //nolint:errcheck // client gone is fine
 	e.putReq(q)
 }
 
+// writeOK sends the 200 reply in q.out, in the encoding of its request.
+func (e *Engine) writeOK(w http.ResponseWriter, q *wireReq) {
+	ct := ctJSON
+	if q.frame {
+		ct = ctFrame
+	}
+	e.writeBody(w, q, http.StatusOK, ct)
+}
+
 // writeErrReq encodes the error envelope into q's scratch (q is owned by
-// the handler again) and recycles it.
+// the handler again) and recycles it. Errors are JSON in both encodings.
 func (e *Engine) writeErrReq(w http.ResponseWriter, q *wireReq, status int, msg string, accepted int) {
 	q.out = appendErrorBody(q.out[:0], msg, accepted)
-	e.writeBody(w, q, status)
+	e.writeBody(w, q, status, ctJSON)
 }
 
 // writeErrAlloc is the cold-path error writer for when no pooled request
 // is available (or the request can no longer be recycled).
 func writeErrAlloc(w http.ResponseWriter, status int, msg string) {
-	setJSONHeader(w)
+	w.Header()["Content-Type"] = ctJSON
 	w.WriteHeader(status)
 	w.Write(appendErrorBody(nil, msg, 0)) //nolint:errcheck
 }
@@ -143,15 +200,8 @@ func (e *Engine) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErrAlloc(w, http.StatusMethodNotAllowed, "serve: POST only")
 		return
 	}
-	q := e.getReq()
-	if err := q.readBody(r.Body); err != nil {
-		e.writeErrReq(w, q, http.StatusBadRequest, err.Error(), 0)
-		return
-	}
-	if err := q.decode(); err != nil {
-		msg := "serve: decode: " + err.Error()
-		q.reset()
-		e.writeErrReq(w, q, http.StatusBadRequest, msg, 0)
+	q := e.readReq(w, r)
+	if q == nil {
 		return
 	}
 	if err := e.validateTasks(q); err != nil {
@@ -162,8 +212,8 @@ func (e *Engine) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 		out = sloOK
-		q.out = appendSubmitResponse(q.out[:0], rep.slot, rep.base, rep.assigned)
-		e.writeBody(w, q, http.StatusOK)
+		q.replySubmit(rep.slot, rep.base, rep.assigned)
+		e.writeOK(w, q)
 	case IsShed(err):
 		out = sloShed
 		e.shedLat.Observe(start)
@@ -185,15 +235,8 @@ func (e *Engine) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeErrAlloc(w, http.StatusMethodNotAllowed, "serve: POST only")
 		return
 	}
-	q := e.getReq()
-	if err := q.readBody(r.Body); err != nil {
-		e.writeErrReq(w, q, http.StatusBadRequest, err.Error(), 0)
-		return
-	}
-	if err := q.decode(); err != nil {
-		msg := "serve: decode: " + err.Error()
-		q.reset()
-		e.writeErrReq(w, q, http.StatusBadRequest, msg, 0)
+	q := e.readReq(w, r)
+	if q == nil {
 		return
 	}
 	if len(q.reports) == 0 {
@@ -204,8 +247,8 @@ func (e *Engine) handleReport(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 		out = sloOK
-		q.out = appendReportResponse(q.out[:0], rep.accepted)
-		e.writeBody(w, q, http.StatusOK)
+		q.replyReport(rep.accepted)
+		e.writeOK(w, q)
 	case IsLateReport(err):
 		out = sloOK
 		e.writeErrReq(w, q, http.StatusGone, err.Error(), 0)
@@ -229,15 +272,8 @@ func (e *Engine) handleStep(w http.ResponseWriter, r *http.Request) {
 		writeErrAlloc(w, http.StatusMethodNotAllowed, "serve: POST only")
 		return
 	}
-	q := e.getReq()
-	if err := q.readBody(r.Body); err != nil {
-		e.writeErrReq(w, q, http.StatusBadRequest, err.Error(), 0)
-		return
-	}
-	if err := q.decode(); err != nil {
-		msg := "serve: decode: " + err.Error()
-		q.reset()
-		e.writeErrReq(w, q, http.StatusBadRequest, msg, 0)
+	q := e.readReq(w, r)
+	if q == nil {
 		return
 	}
 	if err := e.validateTasks(q); err != nil {
@@ -252,8 +288,8 @@ func (e *Engine) handleStep(w http.ResponseWriter, r *http.Request) {
 		if rep.repErr != nil {
 			repErr = rep.repErr.Error()
 		}
-		q.out = appendStepResponse(q.out[:0], rep.accepted, repErr, rep.slot, rep.base, rep.assigned)
-		e.writeBody(w, q, http.StatusOK)
+		q.replyStep(rep.accepted, repErr, rep.slot, rep.base, rep.assigned)
+		e.writeOK(w, q)
 	case IsShed(err):
 		out = sloShed
 		e.shedLat.Observe(start)

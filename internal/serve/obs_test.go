@@ -97,33 +97,13 @@ func TestObsInstrumentedThreeWayIdentity(t *testing.T) {
 
 // TestServeWireZeroAllocObs extends the zero-allocation pin to the
 // instrumented daemon: with metrics, slot tracing, SLO tracking, and the
-// probe all enabled, steady-state step handling still allocates nothing.
+// probe all enabled, steady-state step handling still allocates nothing,
+// in JSON and in binary frames.
 // The instrumentation publishes via atomic stores into pre-allocated
 // records; an allocation here means it leaked onto the wire path.
 func TestServeWireZeroAllocObs(t *testing.T) {
 	_, mutate := withObs(1)
-	h, err := newStepHarness(1<<20, 9, mutate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.eng.Stop()
-	for i := 0; i < 400; i++ {
-		if err := h.step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var stepErr error
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := h.step(); err != nil && stepErr == nil {
-			stepErr = err
-		}
-	})
-	if stepErr != nil {
-		t.Fatal(stepErr)
-	}
-	if allocs != 0 {
-		t.Fatalf("instrumented steady-state step = %v allocs/request, want 0", allocs)
-	}
+	pinZeroAlloc(t, mutate)
 }
 
 // promMetrics is the parsed form of one /metrics scrape: family types

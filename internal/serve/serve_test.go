@@ -2,6 +2,7 @@ package serve
 
 import (
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -526,5 +527,33 @@ func BenchmarkEngineSlot(b *testing.B) {
 	b.StopTimer()
 	if eng.Slot() != b.N {
 		b.Fatalf("served %d slots, want %d", eng.Slot(), b.N)
+	}
+}
+
+// TestServerClosesStalledHeader is the slow-client limit: a connection
+// that stalls mid-header is closed once readHeaderTimeout passes instead
+// of pinning a server goroutine for as long as the client likes.
+func TestServerClosesStalledHeader(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 100 * time.Millisecond
+	eng, srv, _ := bootDaemon(t, testScenario(10, 1), nil)
+	defer srv.Close()
+	defer eng.Stop()
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/step HTTP/1.1\r\nHost: lfscd\r\nContent-Ty"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	start := time.Now()
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled connection still open after %v: %v", time.Since(start).Round(time.Millisecond), err)
+	}
+	if el := time.Since(start); el < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, before the header timeout", el)
 	}
 }

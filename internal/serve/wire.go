@@ -7,13 +7,16 @@
 // same strict Decide→Observe slot protocol the simulator follows, under
 // live traffic with bounded queues and explicit load shedding.
 //
-// The wire format is JSON, but the hot endpoints (/v1/submit,
-// /v1/report, and the batched /v1/step) never touch encoding/json:
-// requests run through a hand-rolled single-pass decoder that parses the
-// body in place into pooled, engine-owned buffers, and replies are built
-// with append-based encoders into pooled scratch — steady-state request
-// handling is allocation-free (pinned by TestServeWireZeroAlloc). The
-// format is specified field-by-field in DESIGN.md §10.1.
+// The hot endpoints (/v1/submit, /v1/report, and the batched /v1/step)
+// speak two encodings, chosen per request by its Content-Type: JSON, the
+// documented interop format, and a compact little-endian binary frame
+// (frameContentType) that carries floats as raw IEEE-754 bits, which the
+// in-tree Client always uses. Neither touches encoding/json: requests run
+// through hand-rolled single-pass decoders that parse the body in place
+// into pooled, engine-owned buffers, and replies are built with
+// append-based encoders into pooled scratch — steady-state request
+// handling is allocation-free in both encodings (pinned by
+// TestServeWireZeroAlloc). Both formats are specified in DESIGN.md §10.
 //
 // Lifecycle rides on internal/core checkpoints: the engine periodically
 // writes an atomic checkpoint (write-temp-then-rename) carrying the slot
@@ -24,9 +27,12 @@
 package serve
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strconv"
 	"unsafe"
 
@@ -229,6 +235,10 @@ var errBodyTooLarge = errors.New("serve: request body exceeds 8 MiB")
 // packs contexts and coverage into engine-owned scratch) before
 // replying.
 type wireReq struct {
+	// frame is set when the request arrived as a binary frame; its 200
+	// reply is then a frame too.
+	frame bool
+
 	// Decoded request.
 	tasks    []TaskSpec
 	close    bool
@@ -280,6 +290,7 @@ func newWireReq() *wireReq {
 // reset clears the decoded state while keeping every buffer's capacity,
 // so a pooled wireReq decodes the next request allocation-free.
 func (q *wireReq) reset() {
+	q.frame = false
 	q.tasks = q.tasks[:0]
 	q.close = false
 	q.slot = 0
@@ -755,7 +766,14 @@ func (q *wireReq) decode() error {
 	if p.i != len(p.b) {
 		return p.fail(errTrailing)
 	}
-	// Materialise the task specs over the (now final) packed arrays.
+	q.materialiseTasks()
+	return nil
+}
+
+// materialiseTasks builds the task specs over the (now final) packed
+// ctx/scn arrays; both decoders call it once the parse is complete, so
+// buffer growth during the parse cannot invalidate the aliases.
+func (q *wireReq) materialiseTasks() {
 	q.tasks = q.tasks[:0]
 	for _, o := range q.offs {
 		q.tasks = append(q.tasks, TaskSpec{
@@ -763,7 +781,6 @@ func (q *wireReq) decode() error {
 			SCNs: q.scnBuf[o[2]:o[3]:o[3]],
 		})
 	}
-	return nil
 }
 
 func (q *wireReq) parseTasks(p *wireParser) error {
@@ -950,16 +967,6 @@ func appendReports(b []byte, slot int, reports []TaskReport) []byte {
 	return append(b, ']')
 }
 
-// appendSubmitRequest encodes {"tasks":[...],"close":bool}.
-func appendSubmitRequest(b []byte, tasks []TaskSpec, close bool) []byte {
-	b = append(b, '{')
-	b = appendTasks(b, tasks)
-	if close {
-		b = append(b, `,"close":true`...)
-	}
-	return append(b, '}')
-}
-
 // appendReportRequest encodes {"slot":N,"reports":[...]}.
 func appendReportRequest(b []byte, slot int, reports []TaskReport) []byte {
 	b = append(b, '{')
@@ -968,7 +975,8 @@ func appendReportRequest(b []byte, slot int, reports []TaskReport) []byte {
 }
 
 // appendStepRequest encodes the batched step: the report part (omitted
-// when empty) followed by the submit part.
+// when empty) followed by the submit part. With no reports it is exactly
+// the /v1/submit body {"tasks":[...],"close":bool}.
 func appendStepRequest(b []byte, slot int, reports []TaskReport, tasks []TaskSpec, close bool) []byte {
 	b = append(b, '{')
 	if len(reports) > 0 {
@@ -1030,60 +1038,407 @@ func appendErrorBody(b []byte, msg string, accepted int) []byte {
 }
 
 // ---------------------------------------------------------------------------
-// Client-side response parsers (same machinery, reusable targets)
+// Binary frames
 // ---------------------------------------------------------------------------
 
-// parseSubmitResponse decodes a SubmitResponse, reusing into.Assigned.
-func parseSubmitResponse(b []byte, into *SubmitResponse) error {
-	p := wireParser{b: b}
-	into.Assigned = into.Assigned[:0]
-	err := p.object(func(name []byte) error {
-		switch string(name) {
-		case "slot":
-			v, err := p.int()
-			into.Slot = v
-			return err
-		case "base":
-			v, err := p.int()
-			into.Base = v
-			return err
-		case "assigned":
-			return p.array(func() error {
-				v, err := p.int()
-				if err != nil {
-					return err
-				}
-				into.Assigned = append(into.Assigned, v)
-				return nil
-			})
-		default:
-			return p.skipValue(0)
-		}
-	})
+// frameContentType is the media type of the binary encoding. A data-plane
+// request whose Content-Type names it is decoded as a frame and its 200
+// reply is a frame; anything else (no header, application/json, curl's
+// form default) is JSON. Error envelopes are JSON in both encodings.
+//
+// A request frame is the magic, a flags byte, then each section its flag
+// names, in this order:
+//
+//	slot     varint
+//	reports  uvarint n, then n × {task varint, u f64, v f64, q f64}
+//	tasks    uvarint n, then n × {uvarint k, k × ctx f64, uvarint s, s × scn varint}
+//
+// f64 is the raw IEEE-754 bits, little-endian, so floats round-trip
+// exactly with no text conversion; varint is zigzag LEB128 and uvarint
+// LEB128 (encoding/binary). Reply frames are the magic followed by
+//
+//	/v1/submit  slot varint, base varint, uvarint n, n × assigned varint
+//	/v1/report  accepted varint
+//	/v1/step    accepted varint, uvarint len + report_error bytes, then
+//	            the /v1/submit reply fields
+const frameContentType = "application/x-lfsc-frame"
+
+// frameMagic opens every request and reply frame: "LFB" and the format
+// version.
+var frameMagic = [4]byte{'L', 'F', 'B', 1}
+
+// Request frame flag bits. A set bit means the section is present;
+// unknown bits are an error, not skipped.
+const (
+	frameClose   = 1 << iota // close the batch after this submission
+	frameSlot                // slot section present
+	frameReports             // reports section present
+	frameTasks               // tasks section present
+	frameFlags   = frameClose | frameSlot | frameReports | frameTasks
+)
+
+// Minimum encoded element sizes. Every count is checked against the bytes
+// that remain at these sizes before a buffer grows, so a short body that
+// claims a huge count is rejected without allocating.
+const (
+	frameMinReport = 1 + 3*8 // 1-byte task varint + u, v, q
+	frameMinTask   = 2       // two 1-byte counts, empty ctx and scns
+	frameMinF64    = 8
+	frameMinVarint = 1
+)
+
+var (
+	errFrameMagic    = errors.New("not a v1 binary frame")
+	errFrameFlags    = errors.New("unknown frame flag bits")
+	errFrameTrunc    = errors.New("frame truncated")
+	errFrameVarint   = errors.New("malformed varint")
+	errFrameCount    = errors.New("count exceeds the remaining frame")
+	errFrameTrailing = errors.New("trailing bytes after frame")
+)
+
+// frameReader walks a frame. Every read is bounds-checked against the
+// body, and its errors are preallocated sentinels, so a hostile frame
+// costs no allocation to reject.
+type frameReader struct {
+	b []byte
+	i int
+}
+
+// uvarint reads a LEB128 varint; one-byte values (every count and SCN id
+// of a realistic frame) skip the general decoder.
+func (r *frameReader) uvarint() (uint64, error) {
+	if r.i < len(r.b) && r.b[r.i] < 0x80 {
+		r.i++
+		return uint64(r.b[r.i-1]), nil
+	}
+	v, n := binary.Uvarint(r.b[r.i:])
+	switch {
+	case n > 0:
+		r.i += n
+		return v, nil
+	case n == 0:
+		return 0, errFrameTrunc
+	}
+	return 0, errFrameVarint
+}
+
+// int reads a zigzag varint.
+func (r *frameReader) int() (int, error) {
+	u, err := r.uvarint()
+	return int(int64(u>>1) ^ -int64(u&1)), err
+}
+
+// count reads an element count and bounds it by the bytes that remain at
+// min bytes per element.
+func (r *frameReader) count(min int) (int, error) {
+	n, err := r.uvarint()
 	if err != nil {
-		return p.fail(err)
+		return 0, err
+	}
+	// n ≤ rem first, so n*min cannot overflow (and no division).
+	if rem := len(r.b) - r.i; n > uint64(rem) || int(n)*min > rem {
+		return 0, errFrameCount
+	}
+	return int(n), nil
+}
+
+// f64 reads one float; the caller has checked that 8 bytes remain.
+func (r *frameReader) f64() float64 {
+	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.i:]))
+	r.i += 8
+	return v
+}
+
+func (r *frameReader) end() error {
+	if r.i != len(r.b) {
+		return errFrameTrailing
 	}
 	return nil
 }
 
-// parseReportResponse decodes a ReportResponse.
-func parseReportResponse(b []byte, into *ReportResponse) error {
-	p := wireParser{b: b}
-	err := p.object(func(name []byte) error {
-		if string(name) == "accepted" {
-			v, err := p.int()
-			into.Accepted = v
+// openFrame checks a frame's magic and positions a reader after it.
+func openFrame(b []byte) (frameReader, error) {
+	if len(b) < len(frameMagic) || [4]byte(b[:4]) != frameMagic {
+		return frameReader{}, errFrameMagic
+	}
+	return frameReader{b: b, i: len(frameMagic)}, nil
+}
+
+// decodeFrame parses the pooled body as a request frame into exactly the
+// fields decode fills for the same request in JSON. On error the caller
+// must reset the wireReq, as after decode.
+func (q *wireReq) decodeFrame() error {
+	r, err := openFrame(q.body)
+	if err != nil {
+		return err
+	}
+	if r.i == len(r.b) {
+		return errFrameTrunc
+	}
+	flags := r.b[r.i]
+	r.i++
+	if flags&^frameFlags != 0 {
+		return errFrameFlags
+	}
+	q.close = flags&frameClose != 0
+	if flags&frameSlot != 0 {
+		v, err := r.int()
+		if err != nil {
 			return err
 		}
-		return p.skipValue(0)
-	})
+		q.slot, q.hasSlot = v, true
+	}
+	if flags&frameReports != 0 {
+		q.hasReps = true
+		if err := q.frameReports(&r); err != nil {
+			return err
+		}
+	}
+	if flags&frameTasks != 0 {
+		q.hasTasks = true
+		if err := q.frameTasks(&r); err != nil {
+			return err
+		}
+	}
+	if err := r.end(); err != nil {
+		return err
+	}
+	q.materialiseTasks()
+	return nil
+}
+
+func (q *wireReq) frameReports(r *frameReader) error {
+	n, err := r.count(frameMinReport)
 	if err != nil {
-		return p.fail(err)
+		return err
+	}
+	q.reports = slices.Grow(q.reports, n)
+	for range n {
+		task, err := r.int()
+		if err != nil {
+			return err
+		}
+		if len(r.b)-r.i < 3*8 {
+			return errFrameTrunc
+		}
+		q.reports = append(q.reports, TaskReport{Task: task, U: r.f64(), V: r.f64(), Q: r.f64()})
 	}
 	return nil
 }
 
-// parseStepResponse decodes a StepResponse, reusing into.Assigned.
+func (q *wireReq) frameTasks(r *frameReader) error {
+	n, err := r.count(frameMinTask)
+	if err != nil {
+		return err
+	}
+	q.offs = slices.Grow(q.offs, n)
+	for range n {
+		k, err := r.count(frameMinF64)
+		if err != nil {
+			return err
+		}
+		c0 := len(q.ctxBuf)
+		q.ctxBuf = slices.Grow(q.ctxBuf, k)[:c0+k]
+		src := r.b[r.i : r.i+8*k]
+		for j := range q.ctxBuf[c0:] {
+			q.ctxBuf[c0+j] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*j:]))
+		}
+		r.i += 8 * k
+		s, err := r.count(frameMinVarint)
+		if err != nil {
+			return err
+		}
+		s0 := len(q.scnBuf)
+		q.scnBuf = slices.Grow(q.scnBuf, s)
+		for range s {
+			m, err := r.int()
+			if err != nil {
+				return err
+			}
+			q.scnBuf = append(q.scnBuf, m)
+		}
+		q.offs = append(q.offs, [4]int32{int32(c0), int32(c0 + k), int32(s0), int32(len(q.scnBuf))})
+	}
+	return nil
+}
+
+func appendF64(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+}
+
+func appendVarint(b []byte, v int) []byte {
+	return binary.AppendVarint(b, int64(v))
+}
+
+// appendRequestFrame encodes a request frame holding the sections flags
+// names; the arguments of absent sections are ignored.
+func appendRequestFrame(b []byte, flags byte, slot int, reports []TaskReport, tasks []TaskSpec) []byte {
+	b = append(b, frameMagic[:]...)
+	b = append(b, flags)
+	if flags&frameSlot != 0 {
+		b = appendVarint(b, slot)
+	}
+	if flags&frameReports != 0 {
+		b = binary.AppendUvarint(b, uint64(len(reports)))
+		for i := range reports {
+			r := &reports[i]
+			b = appendVarint(b, r.Task)
+			b = appendF64(b, r.U)
+			b = appendF64(b, r.V)
+			b = appendF64(b, r.Q)
+		}
+	}
+	if flags&frameTasks != 0 {
+		b = binary.AppendUvarint(b, uint64(len(tasks)))
+		for i := range tasks {
+			b = binary.AppendUvarint(b, uint64(len(tasks[i].Ctx)))
+			for _, v := range tasks[i].Ctx {
+				b = appendF64(b, v)
+			}
+			b = binary.AppendUvarint(b, uint64(len(tasks[i].SCNs)))
+			for _, m := range tasks[i].SCNs {
+				b = appendVarint(b, m)
+			}
+		}
+	}
+	return b
+}
+
+// appendStepFrame is appendStepRequest's frame twin: the report part only
+// when there are reports. With none it is the /v1/submit frame.
+func appendStepFrame(b []byte, slot int, reports []TaskReport, tasks []TaskSpec, close bool) []byte {
+	flags := byte(frameTasks)
+	if close {
+		flags |= frameClose
+	}
+	if len(reports) > 0 {
+		flags |= frameSlot | frameReports
+	}
+	return appendRequestFrame(b, flags, slot, reports, tasks)
+}
+
+// appendReportFrame encodes the /v1/report frame.
+func appendReportFrame(b []byte, slot int, reports []TaskReport) []byte {
+	return appendRequestFrame(b, frameSlot|frameReports, slot, reports, nil)
+}
+
+// appendDecisionFrame appends the decision fields shared by the submit
+// and step reply frames.
+func appendDecisionFrame(b []byte, slot, base int, assigned []int) []byte {
+	b = appendVarint(b, slot)
+	b = appendVarint(b, base)
+	b = binary.AppendUvarint(b, uint64(len(assigned)))
+	for _, m := range assigned {
+		b = appendVarint(b, m)
+	}
+	return b
+}
+
+// The reply encoders write a 200 reply into q.out in the encoding the
+// request arrived in.
+
+func (q *wireReq) replySubmit(slot, base int, assigned []int) {
+	if !q.frame {
+		q.out = appendSubmitResponse(q.out[:0], slot, base, assigned)
+		return
+	}
+	q.out = appendDecisionFrame(append(q.out[:0], frameMagic[:]...), slot, base, assigned)
+}
+
+func (q *wireReq) replyReport(accepted int) {
+	if !q.frame {
+		q.out = appendReportResponse(q.out[:0], accepted)
+		return
+	}
+	q.out = appendVarint(append(q.out[:0], frameMagic[:]...), accepted)
+}
+
+func (q *wireReq) replyStep(accepted int, repErr string, slot, base int, assigned []int) {
+	if !q.frame {
+		q.out = appendStepResponse(q.out[:0], accepted, repErr, slot, base, assigned)
+		return
+	}
+	b := appendVarint(append(q.out[:0], frameMagic[:]...), accepted)
+	b = binary.AppendUvarint(b, uint64(len(repErr)))
+	b = append(b, repErr...)
+	q.out = appendDecisionFrame(b, slot, base, assigned)
+}
+
+// decision reads the decision fields into the targets, reusing
+// *assigned, and requires the frame to end there.
+func (r *frameReader) decision(slot, base *int, assigned *[]int) error {
+	var err error
+	if *slot, err = r.int(); err != nil {
+		return err
+	}
+	if *base, err = r.int(); err != nil {
+		return err
+	}
+	n, err := r.count(frameMinVarint)
+	if err != nil {
+		return err
+	}
+	a := slices.Grow((*assigned)[:0], n)
+	for range n {
+		m, err := r.int()
+		if err != nil {
+			return err
+		}
+		a = append(a, m)
+	}
+	*assigned = a
+	return r.end()
+}
+
+// parseSubmitFrame decodes a /v1/submit reply frame, reusing
+// into.Assigned.
+func parseSubmitFrame(b []byte, into *SubmitResponse) error {
+	r, err := openFrame(b)
+	if err != nil {
+		return err
+	}
+	return r.decision(&into.Slot, &into.Base, &into.Assigned)
+}
+
+// parseReportFrame decodes a /v1/report reply frame.
+func parseReportFrame(b []byte, into *ReportResponse) error {
+	r, err := openFrame(b)
+	if err != nil {
+		return err
+	}
+	if into.Accepted, err = r.int(); err != nil {
+		return err
+	}
+	return r.end()
+}
+
+// parseStepFrame decodes a /v1/step reply frame, reusing into.Assigned.
+// Only a non-empty report_error allocates.
+func parseStepFrame(b []byte, into *StepResponse) error {
+	r, err := openFrame(b)
+	if err != nil {
+		return err
+	}
+	if into.Accepted, err = r.int(); err != nil {
+		return err
+	}
+	n, err := r.count(1)
+	if err != nil {
+		return err
+	}
+	into.ReportError = ""
+	if n > 0 {
+		into.ReportError = string(r.b[r.i : r.i+n])
+		r.i += n
+	}
+	return r.decision(&into.Slot, &into.Base, &into.Assigned)
+}
+
+// ---------------------------------------------------------------------------
+// Client-side JSON parsers (same machinery, reusable targets)
+// ---------------------------------------------------------------------------
+
+// parseStepResponse decodes a JSON StepResponse, reusing into.Assigned.
 func parseStepResponse(b []byte, into *StepResponse) error {
 	p := wireParser{b: b}
 	into.Assigned = into.Assigned[:0]

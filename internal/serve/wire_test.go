@@ -54,7 +54,7 @@ func TestWireEncodersRoundTrip(t *testing.T) {
 	reports := wireReports()
 
 	t.Run("submit-request", func(t *testing.T) {
-		b := appendSubmitRequest(nil, tasks, true)
+		b := appendStepRequest(nil, 0, nil, tasks, true)
 		var got SubmitRequest
 		if err := json.Unmarshal(b, &got); err != nil {
 			t.Fatalf("stdlib rejects %s: %v", b, err)
@@ -231,17 +231,22 @@ func TestWireDecodeErrors(t *testing.T) {
 	}
 }
 
-// TestWireResponseParsers covers the client-side parsers, including
-// Assigned reuse shrinking from a larger previous response.
+// TestWireResponseParsers covers the client-side parsers — the reply
+// frames of all three endpoints and the JSON step reply and error
+// envelope — including Assigned reuse shrinking from a larger previous
+// response.
 func TestWireResponseParsers(t *testing.T) {
+	q := &wireReq{frame: true}
 	var sr SubmitResponse
-	if err := parseSubmitResponse([]byte(`{"slot":2,"base":4,"assigned":[3,-1,0,5]}`), &sr); err != nil {
+	q.replySubmit(2, 4, []int{3, -1, 0, 5})
+	if err := parseSubmitFrame(q.out, &sr); err != nil {
 		t.Fatal(err)
 	}
 	if sr.Slot != 2 || sr.Base != 4 || !reflect.DeepEqual(sr.Assigned, []int{3, -1, 0, 5}) {
 		t.Fatalf("%+v", sr)
 	}
-	if err := parseSubmitResponse([]byte(`{"slot":3,"base":0,"assigned":[1]}`), &sr); err != nil {
+	q.replySubmit(3, 0, []int{1})
+	if err := parseSubmitFrame(q.out, &sr); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(sr.Assigned, []int{1}) {
@@ -249,7 +254,8 @@ func TestWireResponseParsers(t *testing.T) {
 	}
 
 	var rr ReportResponse
-	if err := parseReportResponse([]byte(` {"accepted": 7, "future": true} `), &rr); err != nil {
+	q.replyReport(7)
+	if err := parseReportFrame(q.out, &rr); err != nil {
 		t.Fatal(err)
 	}
 	if rr.Accepted != 7 {
@@ -257,6 +263,28 @@ func TestWireResponseParsers(t *testing.T) {
 	}
 
 	st := StepResponse{ReportError: "stale"}
+	q.replyStep(2, "", 9, 0, []int{-1, 4})
+	if err := parseStepFrame(q.out, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Accepted != 2 || st.ReportError != "" || st.Slot != 9 || !reflect.DeepEqual(st.Assigned, []int{-1, 4}) {
+		t.Fatalf("%+v", st)
+	}
+	q.replyStep(0, `late "slot"`, 1, 0, nil)
+	if err := parseStepFrame(q.out, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.ReportError != `late "slot"` || len(st.Assigned) != 0 {
+		t.Fatalf("%+v", st)
+	}
+	// A JSON reply, a truncated frame, and trailing bytes are all refused.
+	for _, b := range [][]byte{[]byte(`{"slot":1}`), q.out[:len(q.out)-1], append(q.out, 0)} {
+		if err := parseStepFrame(b, &st); err == nil {
+			t.Fatalf("parseStepFrame accepted %q", b)
+		}
+	}
+
+	st = StepResponse{ReportError: "stale"}
 	if err := parseStepResponse([]byte(`{"accepted":2,"slot":9,"base":0,"assigned":[-1,4]}`), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +312,8 @@ func TestWireResponseParsers(t *testing.T) {
 
 // FuzzWireDecode hammers the pooled decoder with malformed, truncated,
 // and duplicated-field inputs. Properties: never panics; on success the
-// decode is idempotent (same bytes, same result); on error a reset
+// decode is idempotent (same bytes, same result) and the request
+// re-encoded as a binary frame decodes DeepEqual; on error a reset
 // object decodes a known-good body exactly (no partial mutation leaks
 // into the pool).
 func FuzzWireDecode(f *testing.F) {
@@ -315,6 +344,7 @@ func FuzzWireDecode(f *testing.F) {
 				q.hasSlot != q2.hasSlot || q.hasTasks != q2.hasTasks || q.hasReps != q2.hasReps {
 				t.Fatal("decode not deterministic")
 			}
+			requireCrossCodec(t, q)
 		}
 		// Error or not: after reset, the pooled object must decode a valid
 		// body with no residue.
@@ -334,31 +364,46 @@ func FuzzWireDecode(f *testing.F) {
 // handling on the batched step path allocates nothing — not in the
 // handler (decode, validate, dispatch, encode), not in the engine's
 // Decide/Observe slot work it blocks on, and not in the client-side
-// encode/parse/realise around it. AllocsPerRun counts mallocs across all
-// goroutines, so the engine goroutine is inside the measurement.
+// encode/parse/realise around it — in either request encoding.
+// AllocsPerRun counts mallocs across all goroutines, so the engine
+// goroutine is inside the measurement.
 func TestServeWireZeroAlloc(t *testing.T) {
-	h, err := newStepHarness(1<<20, 9, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.eng.Stop()
-	// Warm every pooled buffer across the workload's size range.
-	for i := 0; i < 400; i++ {
-		if err := h.step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var stepErr error
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := h.step(); err != nil && stepErr == nil {
-			stepErr = err
-		}
-	})
-	if stepErr != nil {
-		t.Fatal(stepErr)
-	}
-	if allocs != 0 {
-		t.Fatalf("steady-state step = %v allocs/request, want 0", allocs)
+	pinZeroAlloc(t, nil)
+}
+
+// pinZeroAlloc runs the step harness to steady state once per encoding
+// (JSON, binary frames) on an engine adjusted by mutate and requires 0
+// allocations per request.
+func pinZeroAlloc(t *testing.T, mutate func(*Config)) {
+	for _, codec := range []struct {
+		name  string
+		frame bool
+	}{{"json", false}, {"binary", true}} {
+		t.Run(codec.name, func(t *testing.T) {
+			h, err := newStepHarness(1<<20, 9, codec.frame, mutate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer h.eng.Stop()
+			// Warm every pooled buffer across the workload's size range.
+			for i := 0; i < 400; i++ {
+				if err := h.step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var stepErr error
+			allocs := testing.AllocsPerRun(200, func() {
+				if err := h.step(); err != nil && stepErr == nil {
+					stepErr = err
+				}
+			})
+			if stepErr != nil {
+				t.Fatal(stepErr)
+			}
+			if allocs != 0 {
+				t.Fatalf("steady-state step = %v allocs/request, want 0", allocs)
+			}
+		})
 	}
 }
 
