@@ -14,7 +14,7 @@ GO ?= go
 # gates are all concurrent by construction.
 RACE_PKGS = ./internal/core ./internal/parallel ./internal/assign ./internal/sim ./internal/trace ./internal/obs ./internal/metrics ./internal/serve
 
-.PHONY: all build vet test test-race bench-short bench-short-parallel bench json bench-serve bench-serve-shards bench-diff fuzz-short serve-smoke serve-smoke-shards obs-smoke scenario-smoke perfbench-test ci clean
+.PHONY: all build vet test test-race bench-short bench-short-parallel bench json bench-serve bench-serve-shards bench-diff fuzz-short serve-smoke serve-smoke-shards obs-smoke scenario-smoke perfbench-test perfbench-smoke ci clean
 
 all: vet test
 
@@ -145,6 +145,15 @@ perfbench-test:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
 
+# One-second runs of every BENCHMARK.json workload: the paper-scale slot
+# stream (Sec. 5 topology, ~2000 tasks per /v1/step) served by a real
+# lfscd over loopback HTTP, the 4-SCN serving shape, offline sim.Run, and
+# churn at 2 shards with checkpoints. The timings are throwaway; the
+# point is perfbench's per-run gate, which exits non-zero unless client,
+# daemon and an offline sim.Run agree bit for bit.
+perfbench-smoke:
+	bash perfbench/run.sh --workload all --seconds 1 --trace 0
+
 # Everything a commit must pass, in the order a CI runner would execute:
 # static checks, the full test suite, the race-detector suite over the
 # concurrency-contract packages, the serving-layer kill-and-resume
@@ -152,9 +161,10 @@ perfbench-test:
 # scenario churn smoke, the quick perf kernels (which also assert 0
 # allocs/op on the steady-state paths) at Workers=1 and again at
 # Workers=NumCPU under the race detector, the short-mode shard-scaling
-# curve, a short fuzz pass over the untrusted-input decoders, and the
-# perfbench module's own vet and tests.
-ci: vet test test-race serve-smoke serve-smoke-shards obs-smoke scenario-smoke bench-short bench-short-parallel bench-serve-shards fuzz-short perfbench-test
+# curve, a short fuzz pass over the untrusted-input decoders, the
+# perfbench module's own vet and tests, and a paper-scale served slot
+# stream through perfbench's client == daemon == offline gate.
+ci: vet test test-race serve-smoke serve-smoke-shards obs-smoke scenario-smoke bench-short bench-short-parallel bench-serve-shards fuzz-short perfbench-test perfbench-smoke
 
 clean:
 	$(GO) clean ./...

@@ -169,12 +169,12 @@ func (e *Engine) snapshotPolicy(into *obs.PolicySnapshot) {
 // client-side ShardPool routes by). Called once per ingested submission,
 // under mu.
 func (e *Engine) accountRouting(q *wireReq) {
-	if e.router == nil || len(q.tasks) == 0 || len(q.tasks[0].SCNs) == 0 {
+	if e.router == nil || len(q.scns) == 0 {
 		return
 	}
-	sh := e.shards[e.router.Shard(q.tasks[0].SCNs[0])]
+	sh := e.shards[e.router.Shard(q.scns[0])]
 	sh.routedSubs.Add(1)
-	sh.routedTasks.Add(uint64(len(q.tasks)))
+	sh.routedTasks.Add(uint64(len(q.cells)))
 }
 
 // accountShed attributes a shed submission's tasks to its home shard
@@ -183,8 +183,8 @@ func (e *Engine) accountRouting(q *wireReq) {
 // goroutines; the router mapping is immutable and the counter atomic,
 // so no lock is needed.
 func (e *Engine) accountShed(q *wireReq) {
-	if e.router == nil || len(q.tasks) == 0 || len(q.tasks[0].SCNs) == 0 {
+	if e.router == nil || len(q.scns) == 0 {
 		return
 	}
-	e.shards[e.router.Shard(q.tasks[0].SCNs[0])].shedTasks.Add(uint64(len(q.tasks)))
+	e.shards[e.router.Shard(q.scns[0])].shedTasks.Add(uint64(len(q.cells)))
 }

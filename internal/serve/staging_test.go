@@ -9,12 +9,11 @@ import (
 	"lfsc/internal/task"
 )
 
-// TestStagingRouterBoundary pins the shard-local ingest contract at the
+// TestStagingRouterBoundary pins the ingest staging contract at the
 // Router boundary: a submission whose tasks span SCNs owned by different
 // shards lands whole — every visible SCN's coverage row gets the task —
-// and arrival-ordered in each shard's staging block, with the context
-// buffer packed and the hypercube cells riding along exactly as
-// validateTasks computed them.
+// and arrival-ordered in every row, with the hypercube cells riding along
+// exactly as the acceptor computed them.
 func TestStagingRouterBoundary(t *testing.T) {
 	cfg := Config{
 		SCNs: 8, Capacity: 3, Alpha: 1, Beta: 5,
@@ -50,8 +49,7 @@ func TestStagingRouterBoundary(t *testing.T) {
 	total := 0
 	for _, tasks := range subs {
 		q := eng.getReq()
-		q.tasks = append(q.tasks[:0], tasks...)
-		if err := eng.validateTasks(q); err != nil {
+		if err := q.acceptSpecs(tasks); err != nil {
 			t.Fatal(err)
 		}
 		eng.mu.Lock()
@@ -67,19 +65,11 @@ func TestStagingRouterBoundary(t *testing.T) {
 		t.Fatalf("staged %d tasks, want %d", st.n, total)
 	}
 
-	// The packed context buffer and the cells must reproduce the
-	// submissions in arrival order.
-	dims := eng.cfg.Dims
+	// The cells must reproduce the submissions in arrival order.
 	idx := 0
 	for _, tasks := range subs {
 		for i := range tasks {
-			got := st.ctxBuf[idx*dims : (idx+1)*dims]
-			for d, v := range tasks[i].Ctx {
-				if got[d] != v {
-					t.Fatalf("task %d ctx[%d] staged as %v, want %v", idx, d, got[d], v)
-				}
-			}
-			if want := eng.part.Index(task.Context(tasks[i].Ctx)); st.cells[idx] != want {
+			if want := eng.shape.part.Index(task.Context(tasks[i].Ctx)); st.cells[idx] != want {
 				t.Fatalf("task %d cell staged as %d, want %d", idx, st.cells[idx], want)
 			}
 			idx++
@@ -91,11 +81,11 @@ func TestStagingRouterBoundary(t *testing.T) {
 	// arrival (= slot) order.
 	covCount := make([]int, total)
 	for m := 0; m < cfg.SCNs; m++ {
-		row := st.shards[eng.scnShard[m]].cov[eng.scnLocal[m]]
+		row := st.cov[m]
 		prev := -1
 		for _, taskIdx := range row {
 			if taskIdx <= prev {
-				t.Fatalf("SCN %d (shard %d) row out of arrival order: %v", m, eng.scnShard[m], row)
+				t.Fatalf("SCN %d (shard %d) row out of arrival order: %v", m, eng.owner[m], row)
 			}
 			prev = taskIdx
 			covCount[taskIdx]++
@@ -104,7 +94,7 @@ func TestStagingRouterBoundary(t *testing.T) {
 		case scnOf[0], scnOf[1]:
 			if len(row) != total {
 				t.Fatalf("SCN %d (shard %d) row has %d tasks, want %d: %v",
-					m, eng.scnShard[m], len(row), total, row)
+					m, eng.owner[m], len(row), total, row)
 			}
 		default:
 			if len(row) != 0 {
