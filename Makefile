@@ -31,12 +31,15 @@ test-race:
 	$(GO) test -race $(RACE_PKGS)
 
 # Quick perf snapshot of the hot path: the allocation-free micro kernels
-# (Decide/Update/Greedy/DepRound/hypercube indexing). All benchmarks
-# report allocs/op; the steady-state kernels must show 0.
+# (Decide/Update/Greedy/DepRound/hypercube indexing) and the serving wire
+# codec (encode and decode of a paper-scale /v1/step body, JSON and
+# binary frame — the source of DESIGN.md §10's decode figures). All
+# benchmarks report allocs/op; the steady-state kernels must show 0.
 bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkDecide|BenchmarkUpdate' -benchtime 10x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkGreedyAssign|BenchmarkDepRound' -benchtime 100x ./internal/assign
 	$(GO) test -run '^$$' -bench 'BenchmarkHypercubeIndex' -benchtime 100x ./internal/hypercube
+	$(GO) test -run '^$$' -bench 'BenchmarkWireCodec' -benchtime 10x ./internal/serve
 
 # The same kernels at Workers=NumCPU, under the race detector: the
 # parallel per-SCN Decide/Observe fan-out must stay race-clean on every

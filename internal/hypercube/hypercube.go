@@ -69,16 +69,24 @@ func (p *Partition) Index(ctx task.Context) int {
 	}
 	idx := 0
 	for d := 0; d < p.dims; d++ {
-		c := int(ctx[d] * float64(p.h))
-		if c < 0 {
-			c = 0
-		}
-		if c >= p.h {
-			c = p.h - 1
-		}
-		idx = idx*p.h + c
+		idx = idx*p.h + p.Coord(ctx[d])
 	}
 	return idx
+}
+
+// Coord maps one context coordinate to its cell coordinate along a
+// dimension, ⌊v·h⌋ clamped into [0, h); Index packs the per-dimension
+// coordinates mixed-radix, most significant first. Decoders that read a
+// context one coordinate at a time fold it with the same formula.
+func (p *Partition) Coord(v float64) int {
+	c := int(v * float64(p.h))
+	if c < 0 {
+		c = 0
+	}
+	if c >= p.h {
+		c = p.h - 1
+	}
+	return c
 }
 
 // IndexTask maps a task directly to its hypercube index without

@@ -41,11 +41,12 @@ type shardCheckpoint struct {
 
 // checkpointManifest sits at CheckpointPath for a sharded engine and
 // commits one generation of shard files: the shard files are written
-// first under the new generation number, then the manifest is renamed
-// into place — the atomic commit point — and only then is the previous
-// generation deleted. A crash anywhere leaves the manifest pointing at a
-// complete generation. Distinguished from a legacy single-file
-// engineCheckpoint by the presence of the shards field.
+// first under the new generation number and their directory is synced,
+// then the manifest is renamed into place — the atomic commit point —
+// and synced, and only then is the previous generation deleted. A crash
+// anywhere leaves the manifest pointing at a complete generation.
+// Distinguished from a legacy single-file engineCheckpoint by the
+// presence of the shards field.
 type checkpointManifest struct {
 	Version    int     `json:"version"`
 	Shards     int     `json:"shards"`
@@ -92,8 +93,9 @@ func shardFilePath(path string, gen uint64, k int) string {
 
 // checkpointNow atomically writes the engine's current state to
 // cfg.CheckpointPath: serialise to a temp file in the same directory,
-// fsync, rename. A crash mid-write leaves the previous checkpoint
-// intact; a crash after rename leaves the new one — never a torn file.
+// fsync, rename, fsync the directory. A crash mid-write leaves the
+// previous checkpoint intact; a crash after the directory sync leaves
+// the new one — never a torn file.
 // A sharded engine writes one file per non-empty shard plus the manifest
 // (see checkpointManifest for the commit order). Engine-goroutine only.
 func (e *Engine) checkpointNow() error {
@@ -115,15 +117,20 @@ func (e *Engine) checkpointNow() error {
 	if err != nil {
 		return fmt.Errorf("serve: checkpoint: %w", err)
 	}
-	return atomicWrite(e.cfg.CheckpointPath, data)
+	if err := atomicWrite(e.cfg.CheckpointPath, data); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(e.cfg.CheckpointPath))
 }
 
 // checkpointShardedNow writes the next sharded generation. Shard files
-// land before the manifest rename (the commit), the previous generation
-// is removed after it; a failure part-way leaves orphan files of the
-// uncommitted generation, overwritten on the next attempt.
+// land and their directory is synced before the manifest rename (the
+// commit), which is synced in turn before the previous generation is
+// removed; a failure part-way leaves orphan files of the uncommitted
+// generation, overwritten on the next attempt.
 func (e *Engine) checkpointShardedNow() error {
 	path := e.cfg.CheckpointPath
+	dir := filepath.Dir(path)
 	gen := e.ckptGen + 1
 	slot := e.slotsSeen()
 	for k, sh := range e.shards {
@@ -148,6 +155,10 @@ func (e *Engine) checkpointShardedNow() error {
 			return err
 		}
 	}
+	// The shard docs must be durable before the manifest names them.
+	if err := syncDir(dir); err != nil {
+		return err
+	}
 	data, err := json.Marshal(&checkpointManifest{
 		Version:    engineCheckpointVersion,
 		Shards:     len(e.shards),
@@ -162,12 +173,19 @@ func (e *Engine) checkpointShardedNow() error {
 	if err := atomicWrite(path, data); err != nil {
 		return err
 	}
-	if e.ckptGen > 0 {
+	// The manifest names gen from here on, so no later attempt may
+	// rewrite gen's files; until the rename is durable, a crash can still
+	// bring back the previous manifest, so its generation stays.
+	prev := e.ckptGen
+	e.ckptGen = gen
+	if err := syncDir(dir); err != nil {
+		return err
+	}
+	if prev > 0 {
 		for k := range e.shards {
-			os.Remove(shardFilePath(path, e.ckptGen, k)) //nolint:errcheck // best-effort GC of the superseded generation
+			os.Remove(shardFilePath(path, prev, k)) //nolint:errcheck // best-effort GC of the superseded generation
 		}
 	}
-	e.ckptGen = gen
 	return nil
 }
 
@@ -197,6 +215,23 @@ func atomicWrite(path string, data []byte) error {
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("serve: checkpoint rename: %w", err)
+	}
+	return nil
+}
+
+// syncDir fsyncs directory dir. A rename is durable only once its
+// directory is, so each commit step syncs before the next relies on it.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("serve: checkpoint dir: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("serve: checkpoint dir sync: %w", err)
 	}
 	return nil
 }

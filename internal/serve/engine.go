@@ -359,6 +359,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: partition: %w", err)
 	}
+	// Every serving learner, flat or shard, runs its per-SCN stages
+	// serially: the engine's one fan-out axis is across shards.
 	coreCfg := core.Config{
 		SCNs:     cfg.SCNs,
 		Capacity: cfg.Capacity,
@@ -367,6 +369,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		Cells:    part.Cells(),
 		KMax:     cfg.KMax,
 		Horizon:  cfg.Horizon,
+		Workers:  1,
 	}
 	e := &Engine{
 		cfg:     cfg,
@@ -415,9 +418,13 @@ func (e *Engine) getReq() *wireReq {
 
 // putReq resets and recycles a wireReq. Only call once the engine can no
 // longer reference it: after its reply was received, or before it was
-// ever enqueued.
+// ever enqueued. A body buffer grown past the shape's maxBody is dropped,
+// so a burst of large bodies cannot pin maxWireBody per pooled request.
 func (e *Engine) putReq(q *wireReq) {
 	q.reset()
+	if cap(q.body) > e.shape.maxBody {
+		q.body = nil
+	}
 	// Drain a reply that raced with an engine-stopped exit so the pooled
 	// object never resurfaces with a stale message buffered.
 	select {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"lfsc/internal/obs"
 	"lfsc/internal/rng"
@@ -246,6 +247,25 @@ func get(t *testing.T, url string) string {
 	return string(body)
 }
 
+// awaitSlots waits until the engine has finished its first T slots. A
+// replay's last request is a /v1/report, answered as soon as its reports
+// are absorbed and before the engine runs the slot's Observe and records
+// it, so a scrape right after the replay could see the last slot open.
+func awaitSlots(t *testing.T, eng *Engine, T int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for eng.Slot() < T {
+		if time.Now().After(deadline) {
+			t.Fatalf("engine at slot %d, want %d", eng.Slot(), T)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// finishSlot publishes the slot's trace record after advancing the
+	// counter, under mu; taking mu once waits that out.
+	eng.mu.Lock()
+	eng.mu.Unlock() //nolint:staticcheck // empty critical section: a barrier
+}
+
 // TestObsSmokeScrape is the scrape-twice smoke behind `make obs-smoke`:
 // boot a sharded instrumented daemon, serve real traffic, scrape
 // /metrics twice with traffic in between, and require (1) both scrapes
@@ -269,6 +289,7 @@ func TestObsSmokeScrape(t *testing.T) {
 	if _, err := rep.Run(conn, T/2, T, nil); err != nil {
 		t.Fatal(err)
 	}
+	awaitSlots(t, eng, T)
 	second := parseProm(t, get(t, "http://"+srv.Addr()+"/metrics"))
 	eng.Stop()
 
@@ -332,6 +353,7 @@ func TestSlotsEndpointAndStatus(t *testing.T) {
 	if _, err := rep.Run(shardPoolFor(srv, shards), 0, T, nil); err != nil {
 		t.Fatal(err)
 	}
+	awaitSlots(t, eng, T)
 
 	var body struct {
 		Published uint64         `json:"published"`
@@ -424,6 +446,7 @@ func TestConcurrentScrapeUnderLoad(t *testing.T) {
 	if _, err := rep.Run(shardPoolFor(srv, shards), 0, T, nil); err != nil {
 		t.Fatal(err)
 	}
+	awaitSlots(t, eng, T)
 	// Final scrapes after the load must still parse and be consistent.
 	final := parseProm(t, get(t, "http://"+srv.Addr()+"/metrics"))
 	if final.values["lfsc_slot"] != T {

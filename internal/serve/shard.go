@@ -50,14 +50,12 @@ type engineShard struct {
 // router over cfg.Shards shards, one partial learner per non-empty shard
 // (every shard's learner derives its per-SCN streams from the same root —
 // rng Derive is pure, so the streams are bit-identical to an unsharded
-// learner's), and the merger stitched over all of them. The per-shard
-// learners run with Workers=1: the engine parallelises across shards, and
-// nesting the core's own fan-out inside that would oversubscribe.
+// learner's), and the merger stitched over all of them. Each learner
+// runs its per-SCN stages serially (coreCfg.Workers is 1); the engine
+// fans out across shards.
 func buildShards(coreCfg core.Config, seed uint64, shards int) ([]*engineShard, *core.Merger, []int, *Router, error) {
 	router := NewRouter(shards)
 	owner, ownedOf := router.OwnerMap(coreCfg.SCNs)
-	shardCfg := coreCfg
-	shardCfg.Workers = 1
 	es := make([]*engineShard, shards)
 	learners := make([]*core.LFSC, shards)
 	for k := 0; k < shards; k++ {
@@ -65,7 +63,7 @@ func buildShards(coreCfg core.Config, seed uint64, shards int) ([]*engineShard, 
 		if len(ownedOf[k]) == 0 {
 			continue
 		}
-		pol, err := core.NewPartial(shardCfg, rng.New(seed).Derive(3), ownedOf[k])
+		pol, err := core.NewPartial(coreCfg, rng.New(seed).Derive(3), ownedOf[k])
 		if err != nil {
 			return nil, nil, nil, nil, fmt.Errorf("serve: shard %d learner: %w", k, err)
 		}

@@ -40,7 +40,6 @@ import (
 
 	"lfsc/internal/hypercube"
 	"lfsc/internal/obs"
-	"lfsc/internal/task"
 )
 
 // TaskSpec is one task arrival as the daemon sees it: the normalised
@@ -240,14 +239,31 @@ type reqShape struct {
 	// one slot, are refused past it before any buffer grows for them.
 	maxItems int
 	part     *hypercube.Partition
+	// maxBody bounds the body buffer a pooled request keeps: the longest
+	// compact JSON body of a request that fits the shape, every number at
+	// its widest (the request's frame is shorter), and at least the
+	// buffer's first 4 KiB. A larger body is still read, up to
+	// maxWireBody, but its buffer is not recycled.
+	maxBody int
 	// The preallocated refusal of a report list longer than maxItems.
 	tooManyReports error
 }
 
+// The widest JSON texts of one number: an int64 and a float64 in
+// shortest round-trip form.
+const (
+	maxIntText   = len("-9223372036854775808")
+	maxFloatText = len("-2.2250738585072014e-308")
+)
+
 func newReqShape(dims, scns, kMax int, part *hypercube.Partition) reqShape {
 	n := scns * kMax
+	report := len(`{"task":,"u":,"v":,"q":},`) + maxIntText + 3*maxFloatText
+	task := len(`{"ctx":[],"scns":[]},`) + dims*(maxFloatText+1)
+	scn := len(strconv.Itoa(scns-1)) + 1
 	return reqShape{
 		dims: dims, scns: scns, kMax: kMax, maxItems: n, part: part,
+		maxBody:        max(4096, len(`{"slot":,"reports":[],"tasks":[],"close":true}`)+maxIntText+n*(report+task+scn)),
 		tooManyReports: errInvalid(fmt.Sprintf("serve: more than SCNs×KMax=%d reports in one request", n)),
 	}
 }
@@ -360,11 +376,12 @@ func growCapped[T any](s []T, n, limit int) []T {
 }
 
 // The acceptor: the JSON decoder, the frame decoder and the in-process
-// Submit/StepInto feed every task through the same three calls —
-// beginTasks once per request, acceptSCN for each visible SCN as it
-// decodes, acceptTask once the task is complete — so a request is
-// validated, indexed and counted in the pass that parses it, and the
-// three callers cannot disagree on what a valid task is.
+// Submit/StepInto feed every task through the same calls — beginTasks
+// once per request, checkDims once its context length is known,
+// acceptSCN for each visible SCN as it decodes, reqShape.fold for each
+// context coordinate and endTask once the task is complete — so a
+// request is validated, indexed and counted in the pass that parses it,
+// and the three callers cannot disagree on what a valid task is.
 
 // beginTasks readies the acceptor for a request's task list.
 func (q *wireReq) beginTasks() {
@@ -385,6 +402,13 @@ func (q *wireReq) checkDims(k int) error {
 		return invalidf("serve: task %d: context has %d dims, want %d", len(q.cells), k, q.shape.dims)
 	}
 	return nil
+}
+
+// fold extends cell, the hypercube index of a context's leading
+// coordinates, by the next coordinate v with the partition's own formula,
+// and reports whether v lies in [0,1] (NaN does not).
+func (sh *reqShape) fold(cell int, v float64) (int, bool) {
+	return cell*sh.part.H() + sh.part.Coord(v), v >= 0 && v <= 1
 }
 
 // acceptSCN admits SCN m to the visible list of the task being decoded:
@@ -417,17 +441,29 @@ func (q *wireReq) scnError(m int) error {
 	return invalidf("serve: submission exceeds KMax=%d for SCN %d", q.shape.kMax, m)
 }
 
-// acceptTask completes the task being decoded: its context must have
-// Dims entries in [0,1] and it must list at least one SCN. Its hypercube
-// cell and the end of its SCN span join the packed arrays, which stay
-// within maxItems: a task is accepted only with an admitted SCN, and
-// acceptSCN admits at most maxItems.
+// acceptTask completes the task being decoded from its whole context:
+// Dims entries, folded into the task's cell.
 func (q *wireReq) acceptTask(ctx []float64) error {
-	i := len(q.cells)
 	if err := q.checkDims(len(ctx)); err != nil {
 		return err
 	}
-	if !task.Context(ctx).Valid() {
+	cell, inRange := 0, true
+	for _, v := range ctx {
+		c, ok := q.shape.fold(cell, v)
+		cell, inRange = c, inRange && ok
+	}
+	return q.endTask(cell, inRange)
+}
+
+// endTask completes the task being decoded once its Dims-entry context
+// has been folded into cell (inRange is false when an entry fell outside
+// [0,1]): the context must be in range and the task must list at least
+// one SCN. The cell and the end of the task's SCN span join the packed
+// arrays, which stay within maxItems: a task is accepted only with an
+// admitted SCN, and acceptSCN admits at most maxItems.
+func (q *wireReq) endTask(cell int, inRange bool) error {
+	i := len(q.cells)
+	if !inRange {
 		return invalidf("serve: task %d: context outside [0,1]", i)
 	}
 	var start int32
@@ -443,7 +479,7 @@ func (q *wireReq) acceptTask(ctx []float64) error {
 	if len(q.ends) == cap(q.ends) {
 		q.ends = growCapped(q.ends, 1, q.shape.maxItems)
 	}
-	q.cells = append(q.cells, q.shape.part.Index(ctx))
+	q.cells = append(q.cells, cell)
 	q.ends = append(q.ends, int32(len(q.scns)))
 	return nil
 }
@@ -469,8 +505,10 @@ func (q *wireReq) acceptSpecs(tasks []TaskSpec) error {
 }
 
 // readBody slurps r into the pooled body buffer, growing it at most up
-// to maxWireBody. Steady state (a client resubmitting similar-sized
-// bodies) reads into existing capacity and allocates nothing.
+// to maxWireBody. Growth stops at the shape's maxBody until a body
+// outgrows it, so the buffer of a body that fits stays recyclable.
+// Steady state (a client resubmitting similar-sized bodies) reads into
+// existing capacity and allocates nothing.
 func (q *wireReq) readBody(r io.Reader) error {
 	q.body = q.body[:0]
 	if cap(q.body) == 0 {
@@ -481,7 +519,11 @@ func (q *wireReq) readBody(r io.Reader) error {
 			if len(q.body) >= maxWireBody {
 				return errBodyTooLarge
 			}
-			q.body = growCapped(q.body, 1, maxWireBody)
+			limit := min(q.shape.maxBody, maxWireBody)
+			if len(q.body) >= limit {
+				limit = maxWireBody
+			}
+			q.body = growCapped(q.body, 1, limit)
 		}
 		n, err := r.Read(q.body[len(q.body):cap(q.body)])
 		q.body = q.body[:len(q.body)+n]
@@ -1267,26 +1309,42 @@ type frameReader struct {
 
 // uvarint reads a LEB128 varint; one-byte values (every count and SCN id
 // of a realistic frame) skip the general decoder.
-func (r *frameReader) uvarint() (uint64, error) {
+func (r *frameReader) uvarint() (v uint64, err error) {
 	if r.i < len(r.b) && r.b[r.i] < 0x80 {
 		r.i++
 		return uint64(r.b[r.i-1]), nil
 	}
-	v, n := binary.Uvarint(r.b[r.i:])
+	v, r.i, err = uvarintSlow(r.b, r.i)
+	return v, err
+}
+
+// uvarintSlow decodes the varint at b[i:] with the general decoder and
+// returns it with the index after it (i itself on error).
+func uvarintSlow(b []byte, i int) (uint64, int, error) {
+	v, n := binary.Uvarint(b[i:])
 	switch {
 	case n > 0:
-		r.i += n
-		return v, nil
+		return v, i + n, nil
 	case n == 0:
-		return 0, errFrameTrunc
+		return 0, i, errFrameTrunc
 	}
-	return 0, errFrameVarint
+	return 0, i, errFrameVarint
 }
+
+// unzigzag maps a zigzag-encoded varint back to its signed value.
+func unzigzag(u uint64) int { return int(int64(u>>1) ^ -int64(u&1)) }
 
 // int reads a zigzag varint.
 func (r *frameReader) int() (int, error) {
 	u, err := r.uvarint()
-	return int(int64(u>>1) ^ -int64(u&1)), err
+	return unzigzag(u), err
+}
+
+// countFits reports whether n elements of at least min bytes each fit in
+// the rem bytes that remain (n ≤ rem first, so n*min cannot overflow, and
+// no division).
+func countFits(n uint64, min, rem int) bool {
+	return n <= uint64(rem) && int(n)*min <= rem
 }
 
 // count reads an element count and bounds it by the bytes that remain at
@@ -1296,8 +1354,7 @@ func (r *frameReader) count(min int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	// n ≤ rem first, so n*min cannot overflow (and no division).
-	if rem := len(r.b) - r.i; n > uint64(rem) || int(n)*min > rem {
+	if !countFits(n, min, len(r.b)-r.i) {
 		return 0, errFrameCount
 	}
 	return int(n), nil
@@ -1386,42 +1443,64 @@ func (q *wireReq) frameReports(r *frameReader) error {
 	return nil
 }
 
-// frameTasks decodes the tasks section through the acceptor. A context
-// count other than Dims is refused before its floats are read.
+// frameTasks decodes the tasks section in one straight pass over the
+// body bytes: one-byte counts and SCN ids are read inline (the general
+// varint decoder runs only when a continuation bit is set), each
+// context's floats are range-checked and folded into the task's cell as
+// they are read, and the acceptor admits each SCN and completes each
+// task. The checks fail in field order, as a field-by-field decode
+// would: a context count other than Dims is refused before its floats
+// are read, an out-of-range context only after its task's SCN list.
 func (q *wireReq) frameTasks(r *frameReader) error {
 	n, err := r.count(frameMinTask)
 	if err != nil {
 		return err
 	}
 	q.beginTasks()
+	sh := q.shape
+	b, i := r.b, r.i
 	for range n {
-		k, err := r.count(frameMinF64)
-		if err != nil {
+		var k, s, u uint64
+		if i < len(b) && b[i] < 0x80 {
+			k, i = uint64(b[i]), i+1
+		} else if k, i, err = uvarintSlow(b, i); err != nil {
 			return err
 		}
-		if err := q.checkDims(k); err != nil {
+		if !countFits(k, frameMinF64, len(b)-i) {
+			return errFrameCount
+		}
+		if err := q.checkDims(int(k)); err != nil {
 			return err
 		}
-		for d := range q.ctx {
-			q.ctx[d] = r.f64()
+		cell, inRange := 0, true
+		for range sh.dims {
+			c, ok := sh.fold(cell, math.Float64frombits(binary.LittleEndian.Uint64(b[i:])))
+			cell, inRange = c, inRange && ok
+			i += 8
 		}
-		s, err := r.count(frameMinVarint)
-		if err != nil {
+		if i < len(b) && b[i] < 0x80 {
+			s, i = uint64(b[i]), i+1
+		} else if s, i, err = uvarintSlow(b, i); err != nil {
 			return err
+		}
+		if !countFits(s, frameMinVarint, len(b)-i) {
+			return errFrameCount
 		}
 		for range s {
-			m, err := r.int()
-			if err != nil {
+			if i < len(b) && b[i] < 0x80 {
+				u, i = uint64(b[i]), i+1
+			} else if u, i, err = uvarintSlow(b, i); err != nil {
 				return err
 			}
-			if err := q.acceptSCN(m); err != nil {
+			if err := q.acceptSCN(unzigzag(u)); err != nil {
 				return err
 			}
 		}
-		if err := q.acceptTask(q.ctx); err != nil {
+		if err := q.endTask(cell, inRange); err != nil {
 			return err
 		}
 	}
+	r.i = i
 	return nil
 }
 

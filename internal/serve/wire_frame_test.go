@@ -9,12 +9,10 @@ import (
 	"math"
 	"net/http"
 	"reflect"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
-
-	"lfsc/internal/env"
-	"lfsc/internal/trace"
 )
 
 // samePacked compares two decoded requests: presence flags, slot and
@@ -436,14 +434,7 @@ func TestWireFrameHugeCountsRejected(t *testing.T) {
 	}
 }
 
-// FuzzWireDecodeBinary hammers the frame decoder. Properties: never
-// panics; buffers stay linear in the body size (a claimed count never
-// outruns the bytes behind it) and within the engine's shape; on success
-// the decode is deterministic; a frame that is well-formed as bytes gives
-// the same verdict and packed form as its request in canonical JSON; on
-// error or not, a reset object decodes a known-good frame with no
-// residue; and input encoding/json reads satisfies the cross-codec
-// property too.
+// FuzzWireDecodeBinary hammers the frame decoder with requireFrameProperty.
 func FuzzWireDecodeBinary(f *testing.F) {
 	f.Add(appendStepFrame(nil, 7, wireReports(), wireTasks(), true))
 	f.Add(appendStepFrame(nil, 0, nil, wireTasks(), false))
@@ -452,37 +443,183 @@ func FuzzWireDecodeBinary(f *testing.F) {
 	f.Add(appendStepFrame(nil, 0, nil, []TaskSpec{{Ctx: []float64{0.5, 0.5}, SCNs: []int{0}}, {Ctx: []float64{0.5, 0.5, 0.5}, SCNs: []int{9, 9}}}, true))
 	f.Add(append(append(frameMagic[:len(frameMagic):len(frameMagic)], frameTasks), binary.AppendUvarint(nil, 1<<32)...))
 	f.Add(append(append(frameMagic[:len(frameMagic):len(frameMagic)], frameSlot|frameReports, 0), binary.AppendUvarint(nil, 1<<32)...))
+	f.Add(realisticFrame())
 	f.Add([]byte(`{"tasks":[{"ctx":[0.5,0.5,0.5],"scns":[0]}]}`))
 	f.Add([]byte{})
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		q := newWireReq(testShape)
-		q.body = append(q.body, data...)
-		err := q.decodeFrame()
-		if total := cap(q.cells) + cap(q.ends) + cap(q.reports) + cap(q.scns); total > 4*len(data)+64 {
-			t.Fatalf("%d-byte body grew buffers to %d elements", len(data), total)
+	f.Fuzz(func(t *testing.T, data []byte) { requireFrameProperty(t, data) })
+}
+
+// requireFrameProperty is the frame decoder's contract on one body:
+// never panics; buffers stay linear in the body size (a claimed count
+// never outruns the bytes behind it) and within the engine's shape; on
+// success the decode is deterministic; a frame that is well-formed as
+// bytes gives the same verdict and packed form as its request in
+// canonical JSON; on error or not, a reset object decodes a known-good
+// frame with no residue; and input encoding/json reads satisfies the
+// cross-codec property too. It returns the decode error and, when the
+// frame is well-formed as bytes (ok), its logical request.
+func requireFrameProperty(t *testing.T, data []byte) (r logicalReq, ok bool, err error) {
+	t.Helper()
+	q := newWireReq(testShape)
+	q.body = append(q.body, data...)
+	err = q.decodeFrame()
+	if total := cap(q.cells) + cap(q.ends) + cap(q.reports) + cap(q.scns); total > 4*len(data)+64 {
+		t.Fatalf("%d-byte body grew buffers to %d elements", len(data), total)
+	}
+	requireShapeBound(t, q)
+	if err == nil {
+		q2 := newWireReq(testShape)
+		q2.body = append(q2.body, data...)
+		if err2 := q2.decodeFrame(); err2 != nil || !samePacked(q, q2) {
+			t.Fatalf("decode not deterministic: %v", err2)
 		}
-		requireShapeBound(t, q)
-		if err == nil {
-			q2 := newWireReq(testShape)
-			q2.body = append(q2.body, data...)
-			if err2 := q2.decodeFrame(); err2 != nil || !samePacked(q, q2) {
-				t.Fatalf("decode not deterministic: %v", err2)
+	}
+	// JSON has no NaN or infinity, so only finite reports cross over
+	// (non-finite contexts are invalid in both encodings).
+	if r, ok = refParseFrame(data); ok && !slices.ContainsFunc(r.reports, func(rp TaskReport) bool {
+		return !isFinite(rp.U) || !isFinite(rp.V) || !isFinite(rp.Q)
+	}) {
+		requireVerdictMatchesJSON(t, q, err, r)
+	}
+	checkGoodFrame(t, q, "fuzz input")
+	requireCrossCodecJSON(t, data)
+	return r, ok, err
+}
+
+// realisticTasks is a slot's tasks the way a client sends them, at the
+// most testShape admits: 24 tasks over all 4 SCNs, eight of them visible
+// to two, so every SCN sits exactly at KMax. Contexts span [0,1], both
+// ends included.
+func realisticTasks() []TaskSpec {
+	tasks := make([]TaskSpec, 24)
+	for i := range tasks {
+		ctx := make([]float64, testShape.dims)
+		for d := range ctx {
+			ctx[d] = float64((7*i+13*d)%29) / 28
+		}
+		scns := []int{i % 4}
+		if i%3 == 0 {
+			scns = append(scns, (i+1)%4)
+		}
+		tasks[i] = TaskSpec{Ctx: ctx, SCNs: scns}
+	}
+	tasks[5].Ctx[1] = 1.0 / 3.0
+	tasks[20].Ctx[0] = 0.30000000000000004
+	return tasks
+}
+
+// realisticStepFrame encodes tasks as a closing /v1/step frame with a
+// report part for the previous slot.
+func realisticStepFrame(tasks []TaskSpec) []byte {
+	reports := make([]TaskReport, 8)
+	for i := range reports {
+		reports[i] = TaskReport{Task: 3*i + 1, U: 1 / float64(i+2), V: float64(i % 2), Q: 1 + 1/float64(i+3)}
+	}
+	return appendStepFrame(nil, 41, reports, tasks, true)
+}
+
+func realisticFrame() []byte { return realisticStepFrame(realisticTasks()) }
+
+// TestWireFrameRealisticMutations runs requireFrameProperty over every
+// one-byte rewrite of realisticFrame — each byte set to 0, 1, Dims±1,
+// 0x7f, 0x80 and 0xff — and requires a shape rejection to carry the JSON
+// decoder's error text too. The rewrites reach each place the task loop
+// can leave early on every go test, not only under -fuzz: multi-byte
+// varints, a context count other than Dims, out-of-range floats,
+// duplicate, out-of-range and past-KMax SCNs, and truncation. A second
+// sweep rewrites the last task of the same frame with that task's
+// context out of range: a rewrite that breaks one of its later fields
+// must still fail in field order, as a JSON decode of the request does.
+func TestWireFrameRealisticMutations(t *testing.T) {
+	reached := map[string]bool{}
+	sweepFrameRewrites(t, realisticFrame(), 0, reached)
+	tasks := realisticTasks()
+	last := len(tasks) - 1
+	tasks[last].Ctx[0] = 1.5
+	body := realisticStepFrame(tasks)
+	q := newWireReq(testShape)
+	q.body = append(q.body, body...)
+	if err, want := errText(q.decodeFrame()), fmt.Sprintf("serve: task %d: context outside [0,1]", last); err != want {
+		t.Fatalf("base frame: got %q, want %q", err, want)
+	}
+	sweepFrameRewrites(t, body, len(realisticStepFrame(tasks[:last])), reached)
+	for _, p := range append(frameExits, wideSCNExit) {
+		if !reached[p] {
+			t.Errorf("no rewrite reached %q", p)
+		}
+	}
+}
+
+// frameExits are error texts of the task loop's early exits; the
+// rewrite sweep must reach each, and wideSCNExit, an SCN id too wide for
+// a one-byte varint (-64..63).
+var (
+	frameExits = []string{"context has", "outside [0,1]", "twice", "out of range", "exceeds KMax",
+		errFrameTrunc.Error(), errFrameCount.Error()}
+	wideSCN     = regexp.MustCompile(`SCN -?\d{3,}`)
+	wideSCNExit = "multi-byte SCN varint"
+)
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// sweepFrameRewrites is TestWireFrameRealisticMutations' sweep of
+// body[from:]; it notes in reached which early exits the rewrites hit.
+func sweepFrameRewrites(t *testing.T, body []byte, from int, reached map[string]bool) {
+	t.Helper()
+	q := newWireReq(testShape)
+	q.body = append(q.body, body...)
+	base := errText(q.decodeFrame())
+	dims := byte(testShape.dims)
+	for i := from; i < len(body); i++ {
+		for _, v := range []byte{0, 1, dims - 1, dims + 1, 0x7f, 0x80, 0xff} {
+			if body[i] == v {
+				continue
 			}
+			mut := slices.Clone(body)
+			mut[i] = v
+			r, ok, err := requireFrameProperty(t, mut)
+			msg := errText(err)
+			if _, invalid := err.(errInvalid); invalid && ok && allFinite(r) {
+				qj := newWireReq(testShape)
+				qj.body = appendJSONRequest(qj.body, r)
+				if errJ := qj.decode(); errText(errJ) != msg {
+					t.Fatalf("byte %d = %#x: frame error %q, JSON error %v", i, v, msg, errJ)
+				}
+			}
+			if msg == base {
+				continue
+			}
+			for _, p := range frameExits {
+				reached[p] = reached[p] || strings.Contains(msg, p)
+			}
+			reached[wideSCNExit] = reached[wideSCNExit] || wideSCN.MatchString(msg)
 		}
-		// JSON has no NaN or infinity, so only finite reports cross over
-		// (non-finite contexts are invalid in both encodings).
-		if r, ok := refParseFrame(data); ok && !slices.ContainsFunc(r.reports, func(rp TaskReport) bool {
-			return !isFinite(rp.U) || !isFinite(rp.V) || !isFinite(rp.Q)
-		}) {
-			requireVerdictMatchesJSON(t, q, err, r)
-		}
-		checkGoodFrame(t, q, "fuzz input")
-		requireCrossCodecJSON(t, data)
-	})
+	}
 }
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// allFinite reports whether every float r carries is finite, so that
+// canonical JSON expresses r exactly.
+func allFinite(r logicalReq) bool {
+	for _, rp := range r.reports {
+		if !isFinite(rp.U) || !isFinite(rp.V) || !isFinite(rp.Q) {
+			return false
+		}
+	}
+	for _, sp := range r.tasks {
+		if slices.ContainsFunc(sp.Ctx, func(v float64) bool { return !isFinite(v) }) {
+			return false
+		}
+	}
+	return true
+}
 
 // TestWireHostileBodiesBounded sends three hostile bodies, each just
 // under the 8 MiB body limit, through the real handlers: a frame claiming
@@ -536,6 +673,61 @@ func TestWireHostileBodiesBounded(t *testing.T) {
 	}
 	if pooled == 0 {
 		t.Fatal("no pooled request to inspect")
+	}
+}
+
+// TestWirePooledBodyBounded sends a valid step whose JSON body an unknown
+// field pads past the shape's maxBody through the real handler: it is
+// served, and its request returns to the pool without the grown body
+// buffer. The next step, padded to one byte under the bound, leaves its
+// buffer pooled.
+func TestWirePooledBodyBounded(t *testing.T) {
+	sc := testScenario(50, 3)
+	eng, srv, _ := bootDaemon(t, sc, nil)
+	defer srv.Close()
+	defer eng.Stop()
+	tasks := []TaskSpec{{Ctx: make([]float64, eng.cfg.Dims), SCNs: []int{0, 1}}}
+	var st StepResponse
+	step := func(body []byte) {
+		t.Helper()
+		resp, err := http.Post("http://"+srv.Addr()+"/v1/step", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%d-byte step: %d %s", len(body), resp.StatusCode, out)
+		}
+		if err := json.Unmarshal(out, &st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// pooledBodies drains the pool and returns the largest body capacity.
+	pooledBodies := func() int {
+		largest := -1
+		for len(eng.reqPool) > 0 {
+			largest = max(largest, cap((<-eng.reqPool).body))
+		}
+		return largest
+	}
+
+	padded := func(n int, body []byte) []byte {
+		return append([]byte(`{"pad":"`+strings.Repeat("x", n-len(body)-len(`"pad":"",`))+`",`), body[1:]...)
+	}
+	step(padded(4*eng.shape.maxBody, appendStepRequest(nil, 0, nil, tasks, true)))
+	if c := pooledBodies(); c > eng.shape.maxBody {
+		t.Fatalf("pooled body cap %d after an oversize body, bound %d", c, eng.shape.maxBody)
+	}
+	var reps []TaskReport
+	for i, m := range st.Assigned {
+		if m >= 0 {
+			reps = append(reps, TaskReport{Task: i, U: 0.5, V: 1, Q: 1})
+		}
+	}
+	step(padded(eng.shape.maxBody-1, appendStepRequest(nil, st.Slot, reps, tasks, true)))
+	if c := pooledBodies(); c <= 0 || c > eng.shape.maxBody {
+		t.Fatalf("pooled body cap %d after a body within the bound %d", c, eng.shape.maxBody)
 	}
 }
 
@@ -750,11 +942,7 @@ func TestWireContentTypeNegotiation(t *testing.T) {
 // daemon-side decode into a pooled request, which validates and indexes
 // every task as it parses.
 func BenchmarkWireCodec(b *testing.B) {
-	sc := ReplayScenario{
-		Synthetic: trace.DefaultSyntheticConfig(),
-		EnvCfg:    env.DefaultConfig(30, 27),
-		Capacity:  20, Alpha: 15, Beta: 27, H: 3, T: 4, Seed: 42,
-	}
+	sc := paperScenario(4, 42)
 	rep, err := NewReplayer(sc)
 	if err != nil {
 		b.Fatal(err)
@@ -788,6 +976,7 @@ func BenchmarkWireCodec(b *testing.B) {
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
 			out := make([]byte, 0, len(body))
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				out = codec.encode(out[:0])
 			}
@@ -795,7 +984,14 @@ func BenchmarkWireCodec(b *testing.B) {
 		b.Run("decode/"+codec.name, func(b *testing.B) {
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
+			// One untimed decode grows the pooled buffers: the loop
+			// prices the steady state.
 			q := eng.getReq()
+			q.body = append(q.body, body...)
+			if err := codec.decode(q); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q.reset()
 				q.body = append(q.body, body...)

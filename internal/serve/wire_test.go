@@ -3,14 +3,18 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"lfsc/internal/env"
 	"lfsc/internal/hypercube"
 	"lfsc/internal/task"
+	"lfsc/internal/trace"
 )
 
 // gnarlyFloats are values whose textual round trip is easy to get wrong:
@@ -500,6 +504,80 @@ func pinZeroAlloc(t *testing.T, mutate func(*Config)) {
 				t.Fatalf("steady-state step = %v allocs/request, want 0", allocs)
 			}
 		})
+	}
+}
+
+// paperScenario is the paper's Sec. 5 setting: 30 SCNs, |D_{m,t}| ~
+// U[35,100], c=20, α=15, β=27, h=3.
+func paperScenario(T int, seed uint64) ReplayScenario {
+	return ReplayScenario{
+		Synthetic: trace.DefaultSyntheticConfig(),
+		EnvCfg:    env.DefaultConfig(30, 27),
+		Capacity:  20, Alpha: 15, Beta: 27, H: 3, T: T, Seed: seed,
+	}
+}
+
+// engineConn is the in-process Conn: the replayer's calls go straight to
+// the engine's API, with no HTTP or codec in between.
+type engineConn struct {
+	eng  *Engine
+	step StepRequest
+}
+
+func (c *engineConn) SubmitInto(req *SubmitRequest, resp *SubmitResponse) error {
+	r, err := c.eng.Submit(req)
+	if err == nil {
+		*resp = *r
+	}
+	return err
+}
+
+func (c *engineConn) Report(req *ReportRequest) (*ReportResponse, error) { return c.eng.Report(req) }
+
+func (c *engineConn) StepInto(repSlot int, reports []TaskReport, tasks []TaskSpec, close bool, resp *StepResponse) error {
+	c.step = StepRequest{Slot: repSlot, Reports: reports, Tasks: tasks, Close: close}
+	return c.eng.StepInto(&c.step, resp)
+}
+
+// TestPaperStepSerialLearnerZeroAlloc pins the serial serving learner:
+// lockstep paper-scale slots (~2000 tasks, 30 SCNs) replayed in process
+// through Engine.StepInto at Shards=1 allocate nothing per step once
+// warm — the learner's per-SCN Decide and Observe stages run on the
+// slot's own goroutine, with no fan-out to pay for.
+func TestPaperStepSerialLearnerZeroAlloc(t *testing.T) {
+	sc := paperScenario(1<<20, 42)
+	cfg, err := sc.EngineConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.ReportWait = time.Hour
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Start()
+	defer eng.Stop()
+	rep, err := NewReplayer(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := &engineConn{eng: eng}
+	for range 200 {
+		if _, err := rep.Step(conn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stepErr error
+	allocs := testing.AllocsPerRun(50, func() {
+		if res, err := rep.Step(conn); (err != nil || res.Shed) && stepErr == nil {
+			stepErr = fmt.Errorf("slot %d: shed %v: %v", res.Slot, res.Shed, err)
+		}
+	})
+	if stepErr != nil {
+		t.Fatal(stepErr)
+	}
+	if allocs != 0 {
+		t.Fatalf("paper-scale in-process step = %v allocs, want 0", allocs)
 	}
 }
 
