@@ -14,7 +14,7 @@ GO ?= go
 # gates are all concurrent by construction.
 RACE_PKGS = ./internal/core ./internal/parallel ./internal/assign ./internal/sim ./internal/trace ./internal/obs ./internal/metrics ./internal/serve
 
-.PHONY: all build vet test test-race bench-short bench-short-parallel bench json bench-serve bench-serve-shards bench-diff fuzz-short serve-smoke serve-smoke-shards obs-smoke scenario-smoke perfbench-test perfbench-smoke ci clean
+.PHONY: all build vet test test-race bench-short bench-short-parallel bench json bench-serve bench-serve-shards bench-diff fuzz-short serve-smoke serve-smoke-shards client-smoke obs-smoke scenario-smoke perfbench-test perfbench-smoke ci clean
 
 all: vet test
 
@@ -31,15 +31,18 @@ test-race:
 	$(GO) test -race $(RACE_PKGS)
 
 # Quick perf snapshot of the hot path: the allocation-free micro kernels
-# (Decide/Update/Greedy/DepRound/hypercube indexing) and the serving wire
+# (Decide/Update/Greedy/DepRound/hypercube indexing), the serving wire
 # codec (encode and decode of a paper-scale /v1/step body, JSON and
-# binary frame — the source of DESIGN.md §10's decode figures). All
-# benchmarks report allocs/op; the steady-state kernels must show 0.
+# binary frame — the source of DESIGN.md §10's decode figures) and the
+# client round trip (one lockstep /v1/step over loopback against an
+# in-process daemon, 4-SCN and paper shape). All benchmarks report
+# allocs/op; the steady-state kernels must show 0.
 bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkDecide|BenchmarkUpdate' -benchtime 10x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkGreedyAssign|BenchmarkDepRound' -benchtime 100x ./internal/assign
 	$(GO) test -run '^$$' -bench 'BenchmarkHypercubeIndex' -benchtime 100x ./internal/hypercube
 	$(GO) test -run '^$$' -bench 'BenchmarkWireCodec' -benchtime 10x ./internal/serve
+	$(GO) test -run '^$$' -bench 'BenchmarkClientStep' -benchtime 500x ./internal/serve
 
 # The same kernels at Workers=NumCPU, under the race detector: the
 # parallel per-SCN Decide/Observe fan-out must stay race-clean on every
@@ -122,6 +125,16 @@ serve-smoke:
 serve-smoke-shards:
 	$(GO) test -race -count=1 -run 'TestServeSmokeShards|TestShardedLockstepThreeWayIdentity|TestShardedCheckpointCompatAndMismatch' ./internal/serve
 
+# The client's connection lifecycle: a pooled connection the daemon
+# closed while idle is redialed once (replay bit-identical), a reply cut
+# after its status line is never resent, Connection: close is honoured,
+# a stopped daemon gives an error and not a hang (hence the -timeout),
+# reply bodies are bounded, and many goroutines share one Client with
+# each request on its own connection — under the race detector, ten
+# times over.
+client-smoke:
+	$(GO) test -race -count=10 -timeout 5m -run '^TestClient' ./internal/serve
+
 # The observability smoke: boot a fully instrumented Shards=4 daemon,
 # serve real traffic, scrape /metrics twice with traffic in between
 # (validating the exposition with the in-test Prometheus text parser and
@@ -160,14 +173,15 @@ perfbench-smoke:
 # Everything a commit must pass, in the order a CI runner would execute:
 # static checks, the full test suite, the race-detector suite over the
 # concurrency-contract packages, the serving-layer kill-and-resume
-# smokes (unsharded and Shards=4), the observability scrape smoke, the
-# scenario churn smoke, the quick perf kernels (which also assert 0
-# allocs/op on the steady-state paths) at Workers=1 and again at
-# Workers=NumCPU under the race detector, the short-mode shard-scaling
-# curve, a short fuzz pass over the untrusted-input decoders, the
-# perfbench module's own vet and tests, and a paper-scale served slot
-# stream through perfbench's client == daemon == offline gate.
-ci: vet test test-race serve-smoke serve-smoke-shards obs-smoke scenario-smoke bench-short bench-short-parallel bench-serve-shards fuzz-short perfbench-test perfbench-smoke
+# smokes (unsharded and Shards=4), the client connection-lifecycle
+# smoke, the observability scrape smoke, the scenario churn smoke, the
+# quick perf kernels (which also assert 0 allocs/op on the steady-state
+# paths) at Workers=1 and again at Workers=NumCPU under the race
+# detector, the short-mode shard-scaling curve, a short fuzz pass over
+# the untrusted-input decoders, the perfbench module's own vet and
+# tests, and a paper-scale served slot stream through perfbench's
+# client == daemon == offline gate.
+ci: vet test test-race serve-smoke serve-smoke-shards client-smoke obs-smoke scenario-smoke bench-short bench-short-parallel bench-serve-shards fuzz-short perfbench-test perfbench-smoke
 
 clean:
 	$(GO) clean ./...

@@ -10,7 +10,8 @@
 //
 // By default the generator rides the batched /v1/step endpoint (one
 // round trip per slot: previous slot's outcomes + next slot's arrivals)
-// over a transport tuned for connection reuse; -no-step selects the
+// over a pooled keep-alive connection, each request sent in one write
+// and its reply read on the calling goroutine; -no-step selects the
 // classic /v1/submit + /v1/report pair.
 //
 // Usage:

@@ -42,7 +42,7 @@ func testScenario(T int, seed uint64) ReplayScenario {
 
 // buildDaemon constructs an engine for the scenario without starting it.
 // Serving knobs suit lockstep tests: generous report wait, no slot clock.
-func buildDaemon(t *testing.T, sc ReplayScenario, mutate func(*Config)) *Engine {
+func buildDaemon(t testing.TB, sc ReplayScenario, mutate func(*Config)) *Engine {
 	t.Helper()
 	cfg, err := sc.EngineConfig()
 	if err != nil {
@@ -59,7 +59,7 @@ func buildDaemon(t *testing.T, sc ReplayScenario, mutate func(*Config)) *Engine 
 	return eng
 }
 
-func startDaemon(t *testing.T, eng *Engine) (*Server, *Client) {
+func startDaemon(t testing.TB, eng *Engine) (*Server, *Client) {
 	t.Helper()
 	srv, err := StartServer("127.0.0.1:0", eng)
 	if err != nil {
@@ -70,7 +70,7 @@ func startDaemon(t *testing.T, eng *Engine) (*Server, *Client) {
 }
 
 // bootDaemon is buildDaemon + startDaemon for the fresh-boot case.
-func bootDaemon(t *testing.T, sc ReplayScenario, mutate func(*Config)) (*Engine, *Server, *Client) {
+func bootDaemon(t testing.TB, sc ReplayScenario, mutate func(*Config)) (*Engine, *Server, *Client) {
 	t.Helper()
 	eng := buildDaemon(t, sc, mutate)
 	srv, client := startDaemon(t, eng)

@@ -773,6 +773,49 @@ func (c *jsonConn) StepInto(repSlot int, reports []TaskReport, tasks []TaskSpec,
 	return c.post("/v1/step", &StepRequest{Slot: repSlot, Reports: reports, Tasks: tasks, Close: close}, resp)
 }
 
+// frameConn is a stock net/http client speaking binary frames: this
+// package's frame codec, none of Client's connection handling. It
+// requires frame replies.
+type frameConn struct {
+	base string
+	hc   http.Client
+}
+
+func (c *frameConn) post(path string, body []byte, parse func([]byte) error) error {
+	resp, err := c.hc.Post(c.base+path, frameContentType, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s: %d: %s", path, resp.StatusCode, out)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != frameContentType {
+		return fmt.Errorf("%s: reply Content-Type %q", path, ct)
+	}
+	return parse(out)
+}
+
+func (c *frameConn) SubmitInto(req *SubmitRequest, resp *SubmitResponse) error {
+	return c.post("/v1/submit", appendStepFrame(nil, 0, nil, req.Tasks, req.Close),
+		func(b []byte) error { return parseSubmitFrame(b, resp) })
+}
+
+func (c *frameConn) Report(req *ReportRequest) (*ReportResponse, error) {
+	var resp ReportResponse
+	return &resp, c.post("/v1/report", appendReportFrame(nil, req.Slot, req.Reports),
+		func(b []byte) error { return parseReportFrame(b, &resp) })
+}
+
+func (c *frameConn) StepInto(repSlot int, reports []TaskReport, tasks []TaskSpec, close bool, resp *StepResponse) error {
+	return c.post("/v1/step", appendStepFrame(nil, repSlot, reports, tasks, close),
+		func(b []byte) error { return parseStepFrame(b, resp) })
+}
+
 // recordConn keeps a copy of every slot's assignment that passes through
 // the wrapped connection.
 type recordConn struct {
@@ -798,46 +841,65 @@ func (c *recordConn) StepInto(repSlot int, reports []TaskReport, tasks []TaskSpe
 
 // TestLockstepJSONClientMatchesBinary keeps the JSON interop path covered
 // end to end now that the in-tree client sends frames: one daemon driven
-// by a plain net/http + encoding/json client and an identically seeded
-// daemon driven by the binary Client, batched (/v1/step) and unbatched
-// (/v1/submit + /v1/report), must agree on every slot's assignment and
-// on the hex bits of the client and daemon cumulative rewards.
+// by a plain net/http + encoding/json client, one by a stock net/http
+// client sending frames, and an identically seeded daemon driven by the
+// binary Client, batched (/v1/step) and unbatched (/v1/submit +
+// /v1/report), must agree on every slot's assignment and reward and on
+// the hex bits of the client and daemon cumulative rewards.
 func TestLockstepJSONClientMatchesBinary(t *testing.T) {
 	const T = 150
 	sc := testScenario(T, 33)
-	run := func(useStep, useJSON bool) ([][]int, float64, float64) {
+	type result struct {
+		assigned       [][]int
+		rewards        []float64
+		client, daemon float64
+	}
+	run := func(useStep bool, conn string) result {
 		eng, srv, client := bootDaemon(t, sc, nil)
 		defer srv.Close()
 		rec := &recordConn{Conn: client}
-		if useJSON {
+		switch conn {
+		case "json":
 			rec.Conn = &jsonConn{base: "http://" + srv.Addr()}
+		case "frame":
+			rec.Conn = &frameConn{base: "http://" + srv.Addr()}
 		}
 		rep, err := NewReplayer(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rep.SetUseStep(useStep)
-		st, err := rep.Run(rec, 0, T, nil)
+		var rewards []float64
+		st, err := rep.Run(rec, 0, T, func(r SlotResult) { rewards = append(rewards, r.Reward) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		eng.Stop()
 		if st.ShedSlots != 0 || eng.Slot() != T {
-			t.Fatalf("step=%v json=%v: shed %d, daemon at slot %d", useStep, useJSON, st.ShedSlots, eng.Slot())
+			t.Fatalf("step=%v %s: shed %d, daemon at slot %d", useStep, conn, st.ShedSlots, eng.Slot())
 		}
-		return rec.assigned, rep.CumReward(), eng.CumReward()
+		return result{rec.assigned, rewards, rep.CumReward(), eng.CumReward()}
 	}
 	for _, useStep := range []bool{true, false} {
-		binAsg, binCli, binDae := run(useStep, false)
-		jsonAsg, jsonCli, jsonDae := run(useStep, true)
-		if len(binAsg) < T/2 || !reflect.DeepEqual(binAsg, jsonAsg) {
-			t.Fatalf("step=%v: per-slot assignments differ between binary and JSON clients (%d vs %d slots)",
-				useStep, len(binAsg), len(jsonAsg))
+		bin := run(useStep, "binary")
+		if math.Float64bits(bin.client) != math.Float64bits(bin.daemon) {
+			t.Fatalf("step=%v: binary client cum reward %x != daemon %x", useStep, bin.client, bin.daemon)
 		}
-		for _, p := range [][2]float64{{binCli, jsonCli}, {binDae, jsonDae}, {binCli, binDae}} {
-			if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
-				t.Fatalf("step=%v: cum reward %x != %x (binary client %x daemon %x, JSON client %x daemon %x)",
-					useStep, p[0], p[1], binCli, binDae, jsonCli, jsonDae)
+		for _, conn := range []string{"json", "frame"} {
+			got := run(useStep, conn)
+			if len(bin.assigned) < T/2 || !reflect.DeepEqual(bin.assigned, got.assigned) {
+				t.Fatalf("step=%v: per-slot assignments differ between binary and %s clients (%d vs %d slots)",
+					useStep, conn, len(bin.assigned), len(got.assigned))
+			}
+			sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+			if !slices.EqualFunc(bin.rewards, got.rewards, sameBits) {
+				t.Fatalf("step=%v: per-slot rewards differ between binary and %s clients", useStep, conn)
+			}
+			for _, p := range [][2]float64{{bin.client, got.client}, {bin.daemon, got.daemon}} {
+				if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
+					t.Fatalf("step=%v: cum reward %x != %x (binary client %x daemon %x, %s client %x daemon %x)",
+						useStep, p[0], p[1], bin.client, bin.daemon, conn, got.client, got.daemon)
+				}
 			}
 		}
 	}
