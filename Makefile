@@ -31,16 +31,21 @@ test-race:
 	$(GO) test -race $(RACE_PKGS)
 
 # Quick perf snapshot of the hot path: the allocation-free micro kernels
-# (Decide/Update/Greedy/DepRound/hypercube indexing), the serving wire
-# codec (encode and decode of a paper-scale /v1/step body, JSON and
-# binary frame — the source of DESIGN.md §10's decode figures) and the
-# client round trip (one lockstep /v1/step over loopback against an
-# in-process daemon, 4-SCN and paper shape). All benchmarks report
-# allocs/op; the steady-state kernels must show 0.
+# (Decide/Update/Greedy/DepRound/hypercube indexing), the workload
+# substrate every slot pays for (one paper-scale slot generated through
+# the pooled NextInto, one environment outcome draw, and one slot's tasks
+# indexed through IndexTask), the serving wire codec (encode and decode
+# of a paper-scale /v1/step body, JSON and binary frame — the source of
+# DESIGN.md §10's decode figures) and the client round trip (one lockstep
+# /v1/step over loopback against an in-process daemon, 4-SCN and paper
+# shape). All benchmarks report allocs/op; the steady-state kernels and
+# the substrate must show 0.
 bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkDecide|BenchmarkUpdate' -benchtime 10x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkGreedyAssign|BenchmarkDepRound' -benchtime 100x ./internal/assign
-	$(GO) test -run '^$$' -bench 'BenchmarkHypercubeIndex' -benchtime 100x ./internal/hypercube
+	$(GO) test -run '^$$' -bench 'BenchmarkHypercubeIndex|BenchmarkIndexTask' -benchtime 100x ./internal/hypercube
+	$(GO) test -run '^$$' -bench 'BenchmarkSyntheticNext' -benchtime 100x ./internal/trace
+	$(GO) test -run '^$$' -bench 'BenchmarkDraw$$' -benchtime 100000x ./internal/env
 	$(GO) test -run '^$$' -bench 'BenchmarkWireCodec' -benchtime 10x ./internal/serve
 	$(GO) test -run '^$$' -bench 'BenchmarkClientStep' -benchtime 500x ./internal/serve
 

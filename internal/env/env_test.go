@@ -255,11 +255,37 @@ func TestModeString(t *testing.T) {
 	}
 }
 
+// BenchmarkDraw times one outcome draw at the paper's shape (30 SCNs, 27
+// cells): a truncated-normal reward, a uniform consumption and a
+// Bernoulli completion. It allocates nothing.
 func BenchmarkDraw(b *testing.B) {
 	e := MustNew(DefaultConfig(30, 27), rng.New(1))
 	r := rng.New(2)
+	var sink float64
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = e.Draw(i%30, i%27, r)
+		sink += e.Draw(i%30, i%27, r).Q
+	}
+	drawSink = sink
+}
+
+var drawSink float64
+
+// Draw is called for every executed task of every slot, so it must stay
+// off the heap.
+func TestDrawAllocFree(t *testing.T) {
+	e := MustNew(DefaultConfig(30, 27), rng.New(1))
+	root := rng.New(2)
+	var r rng.Stream
+	i := 0
+	avg := testing.AllocsPerRun(1000, func() {
+		root.DeriveInto(uint64(i), &r)
+		_ = e.Draw(i%30, i%27, &r)
+		i++
+	})
+	if avg != 0 {
+		t.Fatalf("Draw allocates %.1f objects per call, want 0", avg)
 	}
 }
 

@@ -64,9 +64,7 @@ func (p *Partition) Cells() int { return p.cells }
 // equal to 1.0 map into the last cell (cells are half-open except the last).
 // It panics if the context dimension does not match the partition.
 func (p *Partition) Index(ctx task.Context) int {
-	if len(ctx) != p.dims {
-		panic(fmt.Sprintf("hypercube: context dims %d != partition dims %d", len(ctx), p.dims))
-	}
+	p.checkDims(len(ctx))
 	idx := 0
 	for d := 0; d < p.dims; d++ {
 		idx = idx*p.h + p.Coord(ctx[d])
@@ -89,16 +87,31 @@ func (p *Partition) Coord(v float64) int {
 	return c
 }
 
-// IndexTask maps a task directly to its hypercube index without
-// materializing the context vector on the heap: the coordinates are packed
-// into a stack buffer via Task.AppendContext (the exact same normalisation
-// expressions), so IndexTask(t, lat) == Index(ctx) bit-for-bit where ctx is
-// the task's (possibly latency-extended) context. withLatency must match the
-// partition's dimensionality (4 dims ⇔ true).
+// IndexTask maps a task directly to its hypercube index: it folds the
+// task's ContextCoords into the mixed-radix index in Index's order, so
+// IndexTask(t, lat) == Index(ctx) where ctx is the task's (possibly
+// latency-extended) context, without building ctx. withLatency must match
+// the partition's dimensionality (4 dims ⇔ true); a mismatch panics as
+// Index does.
 func (p *Partition) IndexTask(t *task.Task, withLatency bool) int {
-	var buf [4]float64
-	ctx := t.AppendContext(buf[:0], withLatency)
-	return p.Index(ctx)
+	dims := task.ContextDims
+	if withLatency {
+		dims++
+	}
+	p.checkDims(dims)
+	in, out, res, lat := t.ContextCoords(withLatency)
+	idx := (p.Coord(in)*p.h+p.Coord(out))*p.h + p.Coord(res)
+	if withLatency {
+		idx = idx*p.h + p.Coord(lat)
+	}
+	return idx
+}
+
+// checkDims panics unless a context of n coordinates fits the partition.
+func (p *Partition) checkDims(n int) {
+	if n != p.dims {
+		panic(fmt.Sprintf("hypercube: context dims %d != partition dims %d", n, p.dims))
+	}
 }
 
 // Coords returns the per-dimension cell coordinates of hypercube idx,

@@ -121,6 +121,64 @@ func TestIndexPanicsOnDimMismatch(t *testing.T) {
 	p.Index(task.Context{0.5})
 }
 
+// TestIndexTaskMatchesIndex checks IndexTask against the reference
+// Index(AppendContext(...)) on 3-D and 4-D partitions, over random tasks
+// whose sizes run past both ends of the model's range (normalize clamps
+// those) and over non-finite sizes.
+func TestIndexTaskMatchesIndex(t *testing.T) {
+	r := rng.New(23)
+	odd := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1, 1e9}
+	for _, h := range []int{1, 2, 3, 7} {
+		for _, lat := range []bool{false, true} {
+			dims := task.ContextDims
+			if lat {
+				dims++
+			}
+			p := MustNew(dims, h)
+			for i := 0; i < 2000; i++ {
+				tk := task.Task{
+					InputMbit:        r.Uniform(-10, 35),
+					OutputMbit:       r.Uniform(-2, 7),
+					LatencySensitive: r.Bernoulli(0.5),
+					Resource:         task.ResourceKind(r.Intn(task.NumResourceKinds)),
+				}
+				if i < len(odd)*len(odd) {
+					tk.InputMbit, tk.OutputMbit = odd[i/len(odd)], odd[i%len(odd)]
+				}
+				var buf [4]float64
+				want := p.Index(tk.AppendContext(buf[:0], lat))
+				if got := p.IndexTask(&tk, lat); got != want {
+					t.Fatalf("h=%d lat=%v task %+v: IndexTask %d, Index %d", h, lat, tk, got, want)
+				}
+			}
+		}
+	}
+}
+
+// IndexTask on a partition of the other dimensionality panics with the
+// same text as Index does.
+func TestIndexTaskPanicsOnDimMismatch(t *testing.T) {
+	tk := &task.Task{InputMbit: 10, OutputMbit: 2}
+	for _, c := range []struct {
+		dims int
+		lat  bool
+	}{{3, true}, {4, false}, {2, false}} {
+		p := MustNew(c.dims, 3)
+		var buf [4]float64
+		want := recovered(func() { p.Index(tk.AppendContext(buf[:0], c.lat)) })
+		got := recovered(func() { p.IndexTask(tk, c.lat) })
+		if want == nil || got != want {
+			t.Fatalf("dims=%d lat=%v: IndexTask panicked with %v, Index with %v", c.dims, c.lat, got, want)
+		}
+	}
+}
+
+func recovered(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
+}
+
 func TestCoordsPanicsOutOfRange(t *testing.T) {
 	p := MustNew(2, 2)
 	defer func() {

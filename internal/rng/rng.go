@@ -20,7 +20,10 @@
 // simulation code never touches global state.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // splitMix64 advances a SplitMix64 state and returns the next output.
 func splitMix64(state *uint64) uint64 {
@@ -87,25 +90,41 @@ func (s *Stream) DeriveInto(label uint64, dst *Stream) {
 	dst.init(splitMix64(&st), splitMix64(&sq))
 }
 
+// PCG32's LCG multiplier, and the two constants that advance the state
+// two steps at once: x*pcgMul2 + inc*pcgMulP1 equals (x*pcgMul + inc)*pcgMul
+// + inc mod 2⁶⁴, so Uint64 need not wait on its first step's result.
+const (
+	pcgMul   = 6364136223846793005
+	pcgMul2  = pcgMul * pcgMul % (1 << 64)
+	pcgMulP1 = pcgMul + 1
+)
+
+// pcgOut is PCG32's XSH-RR output permutation of a pre-step state: an
+// xorshift of the high bits, rotated right by the state's top five bits.
+func pcgOut(old uint64) uint32 {
+	return bits.RotateLeft32(uint32(((old>>18)^old)>>27), -int(old>>59))
+}
+
 // Uint32 returns the next 32 uniformly distributed bits.
 func (s *Stream) Uint32() uint32 {
 	old := s.state
-	s.state = old*6364136223846793005 + s.inc
-	xorshifted := uint32(((old >> 18) ^ old) >> 27)
-	rot := uint32(old >> 59)
-	return (xorshifted >> rot) | (xorshifted << ((-rot) & 31))
+	s.state = old*pcgMul + s.inc
+	return pcgOut(old)
 }
 
-// Uint64 returns the next 64 uniformly distributed bits.
+// Uint64 returns the next 64 uniformly distributed bits: the next two
+// Uint32 draws, the first in the high word.
 func (s *Stream) Uint64() uint64 {
-	hi := uint64(s.Uint32())
-	lo := uint64(s.Uint32())
-	return hi<<32 | lo
+	old := s.state
+	s.state = old*pcgMul2 + s.inc*pcgMulP1
+	return uint64(pcgOut(old))<<32 | uint64(pcgOut(old*pcgMul+s.inc))
 }
 
-// Float64 returns a uniform float64 in [0,1) with 53 random bits.
+// Float64 returns a uniform float64 in [0,1) with 53 random bits. The
+// 53-bit value never sets the sign bit, so converting it as an int64 is
+// exact and cheaper than the unsigned conversion.
 func (s *Stream) Float64() float64 {
-	return float64(s.Uint64()>>11) / (1 << 53)
+	return float64(int64(s.Uint64()>>11)) / (1 << 53)
 }
 
 // Uniform returns a uniform float64 in [lo,hi).
@@ -113,21 +132,26 @@ func (s *Stream) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.Float64()
 }
 
-// Intn returns a uniform int in [0,n). It panics if n <= 0.
+// Intn returns a uniform int in [0,n). It panics if n <= 0 or n > 2³²−1.
 // Lemire's multiply-shift rejection method avoids modulo bias.
 func (s *Stream) Intn(n int) int {
 	if n <= 0 {
 		panic("rng: Intn with non-positive n")
 	}
+	if uint64(n) > math.MaxUint32 {
+		panic("rng: Intn with n above 2^32-1")
+	}
 	bound := uint32(n)
-	threshold := -bound % bound
-	for {
-		r := s.Uint32()
-		m := uint64(r) * uint64(bound)
-		if uint32(m) >= threshold {
-			return int(m >> 32)
+	m := uint64(s.Uint32()) * uint64(bound)
+	if uint32(m) < bound {
+		// Only here can a draw be rejected: the threshold -bound % bound is
+		// always below bound, so its division is paid only now.
+		threshold := -bound % bound
+		for uint32(m) < threshold {
+			m = uint64(s.Uint32()) * uint64(bound)
 		}
 	}
+	return int(m >> 32)
 }
 
 // IntRange returns a uniform int in [lo,hi] inclusive. It panics if hi < lo.

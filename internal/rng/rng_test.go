@@ -120,13 +120,22 @@ func TestIntnUniform(t *testing.T) {
 	}
 }
 
+// Intn panics on bounds it cannot draw from: non-positive ones, and ones
+// above 2³²−1 that the 32-bit multiply-shift would silently truncate.
 func TestIntnPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Intn(0) did not panic")
-		}
-	}()
-	New(1).Intn(0)
+	for _, n := range []int{0, -1, 1<<32 + 3, 1 << 32, math.MaxInt} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Intn(%d) did not panic", n)
+				}
+			}()
+			New(1).Intn(n)
+		}()
+	}
+	if v := New(1).Intn(math.MaxUint32); v < 0 || v >= math.MaxUint32 {
+		t.Fatalf("Intn(2^32-1) = %d out of range", v)
+	}
 }
 
 func TestIntRange(t *testing.T) {

@@ -287,10 +287,11 @@ func (r *Replayer) Flush(c Conn) error {
 // buildSpecs converts the generated slot into wire specs: packed
 // contexts (the same AppendContext packing the simulator uses), per-task
 // visible-SCN lists inverted from the coverage rows, and client-side
-// cells for outcome draws.
+// cells for outcome draws (Partition.IndexTask, as sim.Run indexes).
 func (r *Replayer) buildSpecs() {
 	n := len(r.slotBuf.Tasks)
 	dims := r.sc.dims()
+	lat := r.sc.UseLatencyContext
 	if cap(r.specs) < n {
 		r.specs = make([]TaskSpec, n)
 		r.cells = make([]int, n)
@@ -298,8 +299,9 @@ func (r *Replayer) buildSpecs() {
 	r.specs = r.specs[:n]
 	r.cells = r.cells[:n]
 	r.ctxBuf = r.ctxBuf[:0]
-	for i := range r.slotBuf.Tasks {
-		r.ctxBuf = r.slotBuf.Tasks[i].AppendContext(r.ctxBuf, r.sc.UseLatencyContext)
+	for i, tk := range r.slotBuf.Tasks {
+		r.ctxBuf = tk.AppendContext(r.ctxBuf, lat)
+		r.cells[i] = r.part.IndexTask(tk, lat)
 	}
 	for len(r.scnLists) < n {
 		r.scnLists = append(r.scnLists, nil)
@@ -315,7 +317,6 @@ func (r *Replayer) buildSpecs() {
 	for i := 0; i < n; i++ {
 		ctx := r.ctxBuf[i*dims : (i+1)*dims : (i+1)*dims]
 		r.specs[i] = TaskSpec{Ctx: ctx, SCNs: r.scnLists[i]}
-		r.cells[i] = r.part.Index(task.Context(ctx))
 	}
 }
 

@@ -131,6 +131,32 @@ func TestRunAllSharedReplayConcurrent(t *testing.T) {
 	}
 }
 
+// TestRunAllEagerSharedTraceConcurrent runs two LFSC passes concurrently
+// over one eager shared trace, the path that replays pre-realised
+// outcomes. Under -race it catches any per-run state kept at package
+// level; both passes must still match a serial live run bit for bit.
+func TestRunAllEagerSharedTraceConcurrent(t *testing.T) {
+	const seed = 42
+	sc := PaperScenarioWithT(20)
+	shared, err := NewSharedTraceEager(sc, seed, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Shared = shared
+	factories := []Factory{LFSCFactory(nil), LFSCFactory(nil)}
+	got, err := RunAll(sc, factories, seed, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Run(PaperScenarioWithT(20), LFSCFactory(nil), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range got {
+		assertSeriesEqual(t, fmt.Sprintf("eager RunAll[%d]", i), ref, s)
+	}
+}
+
 // PaperScenarioWithT is a test helper: the paper scenario truncated to T
 // slots with no shared trace installed.
 func PaperScenarioWithT(T int) *Scenario {

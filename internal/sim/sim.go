@@ -154,11 +154,6 @@ type Scenario struct {
 	Dyn *scenario.Timeline
 }
 
-// preTouchSink receives the cache-warming checksum of Run's pre-realised
-// outcome pass; a package-level store keeps the compiler from eliding the
-// loads.
-var preTouchSink float64
-
 // SharedTrace binds a materialized workload trace (trace.SharedTrace) to
 // the seed it was generated from, so runs can tell whether replaying it
 // reproduces their own generation pass.
@@ -565,13 +560,13 @@ func Run(sc *Scenario, factory Factory, seed uint64) (*metrics.Series, error) {
 			// and the per-task accesses hop between 30 SCN segments — cold,
 			// they each stall on memory. A streaming pass pulls the whole
 			// row (tens of KB) into cache at bandwidth instead. The checksum
-			// is stored to a package sink so the loads cannot be elided.
+			// is stored in this run's scratch so the loads cannot be elided.
 			row := preOuts[t]
 			touch := 0.0
 			for i := 0; i < len(row); i += 2 {
 				touch += row[i].Q
 			}
-			preTouchSink = touch
+			scratch.touch = touch
 		}
 		for taskIdx, m := range assigned {
 			if m < 0 {
@@ -743,6 +738,7 @@ type slotScratch struct {
 	view    policy.SlotView
 	curSlot *trace.Slot
 	latency bool
+	touch   float64 // checksum of the pre-realised outcome row's warming pass
 }
 
 // MaterializeCtxs implements policy.CtxSource: it packs every task's context

@@ -136,20 +136,31 @@ const ContextDims = 3
 // the paper's "categories" (h=3 reproduces "divide the input/output data
 // size into three categories").
 func (t *Task) Context() Context {
-	return Context{
-		normalize(t.InputMbit, MinInputMbit, MaxInputMbit),
-		normalize(t.OutputMbit, MinOutputMbit, MaxOutputMbit),
-		resourceCoord(t.Resource),
-	}
+	in, out, res, _ := t.ContextCoords(false)
+	return Context{in, out, res}
 }
 
 // ContextWithLatency is the 4-D context variant including the latency class.
 func (t *Task) ContextWithLatency() Context {
-	lat := 0.0
-	if t.LatencySensitive {
-		lat = 1.0
+	in, out, res, lat := t.ContextCoords(true)
+	return Context{in, out, res, lat}
+}
+
+// ContextCoords returns the task's context coordinates as values: the
+// normalised input and output sizes, the resource-kind coordinate and,
+// when withLatency is set, the latency class (0 or 1) that only the 4-D
+// context includes (lat is 0 otherwise, and the flag is not read). Every
+// other form of the context is built from it, so they share one
+// normalisation; hot loops that only need a task's hypercube cell read it
+// without materialising a vector.
+func (t *Task) ContextCoords(withLatency bool) (in, out, res, lat float64) {
+	in = clampUnit((t.InputMbit - MinInputMbit) / (MaxInputMbit - MinInputMbit))
+	out = clampUnit((t.OutputMbit - MinOutputMbit) / (MaxOutputMbit - MinOutputMbit))
+	res = resourceCoord(t.Resource)
+	if withLatency && t.LatencySensitive {
+		lat = 1
 	}
-	return append(t.Context(), lat)
+	return in, out, res, lat
 }
 
 // AppendContext appends the task's context coordinates to dst and returns
@@ -157,27 +168,17 @@ func (t *Task) ContextWithLatency() Context {
 // that pack many contexts into one backing array (the simulator's slot
 // builder). withLatency appends the 4th (latency class) coordinate.
 func (t *Task) AppendContext(dst []float64, withLatency bool) []float64 {
-	dst = append(dst,
-		normalize(t.InputMbit, MinInputMbit, MaxInputMbit),
-		normalize(t.OutputMbit, MinOutputMbit, MaxOutputMbit),
-		resourceCoord(t.Resource))
+	in, out, res, lat := t.ContextCoords(withLatency)
+	dst = append(dst, in, out, res)
 	if withLatency {
-		lat := 0.0
-		if t.LatencySensitive {
-			lat = 1.0
-		}
 		dst = append(dst, lat)
 	}
 	return dst
 }
 
-// normalize min-max scales v into [0,1], clamping out-of-range inputs so a
-// malformed trace row cannot push a context outside Φ.
-func normalize(v, lo, hi float64) float64 {
-	if hi <= lo {
-		return 0
-	}
-	x := (v - lo) / (hi - lo)
+// clampUnit clamps a min-max scaled size into [0,1], so a malformed trace
+// row cannot push a context outside Φ.
+func clampUnit(x float64) float64 {
 	if x < 0 {
 		return 0
 	}

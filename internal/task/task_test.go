@@ -70,6 +70,58 @@ func TestContextNormalizationEndpoints(t *testing.T) {
 	}
 }
 
+// Every form of the context agrees, bit for bit, with min-max scaling
+// clamped into [0,1] — including sizes outside the model's range and
+// non-finite ones — and the latency coordinate appears only in the 4-D
+// forms.
+func TestContextFormsAgree(t *testing.T) {
+	scale := func(v, lo, hi float64) float64 {
+		x := (v - lo) / (hi - lo)
+		if x < 0 {
+			return 0
+		}
+		if x > 1 {
+			return 1
+		}
+		return x
+	}
+	sizes := []float64{-3, 0, 1, 2.5, 4, 5, 7.25, 12.5, 20, 31, math.Inf(1), math.Inf(-1), math.NaN()}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, in := range sizes {
+		for _, out := range sizes {
+			for r := 0; r < NumResourceKinds; r++ {
+				for _, lat := range []bool{false, true} {
+					tk := &Task{InputMbit: in, OutputMbit: out, Resource: ResourceKind(r), LatencySensitive: lat}
+					latC := 0.0
+					if lat {
+						latC = 1
+					}
+					want := Context{scale(in, MinInputMbit, MaxInputMbit), scale(out, MinOutputMbit, MaxOutputMbit),
+						(float64(r) + 0.5) / float64(NumResourceKinds), latC}
+					forms := map[string]Context{
+						"Context":                  tk.Context(),
+						"ContextWithLatency":       tk.ContextWithLatency(),
+						"AppendContext(false)":     tk.AppendContext(nil, false),
+						"AppendContext(true)":      tk.AppendContext(nil, true),
+						"ContextCoords(false)[:3]": func() Context { a, b, c, _ := tk.ContextCoords(false); return Context{a, b, c} }(),
+						"ContextCoords(true)":      func() Context { a, b, c, d := tk.ContextCoords(true); return Context{a, b, c, d} }(),
+					}
+					for name, got := range forms {
+						for d := range got {
+							if !same(got[d], want[d]) {
+								t.Fatalf("%s of %+v: coord %d = %v, want %v", name, *tk, d, got[d], want[d])
+							}
+						}
+					}
+					if _, _, _, l := tk.ContextCoords(false); l != 0 {
+						t.Fatalf("ContextCoords(false) of %+v reports latency %v", *tk, l)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestContextValid(t *testing.T) {
 	if !(Context{0, 0.5, 1}).Valid() {
 		t.Fatal("valid context rejected")

@@ -174,19 +174,26 @@ func (g *Synthetic) NextInto(t int, s *Slot) {
 // is identical either way, which is what keeps pooled and allocating runs
 // bit-identical.
 func (g *Synthetic) genInto(s *Slot, pooled bool) {
-	for m := 0; m < g.cfg.SCNs; m++ {
-		n := g.r.IntRange(g.cfg.MinTasks, g.cfg.MaxTasks)
+	scns, minTasks, maxTasks, overlap := g.cfg.SCNs, g.cfg.MinTasks, g.cfg.MaxTasks, g.cfg.Overlap
+	for m := 0; m < scns; m++ {
+		n := g.r.IntRange(minTasks, maxTasks)
+		// The ring peer m+1 mod M; with one SCN there is no peer to share with.
+		peer := m + 1
+		if peer == scns {
+			peer = 0
+		}
+		own := s.Coverage[m]
 		for k := 0; k < n; k++ {
 			idx := len(s.Tasks)
 			tk := g.allocTask(pooled)
 			g.fillTask(tk)
 			s.Tasks = append(s.Tasks, tk)
-			s.Coverage[m] = append(s.Coverage[m], idx)
-			if g.cfg.SCNs > 1 && g.r.Bernoulli(g.cfg.Overlap) {
-				peer := (m + 1) % g.cfg.SCNs
+			own = append(own, idx)
+			if peer != m && g.r.Bernoulli(overlap) {
 				s.Coverage[peer] = append(s.Coverage[peer], idx)
 			}
 		}
+		s.Coverage[m] = own
 	}
 }
 
