@@ -78,11 +78,12 @@ bench-serve:
 	$(GO) run ./cmd/lfscbench -benchserve BENCH_core.json
 
 # Short-mode shard-scaling smoke: run the Shards=1/2/4 curve end-to-end
-# (staged ingest, tournament merge, pipelined close, real loopback HTTP)
-# on a few hundred slots and print the rps triple. The result goes to a
-# scratch file, not the committed artifact — the point in CI is that the
-# sharded serving plane boots, serves, and scales sanely on every push;
-# the gated numbers come from the full `make bench-diff` run.
+# (staged ingest, per-shard legs and merge, pipelined close, real
+# loopback HTTP) on a few hundred slots and print the rps triple. The
+# result goes to a scratch file, not the committed artifact — the point
+# in CI is that the sharded serving plane boots, serves, and scales
+# sanely on every push; the gated numbers come from the full `make
+# bench-diff` run.
 bench-serve-shards:
 	rm -f /tmp/BENCH_shards.json
 	$(GO) run ./cmd/lfscbench -benchshards /tmp/BENCH_shards.json -serve-http-slots 300
@@ -91,11 +92,10 @@ bench-serve-shards:
 # paper-horizon benchmark AND the serve-layer harness into a scratch file
 # and diffs it against BENCH_core.json. Fails (exit 1) on a >25%
 # timing/allocation regression (core or serve), a serve-throughput drop
-# below 75%, a shard-plane tax (serve_shard_rps_1 below 85% of the same
-# run's serve_http_rps) or a non-monotone shard curve where the machine
-# has the cores, a dropped serve key, or ANY reward-ratio drift — the
-# simulation is deterministic, so a ratio change means the computation
-# itself changed.
+# below 75% (serve_http_rps and serve_shard_rps_1 alike), a non-monotone
+# shard curve where the machine has the cores, a dropped serve key, or
+# ANY reward-ratio drift — the simulation is deterministic, so a ratio
+# change means the computation itself changed.
 bench-diff:
 	rm -f /tmp/BENCH_head.json
 	$(GO) run ./cmd/lfscbench -benchjson /tmp/BENCH_head.json
@@ -124,11 +124,14 @@ serve-smoke:
 
 # The sharded variant: the same 200-slot kill-and-resume at Shards=4
 # (per-shard checkpoint files + manifest, two empty shards at this
-# scale), plus the Shards=1-vs-4-vs-offline three-way identity and the
-# cross-layout checkpoint compat matrix — all under the race detector
-# (the shard fan-out runs Decide/Observe on parallel goroutines).
+# scale), the Shards=1/2/4-vs-offline three-way identity, the resharding
+# matrix (checkpoints from 1, 2 and 4 shards and a legacy single file,
+# each restored at 1, 2 and 4 shards), a refused restore that must leave
+# the engine untouched, and the cleanup of a superseded generation
+# written at another shard count — all under the race detector (the
+# shard fan-out runs Decide/Observe on parallel goroutines).
 serve-smoke-shards:
-	$(GO) test -race -count=1 -run 'TestServeSmokeShards|TestShardedLockstepThreeWayIdentity|TestShardedCheckpointCompatAndMismatch' ./internal/serve
+	$(GO) test -race -count=1 -run 'TestServeSmokeShards|TestShardedLockstepThreeWayIdentity|TestCheckpointReshardMatrix|TestFailedRestoreLeavesEngineUntouched|TestReshardRestoreCleansSupersededGeneration' ./internal/serve
 
 # The client's connection lifecycle: a pooled connection the daemon
 # closed while idle is redialed once (replay bit-identical), a reply cut

@@ -220,12 +220,10 @@ type serveBenchResult struct {
 	// loopback HTTP.
 	ServeHTTPRps float64 `json:"serve_http_rps"`
 	// ServeShardRps1/2/4 are the shard scaling curve: loopback /v1/step
-	// throughput on the SAME scenario as ServeHTTPRps, run through the
-	// sharded serving plane at Shards = 1, 2, 4 (the one-shard point
-	// forces serve.Config.ShardPlane, so rps_1/ServeHTTPRps is a pure
-	// plane-tax ratio). Expected roughly flat when NumCPU = 1 and
-	// monotone non-decreasing with shard count on multi-core machines;
-	// benchdiff gates both properties num_cpu-aware.
+	// throughput on the SAME scenario as ServeHTTPRps at Shards = 1, 2, 4.
+	// Expected roughly flat when NumCPU = 1 and monotone non-decreasing
+	// with shard count on multi-core machines; benchdiff gates both
+	// properties num_cpu-aware.
 	ServeShardRps1 float64 `json:"serve_shard_rps_1"`
 	ServeShardRps2 float64 `json:"serve_shard_rps_2"`
 	ServeShardRps4 float64 `json:"serve_shard_rps_4"`

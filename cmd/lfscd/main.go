@@ -25,7 +25,8 @@
 //
 // -shards splits the learner into consistent-hash SCN groups that decide
 // and observe in parallel; decisions stay bit-identical at any shard
-// count (DESIGN.md §11).
+// count, and the default single shard runs on the goroutine closing the
+// slot (DESIGN.md §11).
 //
 // -scenario imposes a timeline of SCN dynamics (sleep schedules, random
 // churn, capacity and budget cycles — see DESIGN.md §13) on serving:
@@ -41,10 +42,11 @@
 // slot counter, RNG streams, reward accumulator). It checkpoints
 // atomically every -checkpoint-every slots and again on SIGINT/SIGTERM
 // before exiting, so a kill at any point loses at most the slots since
-// the last periodic write — never the file. A sharded daemon writes one
-// file per shard plus a manifest at the -checkpoint path; a pre-sharding
-// single-file checkpoint restores into a sharded daemon (each shard takes
-// its rows), but a sharded checkpoint requires the same -shards count.
+// the last periodic write — never the file. The daemon writes one file
+// per shard plus a manifest at the -checkpoint path, and restores it at
+// any -shards count (each shard takes its rows from whichever file
+// carries them); a single-file checkpoint from before the manifest
+// layout restores the same way.
 //
 // Observability: /lfsc/status (plain text), /v1/stats (JSON),
 // /metrics (Prometheus text exposition, on by default — disable with

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 )
 
 // checkpointVersion guards the on-disk format.
@@ -79,18 +78,85 @@ func (l *LFSC) Save(w io.Writer) error {
 	return enc.Encode(&cp)
 }
 
-// Load restores learner state previously written by Save. The checkpoint
-// must match the policy's SCN count and cell count exactly; every value is
-// validated (finite weights, non-negative finite multipliers, a
-// non-negative slot counter, structurally valid RNG triples) BEFORE any
-// policy state is touched — a rejected checkpoint, however corrupt,
-// truncated, or shape-mismatched, leaves the policy exactly as it was.
-func (l *LFSC) Load(r io.Reader) error {
-	var cp checkpoint
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&cp); err != nil {
-		return fmt.Errorf("core: decode checkpoint: %w", err)
+// Load restores learner state previously written by Save, from one
+// document or several. The documents — full or partial (one per shard) —
+// may cover each SCN at most once, must cover every SCN this learner
+// materializes, and must agree on version, shape (the policy's exactly)
+// and slot counter; the learner takes each of its rows from whichever
+// document carries it, so state saved at one shard layout restores into
+// a learner of any other. Every value of every row is validated (finite
+// weights, non-negative finite multipliers, a non-negative slot counter,
+// structurally valid RNG triples) BEFORE any policy state is touched — a
+// rejected checkpoint, however corrupt, truncated, or shape-mismatched,
+// leaves the policy exactly as it was.
+func (l *LFSC) Load(docs ...io.Reader) error {
+	cps := make([]checkpoint, len(docs))
+	// src[m] is the document (and row within it) carrying SCN m.
+	type row struct {
+		cp *checkpoint
+		i  int
 	}
+	src := make([]row, l.cfg.SCNs)
+	for d, r := range docs {
+		cp := &cps[d]
+		if err := json.NewDecoder(r).Decode(cp); err != nil {
+			return fmt.Errorf("core: decode checkpoint: %w", err)
+		}
+		if err := l.validate(cp); err != nil {
+			return err
+		}
+		if cp.Version != cps[0].Version || cp.T != cps[0].T {
+			return fmt.Errorf("core: checkpoint documents disagree on version or slot counter")
+		}
+		for i := range cp.LogW {
+			m := cp.rowSCN(i)
+			if src[m].cp != nil {
+				return fmt.Errorf("core: checkpoint documents cover SCN %d twice", m)
+			}
+			src[m] = row{cp, i}
+		}
+	}
+	for m, st := range l.scns {
+		if st != nil && src[m].cp == nil {
+			return fmt.Errorf("core: partial checkpoint leaves SCN %d uncovered", m)
+		}
+	}
+	// All validated; commit the rows this learner materializes.
+	for m, st := range l.scns {
+		if st == nil {
+			continue
+		}
+		cp, i := src[m].cp, src[m].i
+		copy(st.logW, cp.LogW[i])
+		st.lambda1 = cp.Lambda1[i]
+		st.lambda2 = cp.Lambda2[i]
+		if cp.Version >= 2 {
+			if !st.r.Restore(cp.Rng[i]) {
+				// Unreachable: validated above. Guard anyway so a logic
+				// error cannot half-commit.
+				return fmt.Errorf("core: SCN %d RNG restore failed", m)
+			}
+		}
+		st.resetCaches() // any in-flight slot cache (census, probabilities, picks) is stale now
+	}
+	l.slots = 0
+	if cps[0].Version >= 2 {
+		l.slots = cps[0].T
+	}
+	return nil
+}
+
+// rowSCN maps row i of the document to the SCN it belongs to.
+func (cp *checkpoint) rowSCN(i int) int {
+	if len(cp.Owned) > 0 {
+		return cp.Owned[i]
+	}
+	return i
+}
+
+// validate checks one decoded document against the policy's shape and
+// every value it carries, without touching policy state.
+func (l *LFSC) validate(cp *checkpoint) error {
 	if cp.Version != 1 && cp.Version != checkpointVersion {
 		return fmt.Errorf("core: checkpoint version %d, want 1 or %d", cp.Version, checkpointVersion)
 	}
@@ -98,11 +164,8 @@ func (l *LFSC) Load(r io.Reader) error {
 		return fmt.Errorf("core: checkpoint shape %dx%d, policy %dx%d",
 			cp.SCNs, cp.Cells, l.cfg.SCNs, l.cfg.Cells)
 	}
-	// A partial (shard) checkpoint carries one row per owned SCN; the
-	// owned list must be strictly ascending and in range, and only a
-	// learner with the identical owned set may load it (a full learner
-	// restored from one shard's file would silently lose every other
-	// shard's state).
+	// A partial (shard) document carries one row per owned SCN; the owned
+	// list must be strictly ascending and in range.
 	rows := cp.SCNs
 	if len(cp.Owned) > 0 {
 		if cp.Version < 2 {
@@ -116,17 +179,6 @@ func (l *LFSC) Load(r io.Reader) error {
 			}
 			prev = m
 		}
-		if l.owned == nil || !slices.Equal(l.owned, cp.Owned) {
-			return fmt.Errorf("core: partial checkpoint (owned %v) does not match learner's owned SCNs %v",
-				cp.Owned, l.owned)
-		}
-	}
-	// rowSCN maps a row index to the SCN it belongs to.
-	rowSCN := func(i int) int {
-		if len(cp.Owned) > 0 {
-			return cp.Owned[i]
-		}
-		return i
 	}
 	if len(cp.LogW) != rows || len(cp.Lambda1) != rows || len(cp.Lambda2) != rows {
 		return fmt.Errorf("core: checkpoint arrays inconsistent with SCN count")
@@ -142,14 +194,14 @@ func (l *LFSC) Load(r io.Reader) error {
 		}
 		for i, st := range cp.Rng {
 			if st[1]&1 == 0 {
-				return fmt.Errorf("core: SCN %d has invalid RNG state (even increment)", rowSCN(i))
+				return fmt.Errorf("core: SCN %d has invalid RNG state (even increment)", cp.rowSCN(i))
 			}
 		}
 	} else if len(cp.Rng) != 0 {
 		return fmt.Errorf("core: v1 checkpoint carries RNG states")
 	}
 	for i := 0; i < rows; i++ {
-		m := rowSCN(i)
+		m := cp.rowSCN(i)
 		if len(cp.LogW[i]) != cp.Cells {
 			return fmt.Errorf("core: SCN %d has %d weights, want %d", m, len(cp.LogW[i]), cp.Cells)
 		}
@@ -163,32 +215,6 @@ func (l *LFSC) Load(r io.Reader) error {
 			math.IsInf(cp.Lambda1[i], 0) || math.IsInf(cp.Lambda2[i], 0) {
 			return fmt.Errorf("core: SCN %d has invalid multipliers", m)
 		}
-	}
-	// All validated; commit. A full checkpoint loading into a partial
-	// learner commits only the rows the learner owns — the shard-restore
-	// compat path for pre-sharding single-file checkpoints.
-	for i := 0; i < rows; i++ {
-		m := rowSCN(i)
-		st := l.scns[m]
-		if st == nil {
-			continue
-		}
-		copy(st.logW, cp.LogW[i])
-		st.lambda1 = cp.Lambda1[i]
-		st.lambda2 = cp.Lambda2[i]
-		if cp.Version >= 2 {
-			if !st.r.Restore(cp.Rng[i]) {
-				// Unreachable: validated above. Guard anyway so a logic
-				// error cannot half-commit.
-				return fmt.Errorf("core: SCN %d RNG restore failed", m)
-			}
-		}
-		st.resetCaches() // any in-flight slot cache (census, probabilities, picks) is stale now
-	}
-	if cp.Version >= 2 {
-		l.slots = cp.T
-	} else {
-		l.slots = 0
 	}
 	return nil
 }

@@ -482,20 +482,7 @@ type resolver struct {
 	selP        []float64 // backfill top-free selection: probabilities,
 	selLW       []float64 // log-weight tie-breaks,
 	selIdx      []int     // and slot-global task indices (≤ Capacity each)
-
-	// mergeWorkers > 1 enables the parallel tournament reduction of the
-	// per-SCN edge lists ahead of the greedy (assign.TournamentMergeInto);
-	// ≤ 1 keeps the sequential k-way heap merge. Both paths emit the
-	// identical assignment — cmpEdge is a strict total order over
-	// distinct edges, so every correct merge yields the same stream.
-	mergeWorkers int
-	tour         assign.TournamentScratch
-	mergedOne    [1][]assign.Edge // single-stream header for the greedy
 }
-
-// tournamentMinEdges is the edge count below which the tournament
-// fan-out costs more than the heap merge it replaces.
-const tournamentMinEdges = 512
 
 func newResolver(cfg Config) resolver {
 	return resolver{
@@ -507,10 +494,6 @@ func newResolver(cfg Config) resolver {
 		selP:        make([]float64, cfg.Capacity),
 		selLW:       make([]float64, cfg.Capacity),
 		selIdx:      make([]int, cfg.Capacity),
-		// An explicit Workers > 1 opts the merge stage into the tournament
-		// reduction; the 0 (auto) default keeps the sequential merge — the
-		// sharded Merger opts in explicitly via SetMergeWorkers.
-		mergeWorkers: cfg.Workers,
 	}
 }
 
@@ -572,29 +555,12 @@ func (r *resolver) resolve(states []*scnState, view *policy.SlotView) []int {
 }
 
 // mergeGreedy runs the capacitated global greedy over the slot's
-// per-SCN sorted edge lists. With mergeWorkers > 1 and enough edges to
-// amortise the fan-out, the lists are first reduced to one pre-merged
-// stream by the parallel tournament (pairs of sorted lists merged
-// concurrently level by level), and the greedy consumes that single
-// stream; otherwise it k-way-heap-merges the lists directly. The edge
-// order either way is the unique cmpEdge total order, so the assignment
-// is bit-identical — pinned by the 1/2/4/7-shard lockstep twins.
+// per-SCN sorted edge lists, k-way-heap-merging them in the unique
+// cmpEdge total order — so the assignment is bit-identical however the
+// lists are spread across shards (pinned by the 1/2/4/7-shard lockstep
+// twins).
 func (r *resolver) mergeGreedy(view *policy.SlotView) {
 	lists := r.perSCNEdges[:len(view.SCNs)]
-	if r.mergeWorkers > 1 {
-		total, nonEmpty := 0, 0
-		for _, l := range lists {
-			total += len(l)
-			if len(l) > 0 {
-				nonEmpty++
-			}
-		}
-		if nonEmpty >= 3 && total >= tournamentMinEdges {
-			r.mergedOne[0] = assign.TournamentMergeInto(&r.tour, lists, r.mergeWorkers)
-			r.assigned = assign.GreedyMergeCapsInto(r.assigned, &r.greedy, r.mergedOne[:], r.numSCNs, view.NumTasks, r.capacity, view.Caps)
-			return
-		}
-	}
 	r.assigned = assign.GreedyMergeCapsInto(r.assigned, &r.greedy, lists, r.numSCNs, view.NumTasks, r.capacity, view.Caps)
 }
 

@@ -92,20 +92,12 @@ func (g *Merger) Resolve(view *policy.SlotView) []int {
 	return g.res.resolve(g.states, view)
 }
 
-// SetMergeWorkers sets the parallelism of the resolver's edge-merge
-// stage: > 1 replaces the sequential k-way heap merge with the
-// deterministic parallel tournament reduction (assign.
-// TournamentMergeInto) whenever a slot carries enough edges to amortise
-// the fan-out. The assignment is bit-identical at any setting — the
-// merge order is the unique cmpEdge total order either way.
-func (g *Merger) SetMergeWorkers(n int) { g.res.mergeWorkers = n }
-
 // ExportEdges exposes the per-SCN sorted candidate edge lists the last
 // DecideLocal (or Decide) pass left behind, one entry per SCN of the
 // topology: unowned SCNs (partial learners) and SCNs whose list was not
 // primed this slot are nil. The lists alias learner scratch valid until
 // the next decide pass. The merge-order lockstep twins consume these to
-// pin tournament-vs-heap equality across shard counts.
+// pin that each SCN's list lives on its owning shard and nowhere else.
 func (l *LFSC) ExportEdges(dst [][]assign.Edge) [][]assign.Edge {
 	for len(dst) < len(l.scns) {
 		dst = append(dst, nil)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -122,15 +123,13 @@ func TestShardedMatchesFullLearner(t *testing.T) {
 	}
 }
 
-// TestTournamentMergeLockstepTwins pins the tentpole's merge-order
-// equality at 1/2/4/7 shards: a sharded deployment whose Merger runs the
-// parallel tournament reduction (SetMergeWorkers > 1) must stay
-// bit-identical — assignments, log-weights, multipliers — to a full
-// learner whose resolver runs the sequential k-way heap merge. The
-// workload is sized so most slots carry enough edges to cross the
-// tournament engagement threshold, and Deterministic mode keeps every
-// covered task an edge so the merge is the whole resolution stage.
-func TestTournamentMergeLockstepTwins(t *testing.T) {
+// TestMergerLockstepTwins pins the merge-order equality at 1/2/4/7
+// shards: a sharded deployment whose Merger k-way-merges edge lists
+// spread across partial learners must stay bit-identical — assignments,
+// log-weights, multipliers — to a full learner merging its own lists.
+// The workload is edge-heavy, and Deterministic mode keeps every covered
+// task an edge so the merge is the whole resolution stage.
+func TestMergerLockstepTwins(t *testing.T) {
 	const slots = 120
 	for _, numShards := range []int{1, 2, 4, 7} {
 		gen, err := trace.NewSynthetic(trace.SyntheticConfig{
@@ -147,11 +146,9 @@ func TestTournamentMergeLockstepTwins(t *testing.T) {
 			Mode: Deterministic,
 		}
 		full, shards, owner, merger := shardFixture(t, cfg, 13, numShards)
-		merger.SetMergeWorkers(4)
 
 		cells := make([]int, 0, 1024)
 		var exported [][]assign.Edge
-		heavySlots := 0
 		for ts := 0; ts < slots; ts++ {
 			slot := gen.Next(ts)
 			cells = cells[:0]
@@ -159,13 +156,8 @@ func TestTournamentMergeLockstepTwins(t *testing.T) {
 				cells = append(cells, part.IndexTask(tk, false))
 			}
 			view := &policy.SlotView{T: ts, NumTasks: len(slot.Tasks), Cells: cells}
-			totalEdges := 0
 			for _, cov := range slot.Coverage {
 				view.SCNs = append(view.SCNs, policy.SCNView{Cover: cov})
-				totalEdges += len(cov)
-			}
-			if totalEdges >= 512 {
-				heavySlots++
 			}
 
 			fullAssign := full.Decide(view)
@@ -203,7 +195,7 @@ func TestTournamentMergeLockstepTwins(t *testing.T) {
 			shardAssign := merger.Resolve(view)
 			for i := range fullAssign {
 				if fullAssign[i] != shardAssign[i] {
-					t.Fatalf("shards=%d slot %d task %d: sequential assigned %d, tournament %d",
+					t.Fatalf("shards=%d slot %d task %d: full assigned %d, sharded %d",
 						numShards, ts, i, fullAssign[i], shardAssign[i])
 				}
 			}
@@ -241,12 +233,6 @@ func TestTournamentMergeLockstepTwins(t *testing.T) {
 					t.Fatalf("shards=%d slot %d SCN %d: multipliers diverged", numShards, ts, m)
 				}
 			}
-		}
-		// Guard against workload drift hollowing the test out: the
-		// tournament path only engages past tournamentMinEdges total.
-		if heavySlots < slots/2 {
-			t.Fatalf("shards=%d: only %d/%d slots crossed the tournament threshold — workload too light",
-				numShards, heavySlots, slots)
 		}
 	}
 }
@@ -353,6 +339,94 @@ func TestPartialCheckpointRoundTrip(t *testing.T) {
 		}
 		if partial.scns[m].r.State() != full.scns[m].r.State() {
 			t.Fatalf("SCN %d RNG state not restored", m)
+		}
+	}
+}
+
+// TestLoadStitchesShardDocuments restores the shard documents of a
+// 3-shard deployment, all at once, into learners of other layouts — a
+// full learner and a 2-shard split — row for row; and it pins the
+// multi-document refusals (a row covered twice, documents disagreeing on
+// the slot counter, a corrupt row in the last document), each of which
+// must leave the target exactly as it was.
+func TestLoadStitchesShardDocuments(t *testing.T) {
+	cfg := Config{
+		SCNs: 5, Capacity: 2, Alpha: 1, Beta: 4,
+		Cells: 9, KMax: 10, Horizon: 100,
+	}
+	_, shards, _, _ := shardFixture(t, cfg, 9, 3)
+	var docs [][]byte
+	for _, sh := range shards {
+		for _, m := range sh.owned {
+			st := sh.scns[m]
+			st.logW[m] = float64(m) / 3
+			st.lambda1 = float64(m) * 0.25
+			st.r.Float64()
+		}
+		sh.slots = 42
+		var buf bytes.Buffer
+		if err := sh.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, buf.Bytes())
+	}
+	readers := func(ds ...[]byte) []io.Reader {
+		rs := make([]io.Reader, len(ds))
+		for i, d := range ds {
+			rs[i] = bytes.NewReader(d)
+		}
+		return rs
+	}
+	matches := func(l *LFSC) {
+		t.Helper()
+		if l.slots != 42 {
+			t.Fatalf("slot clock %d, want 42", l.slots)
+		}
+		for m, st := range l.scns {
+			if st == nil {
+				continue
+			}
+			src := shards[m%3].scns[m]
+			if st.logW[m] != src.logW[m] || st.lambda1 != src.lambda1 || st.r.State() != src.r.State() {
+				t.Fatalf("SCN %d not restored from its shard document", m)
+			}
+		}
+	}
+
+	full := MustNew(cfg, rng.New(1))
+	if err := full.Load(readers(docs...)...); err != nil {
+		t.Fatalf("3 shard documents into a full learner: %v", err)
+	}
+	matches(full)
+	for _, owned := range [][]int{{0, 1, 4}, {2, 3}} {
+		l, err := NewPartial(cfg, rng.New(1), owned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Load(readers(docs...)...); err != nil {
+			t.Fatalf("3 shard documents into partial %v: %v", owned, err)
+		}
+		matches(l)
+	}
+
+	skewed := bytes.Replace(docs[1], []byte(`"t":42`), []byte(`"t":41`), 1)
+	corrupt := bytes.Replace(docs[2], []byte(`"lambda1":[0.5`), []byte(`"lambda1":[-0.5`), 1)
+	if bytes.Equal(skewed, docs[1]) || bytes.Equal(corrupt, docs[2]) {
+		t.Fatal("fixture edits did not apply")
+	}
+	for name, set := range map[string][][]byte{
+		"row covered twice": {docs[0], docs[1], docs[2], docs[0]},
+		"slot disagreement": {docs[0], skewed, docs[2]},
+		"corrupt last doc":  {docs[0], docs[1], corrupt},
+		"SCNs uncovered":    {docs[0], docs[1]},
+	} {
+		target := MustNew(cfg, rng.New(2))
+		before := snapshotState(target)
+		if err := target.Load(readers(set...)...); err == nil {
+			t.Fatalf("%s: documents accepted", name)
+		}
+		if !statesEqual(before, snapshotState(target)) {
+			t.Fatalf("%s: refused load mutated the learner", name)
 		}
 	}
 }

@@ -6,8 +6,7 @@ import "sync/atomic"
 // stage of the batch→Decide→collect→Observe→checkpoint protocol took,
 // including the per-shard breakdown of the two parallel stages — the
 // record that makes shard stragglers and barrier stalls visible.
-// Durations are nanoseconds; a zero MergeNS means the engine ran
-// unsharded (Decide and Merge are one call).
+// Durations are nanoseconds.
 type SlotSpan struct {
 	// Seq is the ring's monotone publish counter (gaps in a snapshot
 	// mean records were overwritten between reads).
@@ -32,13 +31,10 @@ type SlotSpan struct {
 	//
 	// StageNS is the total ingest-staging time of the slot's batch —
 	// context packing and per-shard coverage routing done at admission,
-	// spread across the batch window rather than the close. Present only
-	// on traced SHARDED engines: the staging clock reads exist to
-	// attribute ingest cost across shards, and cost too much (two reads
-	// per admission) to spend on the flat fast path.
+	// spread across the batch window rather than the close.
 	StageNS   uint64 `json:"stage_ns,omitempty"`
 	ViewNS    uint64 `json:"view_ns"`   // arena publish (the build work is in StageNS)
-	DecideNS  uint64 `json:"decide_ns"` // whole decision (incl. merge when sharded)
+	DecideNS  uint64 `json:"decide_ns"` // whole decision (incl. merge)
 	MergeNS   uint64 `json:"merge_ns,omitempty"`
 	WaitNS    uint64 `json:"wait_ns"` // decide done → all reports in (batch open→close)
 	ObserveNS uint64 `json:"observe_ns"`
@@ -49,9 +45,10 @@ type SlotSpan struct {
 	CheckpointNS     uint64 `json:"checkpoint_ns,omitempty"`
 
 	// Per-shard durations of the parallel stages (index = shard id;
-	// empty on an unsharded engine). A shard whose entry dominates the
-	// others is the straggler serialising the barrier; ShardStageNS
-	// attributes staging time to the submission's home shard.
+	// empty at one shard, where the slot totals say it). A shard whose
+	// entry dominates the others is the straggler serialising the
+	// barrier; ShardStageNS attributes staging time to the submission's
+	// home shard.
 	ShardDecideNS  []uint64 `json:"shard_decide_ns,omitempty"`
 	ShardObserveNS []uint64 `json:"shard_observe_ns,omitempty"`
 	ShardStageNS   []uint64 `json:"shard_stage_ns,omitempty"`
@@ -148,7 +145,7 @@ type SlotRing struct {
 
 // NewSlotRing builds a ring holding the last n records (rounded up to a
 // power of two, minimum 8), each with room for a per-shard breakdown
-// over shards shards (0 for an unsharded engine).
+// over shards shards (none at one shard).
 func NewSlotRing(n, shards int) *SlotRing {
 	size := 8
 	for size < n {
@@ -200,15 +197,10 @@ func (r *SlotRing) Publish() {
 	rec.counts.Store(counts)
 	rec.viewDecide.Store(clamp32(s.ViewNS)<<32 | clamp32(s.DecideNS))
 	rec.mergeObserve.Store(clamp32(s.MergeNS)<<32 | clamp32(s.ObserveNS))
-	// ckptStage and overlap are zero on the dominant path (the staging
-	// and overlap clocks run on the sharded plane only, and checkpoints
-	// fire once per CheckpointEvery slots), so a load-and-skip — safe
-	// with a single writer — replaces two always-on stores with two
-	// near-free loads and keeps the flat full-obs loop inside the
-	// serve_ns_per_slot_obs budget.
-	if v := clamp32(s.CheckpointNS)<<32 | clamp32(s.StageNS); v != 0 || rec.ckptStage.Load() != 0 {
-		rec.ckptStage.Store(v)
-	}
+	rec.ckptStage.Store(clamp32(s.CheckpointNS)<<32 | clamp32(s.StageNS))
+	// overlap is zero on the lockstep path (no staging lands inside an
+	// Observe window), so a load-and-skip — safe with a single writer —
+	// replaces an always-on store with a near-free load.
 	if v := s.ObserveOverlapNS; v != 0 || rec.overlap.Load() != 0 {
 		rec.overlap.Store(v)
 	}

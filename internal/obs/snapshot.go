@@ -41,8 +41,8 @@ type PolicySnapshot struct {
 	// reach only through the γ-mixing exploration term. It decays toward
 	// 0 as the weight distribution concentrates.
 	ExplorationMass []float64 `json:"exploration_mass"`
-	// Owner is the per-SCN owning shard in a sharded serving deployment
-	// (internal/serve with Shards > 1); empty for unsharded runs. Filled
+	// Owner is the per-SCN owning shard in a serving deployment
+	// (internal/serve, at any shard count); empty for offline runs. Filled
 	// by the aggregator, not the policy — each partial learner's Snapshot
 	// covers only the SCNs it owns, and the serving engine layers the
 	// shards' calls into one snapshot before stamping the owner map.

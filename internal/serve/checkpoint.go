@@ -4,31 +4,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
-// engineCheckpoint is the daemon's on-disk state: the serving slot
-// counter, the cumulative reward accumulator (so a resumed daemon
-// continues the exact same float addition sequence — hex-float identity
-// with an uninterrupted run), and the learner's own v2 checkpoint as an
-// embedded document.
-type engineCheckpoint struct {
-	Version   int     `json:"version"`
-	Slot      int     `json:"slot"`
-	CumReward float64 `json:"cum_reward"`
-	// Scenario is the digest of the active scenario timeline, when one
-	// is attached: a resumed daemon must replay the identical dynamics
-	// for bit-identical continuation, so Restore refuses a mismatch.
-	// Empty for static-topology checkpoints (and pre-scenario files).
-	Scenario string          `json:"scenario,omitempty"`
-	Policy   json.RawMessage `json:"policy"`
-}
-
+// engineCheckpointVersion versions the manifest and shard-file formats
+// (and the legacy single-file checkpoints Restore still imports).
 const engineCheckpointVersion = 1
 
-// shardCheckpoint is one shard's on-disk state in a sharded checkpoint
+// shardCheckpoint is one shard's on-disk state in a checkpoint
 // generation: the shard's identity within the layout plus its partial
 // learner document (which itself carries the owned SCN list).
 type shardCheckpoint struct {
@@ -39,22 +26,25 @@ type shardCheckpoint struct {
 	Policy  json.RawMessage `json:"policy"`
 }
 
-// checkpointManifest sits at CheckpointPath for a sharded engine and
-// commits one generation of shard files: the shard files are written
-// first under the new generation number and their directory is synced,
-// then the manifest is renamed into place — the atomic commit point —
-// and synced, and only then is the previous generation deleted. A crash
-// anywhere leaves the manifest pointing at a complete generation.
-// Distinguished from a legacy single-file engineCheckpoint by the
-// presence of the shards field.
+// checkpointManifest sits at CheckpointPath and commits one generation
+// of shard files: the shard files are written first under the new
+// generation number and their directory is synced, then the manifest is
+// renamed into place — the atomic commit point — and synced, and only
+// then is the previous generation deleted. A crash anywhere leaves the
+// manifest pointing at a complete generation. CumReward is the reward
+// accumulator, so a resumed daemon continues the exact same float
+// addition sequence (hex-float identity with an uninterrupted run).
 type checkpointManifest struct {
 	Version    int     `json:"version"`
 	Shards     int     `json:"shards"`
 	Generation uint64  `json:"generation"`
 	Slot       int     `json:"slot"`
 	CumReward  float64 `json:"cum_reward"`
-	// Scenario mirrors engineCheckpoint.Scenario (the manifest is the
-	// commit point, so the digest lives here, not in the shard files).
+	// Scenario is the digest of the active scenario timeline, when one
+	// is attached: a resumed daemon must replay the identical dynamics
+	// for bit-identical continuation, so Restore refuses a mismatch.
+	// Empty for static-topology checkpoints. The manifest is the commit
+	// point, so the digest lives here, not in the shard files.
 	Scenario string `json:"scenario,omitempty"`
 }
 
@@ -91,44 +81,14 @@ func shardFilePath(path string, gen uint64, k int) string {
 	return fmt.Sprintf("%s.g%d.s%d", path, gen, k)
 }
 
-// checkpointNow atomically writes the engine's current state to
-// cfg.CheckpointPath: serialise to a temp file in the same directory,
-// fsync, rename, fsync the directory. A crash mid-write leaves the
-// previous checkpoint intact; a crash after the directory sync leaves
-// the new one — never a torn file.
-// A sharded engine writes one file per non-empty shard plus the manifest
-// (see checkpointManifest for the commit order). Engine-goroutine only.
+// checkpointNow writes the engine's state to cfg.CheckpointPath as the
+// next generation: one file per non-empty shard, written atomically
+// (temp file, fsync, rename) and made durable by a directory sync before
+// the manifest rename commits them, which is synced in turn before the
+// previous generation is removed. A failure part-way leaves orphan files
+// of the uncommitted generation, overwritten on the next attempt.
+// Engine-goroutine only.
 func (e *Engine) checkpointNow() error {
-	if e.pol == nil {
-		return e.checkpointShardedNow()
-	}
-	var pol bytes.Buffer
-	if err := e.pol.Save(&pol); err != nil {
-		return fmt.Errorf("serve: checkpoint: %w", err)
-	}
-	cp := engineCheckpoint{
-		Version:   engineCheckpointVersion,
-		Slot:      e.pol.SlotsSeen(),
-		CumReward: e.CumReward(),
-		Scenario:  e.scenarioDigest(),
-		Policy:    json.RawMessage(bytes.TrimSpace(pol.Bytes())),
-	}
-	data, err := json.Marshal(&cp)
-	if err != nil {
-		return fmt.Errorf("serve: checkpoint: %w", err)
-	}
-	if err := atomicWrite(e.cfg.CheckpointPath, data); err != nil {
-		return err
-	}
-	return syncDir(filepath.Dir(e.cfg.CheckpointPath))
-}
-
-// checkpointShardedNow writes the next sharded generation. Shard files
-// land and their directory is synced before the manifest rename (the
-// commit), which is synced in turn before the previous generation is
-// removed; a failure part-way leaves orphan files of the uncommitted
-// generation, overwritten on the next attempt.
-func (e *Engine) checkpointShardedNow() error {
 	path := e.cfg.CheckpointPath
 	dir := filepath.Dir(path)
 	gen := e.ckptGen + 1
@@ -176,15 +136,15 @@ func (e *Engine) checkpointShardedNow() error {
 	// The manifest names gen from here on, so no later attempt may
 	// rewrite gen's files; until the rename is durable, a crash can still
 	// bring back the previous manifest, so its generation stays.
-	prev := e.ckptGen
-	e.ckptGen = gen
+	prev, prevShards := e.ckptGen, e.ckptShards
+	e.ckptGen, e.ckptShards = gen, len(e.shards)
 	if err := syncDir(dir); err != nil {
 		return err
 	}
-	if prev > 0 {
-		for k := range e.shards {
-			os.Remove(shardFilePath(path, prev, k)) //nolint:errcheck // best-effort GC of the superseded generation
-		}
+	// The superseded generation is removed by the shard count that wrote
+	// it, which differs from the live one after an any-count restore.
+	for k := 0; k < prevShards; k++ {
+		os.Remove(shardFilePath(path, prev, k)) //nolint:errcheck // best-effort GC of the superseded generation
 	}
 	return nil
 }
@@ -236,140 +196,126 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Restore loads a daemon checkpoint into the engine. Call before Start.
-// Both layouts are understood, with the engine's own layout deciding how
-// they apply:
+// Restore loads a checkpoint into the engine, whatever shard count
+// wrote it. Call before Start. Two inputs are understood:
 //
-//   - A legacy single-file checkpoint loads into an unsharded engine as
-//     always, and also into a sharded one (each shard's partial learner
-//     takes its owned rows from the full document) — the upgrade path
-//     from a pre-sharding deployment.
-//   - A sharded manifest requires a sharded engine with the identical
-//     shard count (the consistent-hash mapping then reproduces the owned
-//     sets the shard files carry); restoring it into an unsharded engine
-//     or a different shard count is an error, not a reshard.
+//   - A manifest committing one generation of shard files. The writer's
+//     layout is recomputed from (SCN, shard count) — the router is a pure
+//     function of both — and every non-empty shard's file must exist,
+//     identify itself as that shard of that generation, and carry exactly
+//     that layout's owned SCNs, so the files cover each SCN once.
+//   - A legacy single-file checkpoint: the manifest's header fields
+//     without shards or generation, plus one full learner document under
+//     "policy". Kept as the import path; nothing writes it any more.
 //
-// Unsharded restore validates fully before committing; sharded restore
-// validates every shard file's metadata up front, but a learner-level
-// rejection in a later shard can leave earlier shards loaded — callers
-// treat any Restore error as fatal for the engine (lfscd exits), so no
-// half-restored engine ever serves.
+// Every document is read and validated — header, scenario digest, slot,
+// layout, and each learner row's values — before any learner state
+// moves, and each live shard then takes its own rows from whichever
+// document carries them. A refused checkpoint leaves the engine as it was.
 func (e *Engine) Restore(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("serve: restore: %w", err)
 	}
-	// Sniff the layout: only manifests carry a shards field.
-	var sniff struct {
-		Shards int `json:"shards"`
+	var cp struct {
+		checkpointManifest
+		Policy json.RawMessage `json:"policy"` // legacy single-file checkpoints only
 	}
-	if err := json.Unmarshal(data, &sniff); err != nil {
-		return fmt.Errorf("serve: restore: %w", err)
-	}
-	if sniff.Shards > 0 {
-		return e.restoreSharded(path, data)
-	}
-	var cp engineCheckpoint
 	if err := json.Unmarshal(data, &cp); err != nil {
 		return fmt.Errorf("serve: restore: %w", err)
 	}
-	if cp.Version != engineCheckpointVersion {
-		return fmt.Errorf("serve: restore: checkpoint version %d, want %d", cp.Version, engineCheckpointVersion)
-	}
-	if cp.Slot < 0 {
-		return fmt.Errorf("serve: restore: negative slot %d", cp.Slot)
-	}
-	if err := e.checkScenario(cp.Scenario); err != nil {
-		return err
-	}
-	if e.pol == nil {
-		// Legacy full document into a sharded engine: every shard loads
-		// its owned rows from the same document.
-		for k, sh := range e.shards {
-			if sh.pol == nil {
-				continue
-			}
-			if err := sh.pol.Load(bytes.NewReader(cp.Policy)); err != nil {
-				return fmt.Errorf("serve: restore shard %d: %w", k, err)
-			}
-			if got := sh.pol.SlotsSeen(); got != cp.Slot {
-				return fmt.Errorf("serve: restore: shard %d slot counter mismatch (engine %d, policy %d)", k, cp.Slot, got)
-			}
-		}
-	} else {
-		if err := e.pol.Load(bytes.NewReader(cp.Policy)); err != nil {
-			return fmt.Errorf("serve: restore: %w", err)
-		}
-		if got := e.pol.SlotsSeen(); got != cp.Slot {
-			return fmt.Errorf("serve: restore: slot counter mismatch (engine %d, policy %d)", cp.Slot, got)
-		}
-	}
-	e.cumRewardBits.Store(math.Float64bits(cp.CumReward))
-	e.slotAtomic.Store(int64(cp.Slot))
-	return nil
-}
-
-// restoreSharded loads a manifest-committed generation of shard files.
-func (e *Engine) restoreSharded(path string, data []byte) error {
-	var man checkpointManifest
-	if err := json.Unmarshal(data, &man); err != nil {
-		return fmt.Errorf("serve: restore: manifest: %w", err)
-	}
+	man := &cp.checkpointManifest
 	if man.Version != engineCheckpointVersion {
-		return fmt.Errorf("serve: restore: manifest version %d, want %d", man.Version, engineCheckpointVersion)
+		return fmt.Errorf("serve: restore: checkpoint version %d, want %d", man.Version, engineCheckpointVersion)
 	}
 	if man.Slot < 0 {
 		return fmt.Errorf("serve: restore: negative slot %d", man.Slot)
 	}
+	if man.Shards > maxShards {
+		return fmt.Errorf("serve: restore: checkpoint has %d shards, limit %d", man.Shards, maxShards)
+	}
 	if err := e.checkScenario(man.Scenario); err != nil {
 		return err
 	}
-	if e.pol != nil {
-		return fmt.Errorf("serve: restore: sharded checkpoint (%d shards) into an unsharded engine — boot with -shards=%d",
-			man.Shards, man.Shards)
+	docs := [][]byte{cp.Policy}
+	if man.Shards > 0 {
+		if docs, err = readGeneration(path, man, e.cfg.SCNs); err != nil {
+			return err
+		}
+	} else if err := checkDoc(cp.Policy, man.Slot, nil); err != nil {
+		return fmt.Errorf("serve: restore: %w", err)
 	}
-	if man.Shards != len(e.shards) {
-		return fmt.Errorf("serve: restore: checkpoint has %d shards, engine has %d — resharding is not supported",
-			man.Shards, len(e.shards))
-	}
-	// Read and structurally validate every shard file before any learner
-	// state moves.
-	docs := make([]*shardCheckpoint, len(e.shards))
-	for k, sh := range e.shards {
+	// The documents cover every SCN once and agree on the slot, and every
+	// learner validates all of them before committing its own rows — so
+	// if the first live learner accepts them, every other one does too.
+	rs := make([]io.Reader, len(docs))
+	for _, sh := range e.shards {
 		if sh.pol == nil {
 			continue
 		}
-		buf, err := os.ReadFile(shardFilePath(path, man.Generation, k))
-		if err != nil {
-			return fmt.Errorf("serve: restore shard %d: %w", k, err)
+		for i, doc := range docs {
+			rs[i] = bytes.NewReader(doc)
 		}
-		var sc shardCheckpoint
-		if err := json.Unmarshal(buf, &sc); err != nil {
-			return fmt.Errorf("serve: restore shard %d: %w", k, err)
-		}
-		if sc.Version != engineCheckpointVersion || sc.Shard != k || sc.Shards != man.Shards {
-			return fmt.Errorf("serve: restore shard %d: file identity mismatch (version %d, shard %d/%d)",
-				k, sc.Version, sc.Shard, sc.Shards)
-		}
-		if sc.Slot != man.Slot {
-			return fmt.Errorf("serve: restore shard %d: slot %d disagrees with manifest %d", k, sc.Slot, man.Slot)
-		}
-		docs[k] = &sc
-	}
-	for k, sh := range e.shards {
-		if sh.pol == nil {
-			continue
-		}
-		if err := sh.pol.Load(bytes.NewReader(docs[k].Policy)); err != nil {
-			return fmt.Errorf("serve: restore shard %d: %w", k, err)
-		}
-		if got := sh.pol.SlotsSeen(); got != man.Slot {
-			return fmt.Errorf("serve: restore: shard %d slot counter mismatch (manifest %d, policy %d)", k, man.Slot, got)
+		if err := sh.pol.Load(rs...); err != nil {
+			return fmt.Errorf("serve: restore shard %d: %w", sh.id, err)
 		}
 	}
 	e.cumRewardBits.Store(math.Float64bits(man.CumReward))
 	e.slotAtomic.Store(int64(man.Slot))
-	e.ckptGen = man.Generation
+	e.ckptGen, e.ckptShards = man.Generation, man.Shards
+	return nil
+}
+
+// readGeneration reads the shard files of the generation man commits and
+// returns their learner documents, each checked against the writer's
+// layout over scns SCNs.
+func readGeneration(path string, man *checkpointManifest, scns int) ([][]byte, error) {
+	_, ownedOf := NewRouter(man.Shards).OwnerMap(scns)
+	var docs [][]byte
+	for k, owned := range ownedOf {
+		if len(owned) == 0 {
+			continue
+		}
+		buf, err := os.ReadFile(shardFilePath(path, man.Generation, k))
+		if err != nil {
+			return nil, fmt.Errorf("serve: restore shard %d: %w", k, err)
+		}
+		var sc shardCheckpoint
+		if err := json.Unmarshal(buf, &sc); err != nil {
+			return nil, fmt.Errorf("serve: restore shard %d: %w", k, err)
+		}
+		if sc.Version != engineCheckpointVersion || sc.Shard != k || sc.Shards != man.Shards {
+			return nil, fmt.Errorf("serve: restore shard %d: file identity mismatch (version %d, shard %d/%d)",
+				k, sc.Version, sc.Shard, sc.Shards)
+		}
+		if sc.Slot != man.Slot {
+			return nil, fmt.Errorf("serve: restore shard %d: slot %d disagrees with manifest %d", k, sc.Slot, man.Slot)
+		}
+		if err := checkDoc(sc.Policy, man.Slot, owned); err != nil {
+			return nil, fmt.Errorf("serve: restore shard %d: %w", k, err)
+		}
+		docs = append(docs, sc.Policy)
+	}
+	return docs, nil
+}
+
+// checkDoc checks a learner document's slot counter and owned-SCN list
+// (nil for a full document) against what the checkpoint header implies;
+// core's Load validates the rest.
+func checkDoc(doc json.RawMessage, slot int, owned []int) error {
+	var hdr struct {
+		T     int   `json:"t"`
+		Owned []int `json:"owned"`
+	}
+	if err := json.Unmarshal(doc, &hdr); err != nil {
+		return err
+	}
+	if hdr.T != slot {
+		return fmt.Errorf("learner slot counter %d disagrees with checkpoint slot %d", hdr.T, slot)
+	}
+	if !slices.Equal(hdr.Owned, owned) {
+		return fmt.Errorf("owns SCNs %v, layout gives %v", hdr.Owned, owned)
+	}
 	return nil
 }
 

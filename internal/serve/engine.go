@@ -12,7 +12,6 @@ import (
 	"lfsc/internal/hypercube"
 	"lfsc/internal/obs"
 	"lfsc/internal/policy"
-	"lfsc/internal/rng"
 	"lfsc/internal/scenario"
 	"lfsc/internal/task"
 )
@@ -48,18 +47,12 @@ type Config struct {
 
 	// Shards splits the learner across N partial learners (consistent-hash
 	// SCN groups), run in parallel for the per-SCN stages of Decide and
-	// Observe and joined by a k-way-merged resolution stage. 0 or 1 keeps
-	// the single flat learner. Decisions are bit-identical at any shard
-	// count; checkpoints become one file per shard plus a manifest at
-	// CheckpointPath (see DESIGN.md §11).
+	// Observe and joined by a k-way-merged resolution stage; 0 means 1,
+	// whose lone shard runs on the goroutine closing the slot. Decisions
+	// are bit-identical at any shard count; checkpoints are one file per
+	// shard plus a manifest at CheckpointPath, and restore at any shard
+	// count (see DESIGN.md §11).
 	Shards int
-	// ShardPlane forces the sharded serving plane (router, partial
-	// learner, merger) even at Shards ≤ 1. A bench/diagnostic knob: the
-	// shard-scaling baseline serve_shard_rps_1 runs the headline workload
-	// through a one-shard plane, so its ratio against serve_http_rps
-	// isolates the plane's fixed tax from any parallelism. Decisions stay
-	// bit-identical to the flat engine.
-	ShardPlane bool
 
 	// Serving knobs.
 	//
@@ -181,20 +174,23 @@ var errStopped = errors.New("serve: engine stopped")
 // and Observe.
 type Engine struct {
 	cfg Config
-	// pol is the flat learner (Shards ≤ 1); nil when sharded. The sharded
-	// learner plane lives in shards/merger/owner/router, reached through
-	// the slotsSeen/decide/observe/snapshotPolicy helpers (shard.go) so
-	// the slot machine itself is layout-agnostic.
-	pol    *core.LFSC
-	shards []*engineShard
-	merger *core.Merger
-	owner  []int
-	router *Router
-	// ckptGen is the sharded-checkpoint generation counter (engine
-	// goroutine only): shard files are written under the next generation
-	// and committed by the manifest rename, then the previous generation
-	// is deleted — a crash at any point leaves one complete generation.
-	ckptGen uint64
+	// The learner plane (shard.go): one partial learner per non-empty
+	// shard, the merger resolving across them, and the SCN→shard layout.
+	// decideLeg and observeLeg are the per-shard halves of a slot, bound
+	// once so the fan-out allocates nothing per slot.
+	shards     []*engineShard
+	merger     *core.Merger
+	owner      []int
+	router     *Router
+	decideLeg  func(int)
+	observeLeg func(int)
+	// ckptGen is the checkpoint generation counter and ckptShards the
+	// shard count that wrote it (engine goroutine only): shard files are
+	// written under the next generation and committed by the manifest
+	// rename, then the previous generation is deleted — a crash at any
+	// point leaves one complete generation.
+	ckptGen    uint64
+	ckptShards int
 	// shape is what every request's tasks are validated against as they
 	// decode (immutable after NewEngine, shared by all handlers).
 	shape reqShape
@@ -318,18 +314,17 @@ type Engine struct {
 	trViewNS    uint64
 	trDecideNS  uint64
 	trDecideEnd time.Time
-	// lastMergeNS is the most recent Merger.Resolve duration (sharded
-	// engines only; written in decide under mu).
+	// lastMergeNS is the most recent Merger.Resolve duration (written in
+	// decide under mu).
 	lastMergeNS uint64
 	// mergeLat is the merge-stage duration histogram (one Record per
-	// sharded slot), exported as lfsc_serve_merge_ns.
+	// slot), exported as lfsc_serve_merge_ns.
 	mergeLat obs.Histogram
-	// Staged-ingest timing (traced sharded engines only — cfg.SlotRing !=
-	// nil && router != nil, see admit; guarded by mu): trStageNS
-	// accumulates staging time for the slot being batched
-	// and is published as openStageNS at close; trOverlapNS accumulates
-	// staging time landing inside the open slot's observe window — the
-	// pipelined close's measured ingest overlap.
+	// Staged-ingest timing (traced engines only — cfg.SlotRing != nil,
+	// see admit; guarded by mu): trStageNS accumulates staging time for
+	// the slot being batched and is published as openStageNS at close;
+	// trOverlapNS accumulates staging time landing inside the open slot's
+	// observe window — the pipelined close's measured ingest overlap.
 	trStageNS   uint64
 	openStageNS uint64
 	trOverlapNS uint64
@@ -351,6 +346,9 @@ type Engine struct {
 // starting it. Use Restore to load a checkpoint before Start.
 func NewEngine(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Shards > maxShards {
+		return nil, fmt.Errorf("serve: %d shards, limit %d", cfg.Shards, maxShards)
+	}
 	if cfg.Scenario != nil && cfg.Scenario.SCNs() != cfg.SCNs {
 		return nil, fmt.Errorf("serve: scenario timeline covers %d SCNs, engine has %d",
 			cfg.Scenario.SCNs(), cfg.SCNs)
@@ -359,8 +357,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: partition: %w", err)
 	}
-	// Every serving learner, flat or shard, runs its per-SCN stages
-	// serially: the engine's one fan-out axis is across shards.
+	// Every shard's learner runs its per-SCN stages serially: the
+	// engine's one fan-out axis is across shards.
 	coreCfg := core.Config{
 		SCNs:     cfg.SCNs,
 		Capacity: cfg.Capacity,
@@ -381,19 +379,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 		kickCh:  make(chan struct{}, 1),
 		reqPool: make(chan *wireReq, 2*cfg.SubQueue+8),
 	}
-	if cfg.Shards > 1 || cfg.ShardPlane {
-		shards, merger, owner, router, err := buildShards(coreCfg, cfg.Seed, cfg.Shards)
-		if err != nil {
-			return nil, err
-		}
-		e.shards, e.merger, e.owner, e.router = shards, merger, owner, router
-	} else {
-		pol, err := core.New(coreCfg, rng.New(cfg.Seed).Derive(3))
-		if err != nil {
-			return nil, fmt.Errorf("serve: learner: %w", err)
-		}
-		e.pol = pol
+	e.shards, e.merger, e.owner, e.router, err = buildShards(coreCfg, cfg.Seed, cfg.Shards)
+	if err != nil {
+		return nil, err
 	}
+	e.decideLeg, e.observeLeg = e.decideShard, e.observeShard
 	e.batch.init(cfg.SCNs)
 	for i := range e.stages {
 		e.stages[i].cov = make([][]int, cfg.SCNs)
@@ -436,13 +426,6 @@ func (e *Engine) putReq(q *wireReq) {
 	default:
 	}
 }
-
-// Policy exposes the learner for introspection (status pages, tests).
-// The engine goroutine owns all mutating calls; callers must only use
-// read-only accessors, and only when the engine is stopped or between
-// their own lockstep requests. Returns nil on a sharded engine (the
-// learner plane is then split across partial learners).
-func (e *Engine) Policy() *core.LFSC { return e.pol }
 
 // Start launches the engine loop. The engine serves until Stop or Abort.
 func (e *Engine) Start() {
@@ -1047,13 +1030,10 @@ func (e *Engine) admit(q *wireReq) {
 		return
 	}
 	e.batch.add(q, e.stages[e.cur].n)
-	// Stage timing is a sharded-plane feature: it exists to attribute
-	// ingest cost across shards and to size the pipelined-close overlap,
-	// and the two clock reads per admission are real money on the flat
-	// fast path (the obs stack is pinned at ≤5% over the probe baseline,
-	// and a pair of clock reads per request blows most of that budget).
-	// Flat traced engines report stage_ns 0.
-	if e.cfg.SlotRing == nil || e.router == nil {
+	// Stage timing attributes ingest cost across shards and sizes the
+	// pipelined-close overlap; it costs two clock reads per admission, so
+	// only traced engines pay it.
+	if e.cfg.SlotRing == nil {
 		e.stageSub(q)
 		return
 	}
@@ -1188,7 +1168,7 @@ func (e *Engine) decideSlot() {
 		}
 	}
 	trMid := span
-	assigned := e.decide(view)
+	assigned := e.decide()
 	if instr {
 		span = probe.LapAt(obs.PhaseDecide, span, time.Now())
 		if traced {
@@ -1304,16 +1284,16 @@ func (e *Engine) finishSlot() {
 		e.fb.Execs = append(e.fb.Execs, ex)
 		slotReward += ex.Compound()
 	}
-	// The pipelined window: everything Observe reads (view, assigned, fb,
-	// the closed arena) is engine-owned and untouched by ingest; late
+	// The pipelined window: everything Observe reads (openView,
+	// openAssigned, fb, the closed arena) is engine-owned and untouched by
+	// ingest — decideSlot, the only writer, is gated on observing; late
 	// reports during the window see openActive == false, exactly as they
 	// would after a non-pipelined close.
-	view := e.openView
 	e.openActive = false
 	e.observing = true
 	e.trOverlapNS = 0
 	e.mu.Unlock()
-	e.observe(view, assigned, &e.fb)
+	e.observe()
 	var obsEnd time.Time
 	if instr {
 		obsEnd = time.Now()

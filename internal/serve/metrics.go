@@ -61,12 +61,9 @@ func (e *Engine) registerMetrics(m *obs.Metrics) {
 	m.Histogram("lfsc_request_duration_seconds", reqHelp,
 		[]obs.Label{{Name: "endpoint", Value: "shed"}}, &e.shedLat)
 
-	if e.router != nil {
-		// Sharded plane only: one Record per slot close (Merger.Resolve),
-		// scraped like every other histogram here.
-		m.Histogram("lfsc_serve_merge_ns", "Duration of the cross-shard edge-merge/resolution stage per slot.",
-			nil, &e.mergeLat)
-	}
+	// One Record per slot close (Merger.Resolve).
+	m.Histogram("lfsc_serve_merge_ns", "Duration of the cross-shard edge-merge/resolution stage per slot.",
+		nil, &e.mergeLat)
 
 	for _, sh := range e.shards {
 		sh := sh

@@ -8,11 +8,10 @@ import (
 	"lfsc/internal/core"
 	"lfsc/internal/obs"
 	"lfsc/internal/parallel"
-	"lfsc/internal/policy"
 	"lfsc/internal/rng"
 )
 
-// engineShard is one learner shard of a sharded engine: a partial LFSC
+// engineShard is one learner shard of the engine: a partial LFSC
 // learner owning a consistent-hash-assigned SCN group, plus routing
 // counters. The shard's learner holds its own weights, multipliers, RNG
 // streams, and per-SCN scratch; pol is nil when no SCN hashed to this
@@ -46,8 +45,8 @@ type engineShard struct {
 	lastStageNS atomic.Uint64
 }
 
-// buildShards constructs the sharded learner plane: a consistent-hash
-// router over cfg.Shards shards, one partial learner per non-empty shard
+// buildShards constructs the learner plane: a consistent-hash router
+// over the given shard count, one partial learner per non-empty shard
 // (every shard's learner derives its per-SCN streams from the same root —
 // rng Derive is pure, so the streams are bit-identical to an unsharded
 // learner's), and the merger stitched over all of them. Each learner
@@ -74,12 +73,6 @@ func buildShards(coreCfg core.Config, seed uint64, shards int) ([]*engineShard, 
 	if err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("serve: merger: %w", err)
 	}
-	// The resolution stage's edge merge parallelises across the same
-	// worker budget as the per-shard fan-out: heavy slots run the
-	// deterministic tournament reduction instead of the single-threaded
-	// k-way heap merge (bit-identical output — see assign.
-	// TournamentMergeInto).
-	merger.SetMergeWorkers(shards)
 	return es, merger, owner, router, nil
 }
 
@@ -87,9 +80,6 @@ func buildShards(coreCfg core.Config, seed uint64, shards int) ([]*engineShard, 
 // their clocks in lockstep (every shard Observes every slot), so the
 // first non-empty shard speaks for all; restore verifies the invariant.
 func (e *Engine) slotsSeen() int {
-	if e.pol != nil {
-		return e.pol.SlotsSeen()
-	}
 	for _, sh := range e.shards {
 		if sh.pol != nil {
 			return sh.pol.SlotsSeen()
@@ -98,48 +88,46 @@ func (e *Engine) slotsSeen() int {
 	return 0
 }
 
-// decide runs the slot's decision across the learner plane. Unsharded:
-// the learner's own Decide. Sharded: the two-phase barrier — every shard
-// computes its SCNs' probabilities, candidate samples, and pre-sorted
-// edge lists in parallel (phase one), then the merger's resolution
-// produces the global greedy assignment (phase two, with the edge merge
-// itself parallelised as a deterministic tournament on heavy slots).
-// The resolver code is shared with the unsharded path, so the assignment
-// is bit-identical at any shard count.
-func (e *Engine) decide(view *policy.SlotView) []int {
-	if e.pol != nil {
-		return e.pol.Decide(view)
-	}
-	parallel.ForDynamic(len(e.shards), len(e.shards), func(k int) {
-		if sh := e.shards[k]; sh.pol != nil {
-			t0 := time.Now()
-			sh.pol.DecideLocal(view)
-			sh.lastDecideNS.Store(uint64(time.Since(t0)))
-		}
-	})
+// decide runs the slot's decision across the learner plane as a
+// two-phase barrier: every shard computes its SCNs' probabilities,
+// candidate samples, and pre-sorted edge lists (phase one, in parallel),
+// then the merger's resolution produces the global greedy assignment
+// (phase two). The resolver code is the unsharded Decide's own, so the
+// assignment is bit-identical at any shard count. ForDynamic runs a lone
+// shard inline on the closing goroutine.
+func (e *Engine) decide() []int {
+	parallel.ForDynamic(len(e.shards), len(e.shards), e.decideLeg)
 	t0 := time.Now()
-	assigned := e.merger.Resolve(view)
+	assigned := e.merger.Resolve(&e.view)
 	e.lastMergeNS = uint64(time.Since(t0))
 	e.mergeLat.Record(e.lastMergeNS)
 	return assigned
 }
 
-// observe feeds the slot's realised feedback to the learner plane. Each
-// shard updates only its own SCNs' weights and multipliers (fb is
+// decideShard is shard k's phase-one leg over the slot's published view.
+func (e *Engine) decideShard(k int) {
+	if sh := e.shards[k]; sh.pol != nil {
+		t0 := time.Now()
+		sh.pol.DecideLocal(&e.view)
+		sh.lastDecideNS.Store(uint64(time.Since(t0)))
+	}
+}
+
+// observe feeds the open slot's realised feedback to the learner plane.
+// Each shard updates only its own SCNs' weights and multipliers (fb is
 // read-only; every learner buckets it with private scratch), so shards
 // run in parallel with no synchronisation beyond the barrier.
-func (e *Engine) observe(view *policy.SlotView, assigned []int, fb *policy.Feedback) {
-	if e.pol != nil {
-		e.pol.Observe(view, assigned, fb)
-		return
+func (e *Engine) observe() {
+	parallel.ForDynamic(len(e.shards), len(e.shards), e.observeLeg)
+}
+
+// observeShard is shard k's Observe leg over the open slot.
+func (e *Engine) observeShard(k int) {
+	if sh := e.shards[k]; sh.pol != nil {
+		t0 := time.Now()
+		sh.pol.Observe(e.openView, e.openAssigned, &e.fb)
+		sh.lastObserveNS.Store(uint64(time.Since(t0)))
 	}
-	parallel.ForDynamic(len(e.shards), len(e.shards), func(k int) {
-		if sh := e.shards[k]; sh.pol != nil {
-			t0 := time.Now()
-			sh.pol.Observe(view, assigned, fb)
-			sh.lastObserveNS.Store(uint64(time.Since(t0)))
-		}
-	})
 }
 
 // snapshotPolicy aggregates the learner plane into one policy snapshot.
@@ -148,11 +136,6 @@ func (e *Engine) observe(view *policy.SlotView, assigned []int, fb *policy.Feedb
 // per-SCN view; the owner map is stamped alongside so /lfsc/status and
 // snapshot sinks can attribute rows to shards.
 func (e *Engine) snapshotPolicy(into *obs.PolicySnapshot) {
-	if e.pol != nil {
-		e.pol.Snapshot(into)
-		into.Owner = into.Owner[:0]
-		return
-	}
 	for _, sh := range e.shards {
 		if sh.pol != nil {
 			sh.pol.Snapshot(into)
@@ -167,7 +150,7 @@ func (e *Engine) snapshotPolicy(into *obs.PolicySnapshot) {
 // client-side ShardPool routes by). Called once per ingested submission,
 // under mu.
 func (e *Engine) accountRouting(q *wireReq) {
-	if e.router == nil || len(q.scns) == 0 {
+	if len(q.scns) == 0 {
 		return
 	}
 	sh := e.shards[e.router.Shard(q.scns[0])]
@@ -181,7 +164,7 @@ func (e *Engine) accountRouting(q *wireReq) {
 // goroutines; the router mapping is immutable and the counter atomic,
 // so no lock is needed.
 func (e *Engine) accountShed(q *wireReq) {
-	if e.router == nil || len(q.scns) == 0 {
+	if len(q.scns) == 0 {
 		return
 	}
 	e.shards[e.router.Shard(q.scns[0])].shedTasks.Add(uint64(len(q.cells)))

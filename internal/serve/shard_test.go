@@ -7,10 +7,12 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"lfsc/internal/env"
 	"lfsc/internal/obs"
 	"lfsc/internal/rng"
 	"lfsc/internal/sim"
@@ -115,9 +117,9 @@ func runLockstep(t *testing.T, sc ReplayScenario, shards int) (daemon, client fl
 }
 
 // TestShardedLockstepThreeWayIdentity is the sharded extension of the
-// Workers=1-vs-N determinism contract from the core layer: a Shards=4
-// daemon (two of whose shards own no SCN at this scale), a Shards=1
-// daemon, and an offline sim.Run of the same scenario all earn the
+// Workers=1-vs-N determinism contract from the core layer: daemons at
+// Shards=1, 2 and 4 (two of the four shards own no SCN at this scale)
+// and an offline sim.Run of the same scenario all earn the
 // hex-float-identical cumulative reward, on the daemon side and the
 // client side.
 func TestShardedLockstepThreeWayIdentity(t *testing.T) {
@@ -140,7 +142,7 @@ func TestShardedLockstepThreeWayIdentity(t *testing.T) {
 		offline += r
 	}
 
-	for _, shards := range []int{1, 4} {
+	for _, shards := range []int{1, 2, 4} {
 		daemon, client := runLockstep(t, sc, shards)
 		if daemon != offline {
 			t.Errorf("shards=%d: daemon cum reward %x != offline sim %x (%.10f vs %.10f)",
@@ -252,98 +254,208 @@ func TestServeSmokeShards(t *testing.T) {
 	}
 }
 
-// TestShardedCheckpointCompatAndMismatch covers the cross-layout restore
-// matrix: a pre-sharding single-file checkpoint restores into a sharded
-// daemon and continues bit-identically (the upgrade path), while a
-// sharded manifest is rejected by an unsharded engine and by a different
-// shard count.
-func TestShardedCheckpointCompatAndMismatch(t *testing.T) {
-	const T, seed = 160, 13
-	sc := testScenario(T, seed)
+// reshardScenario is the resharding tests' scenario: testScenario
+// widened to 8 SCNs, where the 1-, 2- and 4-shard layouts all differ (at
+// 4 SCNs the 2- and 4-shard layouts coincide). The committed legacy
+// checkpoint was taken on it at slot 80.
+func reshardScenario() ReplayScenario {
+	sc := testScenario(160, 13)
+	sc.Synthetic.SCNs = 8
+	sc.EnvCfg = env.DefaultConfig(8, 27)
+	return sc
+}
+
+// checkpointAt serves slots [0, slot) of sc at the given shard count with
+// checkpoints at path, and stops gracefully — the final checkpoint lands
+// at exactly slot.
+func checkpointAt(t *testing.T, sc ReplayScenario, path string, shards, slot int) {
+	t.Helper()
+	eng, srv, _ := bootDaemon(t, sc, func(c *Config) {
+		c.Shards = shards
+		c.CheckpointPath = path
+	})
+	defer srv.Close()
+	rep, err := NewReplayer(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rep.Run(shardPoolFor(srv, shards), 0, slot, nil); err != nil {
+		t.Fatal(err)
+	}
+	eng.Stop()
+}
+
+// finishFrom serves slots [from, sc.T) on a started engine and returns
+// its final cumulative reward.
+func finishFrom(t *testing.T, sc ReplayScenario, eng *Engine, srv *Server, shards, from int) float64 {
+	t.Helper()
+	rep, err := NewReplayer(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rep.Run(shardPoolFor(srv, shards), from, sc.T, nil); err != nil {
+		t.Fatal(err)
+	}
+	eng.Stop()
+	if eng.Slot() != sc.T {
+		t.Fatalf("served to slot %d, want %d", eng.Slot(), sc.T)
+	}
+	return eng.CumReward()
+}
+
+// TestCheckpointReshardMatrix restores slot-80 checkpoints written at
+// Shards 1, 2 and 4 — plus a legacy single-file checkpoint from the
+// pre-manifest writer (testdata) — into daemons at Shards 1, 2 and 4.
+// Every cell must finish the run bit-identically to an uninterrupted one.
+// A generation missing a shard file is still refused.
+func TestCheckpointReshardMatrix(t *testing.T) {
+	sc := reshardScenario()
 	dir := t.TempDir()
-	legacy := filepath.Join(dir, "legacy.ckpt")
-	sharded := filepath.Join(dir, "sharded.ckpt")
+	sources := map[string]string{"legacy": filepath.Join("testdata", "legacy-slot80.ckpt")}
+	for _, shards := range []int{1, 2, 4} {
+		path := filepath.Join(dir, fmt.Sprintf("s%d.ckpt", shards))
+		checkpointAt(t, sc, path, shards, 80)
+		sources[fmt.Sprintf("shards=%d", shards)] = path
+	}
+	want, _ := runLockstep(t, sc, 1)
 
-	// Produce a legacy single-file checkpoint at slot 80 (unsharded
-	// daemon, graceful stop) and a sharded manifest at the same slot.
-	for _, cfg := range []struct {
-		path   string
-		shards int
-	}{{legacy, 1}, {sharded, 4}} {
-		eng, srv, _ := bootDaemon(t, sc, func(c *Config) {
-			c.Shards = cfg.shards
-			c.CheckpointPath = cfg.path
-		})
-		rep, err := NewReplayer(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rep.Run(shardPoolFor(srv, cfg.shards), 0, 80, nil); err != nil {
-			t.Fatal(err)
-		}
-		eng.Stop()
-		srv.Close()
-	}
-
-	// Upgrade path: the legacy document restores into a Shards=4 daemon,
-	// which then finishes the run bit-identically to an uninterrupted
-	// sharded daemon.
-	engB, srvB, _, restored := resumeDaemon(t, sc, legacy, func(c *Config) { c.Shards = 4 })
-	defer srvB.Close()
-	if !restored {
-		t.Fatal("legacy checkpoint not found")
-	}
-	if engB.Slot() != 80 {
-		t.Fatalf("legacy restore at slot %d, want 80", engB.Slot())
-	}
-	repB, err := NewReplayer(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := repB.Run(shardPoolFor(srvB, 4), 80, T, nil); err != nil {
-		t.Fatal(err)
-	}
-	engB.Stop()
-
-	engC, srvC, _ := bootDaemon(t, sc, func(c *Config) { c.Shards = 4 })
-	defer srvC.Close()
-	repC, err := NewReplayer(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := repC.Run(shardPoolFor(srvC, 4), 0, T, nil); err != nil {
-		t.Fatal(err)
-	}
-	engC.Stop()
-	if engB.CumReward() != engC.CumReward() {
-		t.Fatalf("legacy-into-sharded resume diverged: %x vs %x", engB.CumReward(), engC.CumReward())
-	}
-
-	// Mismatch paths: sharded manifest into an unsharded engine, and into
-	// the wrong shard count.
-	for _, bad := range []int{1, 2} {
-		eng := buildDaemon(t, sc, func(c *Config) { c.Shards = bad })
-		if err := eng.Restore(sharded); err == nil {
-			t.Errorf("sharded (4) checkpoint restored into shards=%d engine", bad)
+	for name, path := range sources {
+		for _, shards := range []int{1, 2, 4} {
+			eng, srv, _, restored := resumeDaemon(t, sc, path, func(c *Config) { c.Shards = shards })
+			if !restored || eng.Slot() != 80 {
+				t.Fatalf("%s into shards=%d: restored %v at slot %d, want slot 80", name, shards, restored, eng.Slot())
+			}
+			got := finishFrom(t, sc, eng, srv, shards, 80)
+			srv.Close()
+			if got != want {
+				t.Errorf("%s into shards=%d: resumed cum reward %x != uninterrupted %x", name, shards, got, want)
+			}
 		}
 	}
 
-	// A truncated generation (missing shard file) must fail, not
-	// half-restore.
-	var man checkpointManifest
-	buf, err := os.ReadFile(sharded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(buf, &man); err != nil {
-		t.Fatal(err)
-	}
+	// A generation missing a shard file must be refused, not half-restored.
+	sharded := sources["shards=4"]
+	man := readManifest(t, sharded)
 	if err := os.Remove(shardFilePath(sharded, man.Generation, 0)); err != nil {
 		t.Fatal(err)
 	}
 	eng := buildDaemon(t, sc, func(c *Config) { c.Shards = 4 })
 	if err := eng.Restore(sharded); err == nil {
 		t.Error("manifest with a missing shard file restored")
+	}
+}
+
+func readManifest(t *testing.T, path string) checkpointManifest {
+	t.Helper()
+	var man checkpointManifest
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(buf, &man); err != nil {
+		t.Fatal(err)
+	}
+	return man
+}
+
+// TestFailedRestoreLeavesEngineUntouched corrupts the last non-empty
+// shard file of a 4-shard slot-80 generation (a negative λ¹): Restore
+// must refuse it before any shard loads its rows, so the same engine
+// then serves a replay from slot 0 bit-identically to a never-restored
+// engine.
+func TestFailedRestoreLeavesEngineUntouched(t *testing.T) {
+	sc := reshardScenario()
+	path := filepath.Join(t.TempDir(), "lfscd.ckpt")
+	checkpointAt(t, sc, path, 4, 80)
+	man := readManifest(t, path)
+	_, ownedOf := NewRouter(4).OwnerMap(sc.Synthetic.SCNs)
+	last := -1
+	for k, owned := range ownedOf {
+		if len(owned) > 0 {
+			last = k
+		}
+	}
+	shardPath := shardFilePath(path, man.Generation, last)
+	buf, err := os.ReadFile(shardPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(buf, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["policy"].(map[string]any)["lambda1"].([]any)[0] = -1.0
+	if buf, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(shardPath, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	eng := buildDaemon(t, sc, func(c *Config) { c.Shards = 4 })
+	if err := eng.Restore(path); err == nil {
+		t.Fatal("generation with a negative multiplier restored")
+	}
+	if eng.Slot() != 0 || eng.slotsSeen() != 0 {
+		t.Fatalf("refused restore moved the slot clock: Slot %d, learner %d", eng.Slot(), eng.slotsSeen())
+	}
+	srv, _ := startDaemon(t, eng)
+	defer srv.Close()
+	got := finishFrom(t, sc, eng, srv, 4, 0)
+	if want, _ := runLockstep(t, sc, 4); got != want {
+		t.Fatalf("engine after a refused restore: cum reward %x != never-restored %x", got, want)
+	}
+}
+
+// TestReshardRestoreCleansSupersededGeneration restores a 4-shard
+// generation into a 2-shard daemon and checkpoints twice: every file of
+// the 4-shard generation must go, not only the shards the live engine
+// has, leaving exactly the manifest and the live generation's files.
+func TestReshardRestoreCleansSupersededGeneration(t *testing.T) {
+	sc := reshardScenario()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "lfscd.ckpt")
+	checkpointAt(t, sc, path, 4, 80)
+
+	const shards = 2
+	eng, srv, _, _ := resumeDaemon(t, sc, path, func(c *Config) {
+		c.Shards = shards
+		c.CheckpointPath = path
+		c.CheckpointEvery = 10
+	})
+	defer srv.Close()
+	rep, err := NewReplayer(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One periodic checkpoint at slot 90, one on Stop at slot 95.
+	if _, err := rep.Run(shardPoolFor(srv, shards), 80, 95, nil); err != nil {
+		t.Fatal(err)
+	}
+	eng.Stop()
+
+	man := readManifest(t, path)
+	if man.Shards != shards || man.Slot != 95 {
+		t.Fatalf("manifest = %+v, want shards %d at slot 95", man, shards)
+	}
+	want := []string{filepath.Base(path)}
+	_, ownedOf := NewRouter(shards).OwnerMap(sc.Synthetic.SCNs)
+	for k, owned := range ownedOf {
+		if len(owned) > 0 {
+			want = append(want, filepath.Base(shardFilePath(path, man.Generation, k)))
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, de := range entries {
+		got = append(got, de.Name())
+	}
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("checkpoint directory holds %v, want %v", got, want)
 	}
 }
 

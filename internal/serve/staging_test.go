@@ -118,39 +118,6 @@ func TestStagingRouterBoundary(t *testing.T) {
 	}
 }
 
-// TestShardPlaneLockstepIdentity pins Config.ShardPlane: forcing the
-// sharded serving plane (router, partial learner, merger) at Shards=1 —
-// the shard-bench baseline — must be bit-identical to the flat engine on
-// the same lockstep workload, daemon side and client side.
-func TestShardPlaneLockstepIdentity(t *testing.T) {
-	const T, seed = 200, 42
-	sc := testScenario(T, seed)
-
-	flatDaemon, flatClient := runLockstep(t, sc, 1)
-
-	eng, srv, client := bootDaemon(t, sc, func(c *Config) { c.ShardPlane = true })
-	defer srv.Close()
-	if eng.router == nil {
-		t.Fatal("ShardPlane did not force the sharded plane")
-	}
-	rep, err := NewReplayer(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rep.Run(client, 0, T, nil); err != nil {
-		t.Fatal(err)
-	}
-	eng.Stop()
-
-	if got := eng.CumReward(); got != flatDaemon {
-		t.Errorf("shard-plane daemon cum reward %x != flat %x (%.10f vs %.10f)",
-			got, flatDaemon, got, flatDaemon)
-	}
-	if got := rep.CumReward(); got != flatClient {
-		t.Errorf("shard-plane client cum reward %x != flat %x", got, flatClient)
-	}
-}
-
 // TestConcurrentIngestStaging hammers the staged-ingest path from many
 // connections while slots close underneath it: a fast slot clock, a tiny
 // batch bound, and a short report wait keep the engine in a rolling

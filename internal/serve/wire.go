@@ -157,8 +157,8 @@ type Stats struct {
 	// SLO is the rolling-window latency/shed-rate summary (present only
 	// when the engine was configured with an obs.SLO tracker).
 	SLO *obs.SLOReport `json:"slo,omitempty"`
-	// Shards is the per-shard breakdown of a sharded engine (empty when
-	// unsharded): routing and shed attribution by home shard, plus each
+	// Shards is the per-shard breakdown, one line per shard at every
+	// shard count: routing and shed attribution by home shard, plus each
 	// shard's last-slot leg durations of the two-phase barrier.
 	Shards []ShardStat `json:"shards,omitempty"`
 	// Scenario describes the active scenario timeline at the current
