@@ -4,17 +4,17 @@
 GO ?= go
 
 # Packages that carry the concurrency contract (bit-identical results
-# under parallel.For and under concurrent shared-trace replay) and
+# under parallel.ForDynamic and under concurrent shared-trace replay) and
 # therefore must stay clean under the race detector, including the
-# Workers=1 vs Workers=N determinism test and the RunAll replay test in
-# internal/sim. internal/obs is included because its probe/registry/ring
-# types are shared across RunAll goroutines, and internal/metrics because
-# RunAll aggregates its Series concurrently. internal/serve is the
-# serving daemon: HTTP handlers, the batcher goroutine, and shedding
-# gates are all concurrent by construction.
+# RunAll workers and replay tests in internal/sim. internal/obs is
+# included because its probe/registry/ring types are shared across
+# RunAll goroutines, and internal/metrics because RunAll aggregates its
+# Series concurrently. internal/serve is the serving daemon: HTTP
+# handlers, the engine goroutine, the shard legs and the shedding gates
+# are all concurrent by construction.
 RACE_PKGS = ./internal/core ./internal/parallel ./internal/assign ./internal/sim ./internal/trace ./internal/obs ./internal/metrics ./internal/serve
 
-.PHONY: all build vet test test-race bench-short bench-short-parallel bench json bench-serve bench-serve-shards bench-diff fuzz-short serve-smoke serve-smoke-shards client-smoke obs-smoke scenario-smoke perfbench-test perfbench-smoke ci clean
+.PHONY: all build vet test test-race bench-short bench json bench-serve bench-serve-shards bench-diff fuzz-short serve-smoke serve-smoke-shards client-smoke obs-smoke scenario-smoke perfbench-test perfbench-smoke ci clean
 
 all: vet test
 
@@ -49,14 +49,6 @@ bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkWireCodec' -benchtime 10x ./internal/serve
 	$(GO) test -run '^$$' -bench 'BenchmarkClientStep' -benchtime 500x ./internal/serve
 
-# The same kernels at Workers=NumCPU, under the race detector: the
-# parallel per-SCN Decide/Observe fan-out must stay race-clean on every
-# push, and its allocation budget is pinned separately by
-# TestDecideObserveParallelAllocBounded (fan-out scaffolding only — the
-# per-SCN arenas never allocate in steady state at any worker count).
-bench-short-parallel:
-	$(GO) test -race -run '^$$' -bench 'BenchmarkDecideParallel|BenchmarkUpdateParallel' -benchtime 10x ./internal/core
-
 # Full benchmark suite (figure-level harness included; slow).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
@@ -78,7 +70,7 @@ bench-serve:
 	$(GO) run ./cmd/lfscbench -benchserve BENCH_core.json
 
 # Short-mode shard-scaling smoke: run the Shards=1/2/4 curve end-to-end
-# (staged ingest, per-shard legs and merge, pipelined close, real
+# (staged ingest, per-shard legs and merge, the slot close, real
 # loopback HTTP) on a few hundred slots and print the rps triple. The
 # result goes to a scratch file, not the committed artifact — the point
 # in CI is that the sharded serving plane boots, serves, and scales
@@ -117,10 +109,12 @@ fuzz-short:
 # slots of a shared trace over real HTTP with periodic checkpointing,
 # kill the daemon hard mid-run, resume a fresh one from the checkpoint,
 # and verify the resumed run's cumulative reward is bit-identical to an
-# uninterrupted run (plus the graceful-stop variant), under the race
+# uninterrupted run (plus the graceful-stop variant); then drive 2 and
+# 4 clients on disjoint SCN sets through submit + report, with no late
+# slot, late report or shed request allowed — all under the race
 # detector.
 serve-smoke:
-	$(GO) test -race -count=1 -run 'TestServeSmoke$$|TestRestoreAfterGracefulStopResumesExactly' ./internal/serve
+	$(GO) test -race -count=1 -run 'TestServeSmoke$$|TestRestoreAfterGracefulStopResumesExactly|TestMultiClientSubmitReport' ./internal/serve
 
 # The sharded variant: the same 200-slot kill-and-resume at Shards=4
 # (per-shard checkpoint files + manifest, two empty shards at this
@@ -184,12 +178,11 @@ perfbench-smoke:
 # smokes (unsharded and Shards=4), the client connection-lifecycle
 # smoke, the observability scrape smoke, the scenario churn smoke, the
 # quick perf kernels (which also assert 0 allocs/op on the steady-state
-# paths) at Workers=1 and again at Workers=NumCPU under the race
-# detector, the short-mode shard-scaling curve, a short fuzz pass over
+# paths), the short-mode shard-scaling curve, a short fuzz pass over
 # the untrusted-input decoders, the perfbench module's own vet and
 # tests, and a paper-scale served slot stream through perfbench's
 # client == daemon == offline gate.
-ci: vet test test-race serve-smoke serve-smoke-shards client-smoke obs-smoke scenario-smoke bench-short bench-short-parallel bench-serve-shards fuzz-short perfbench-test perfbench-smoke
+ci: vet test test-race serve-smoke serve-smoke-shards client-smoke obs-smoke scenario-smoke bench-short bench-serve-shards fuzz-short perfbench-test perfbench-smoke
 
 clean:
 	$(GO) clean ./...

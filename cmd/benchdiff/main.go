@@ -31,9 +31,7 @@
 //
 // Optional keys are guarded, not merely informational: a key present in
 // OLD that disappears from NEW fails the diff (a harness silently
-// dropping a figure is itself a regression). core_workers_speedup is
-// compared against an absolute floor (-min-workers-speedup; nominally
-// 1.0 with noise grace for single-core machines). Serve timing shares
+// dropping a figure is itself a regression). Serve timing shares
 // the ns/slot threshold, serve allocs/req gets a +0.5 absolute grace on
 // top of the relative one (its baseline is 0), and serve HTTP throughput
 // fails when it drops below 75% of OLD.
@@ -80,10 +78,6 @@ type benchResult struct {
 	AllocsPerSlot float64 `json:"allocs_per_slot"`
 	Ratio         float64 `json:"lfsc_oracle_ratio"`
 
-	// CoreWorkersSpeedup (Workers=1 ns/slot over Workers=NumCPU ns/slot)
-	// is optional: artifacts predating the worker-sweep bench lack it.
-	CoreWorkersSpeedup *float64 `json:"core_workers_speedup"`
-
 	ServeNsPerSlot *float64 `json:"serve_ns_per_slot"`
 	// ServeNsPerSlotProbe is the shipped probe-on baseline; the obs gate's
 	// reference point.
@@ -116,7 +110,7 @@ var knownKeys = map[string]bool{
 	"t_slots": true, "seed": true, "workers": true,
 	"ns_per_slot": true, "allocs_per_slot": true,
 	"lfsc_total_reward": true, "oracle_total_reward": true,
-	"lfsc_oracle_ratio": true, "core_workers_speedup": true,
+	"lfsc_oracle_ratio": true,
 	"serve_ns_per_slot": true, "serve_ns_per_slot_probe": true, "serve_ns_per_slot_obs": true,
 	"serve_allocs_per_slot": true,
 	"serve_allocs_per_req":  true, "serve_http_rps": true,
@@ -233,10 +227,9 @@ func pct(old, new float64) float64 {
 
 // thresholds bundles the regression gates (see the flag docs in main).
 type thresholds struct {
-	maxNsRegress      float64
-	maxAllocRegress   float64
-	maxRatioDrift     float64
-	minWorkersSpeedup float64
+	maxNsRegress    float64
+	maxAllocRegress float64
+	maxRatioDrift   float64
 }
 
 // diff renders the comparison and applies the gates, returning the report
@@ -283,10 +276,6 @@ func diff(old, new_ *benchResult, th thresholds) (lines []string, failed bool) {
 			}
 		}
 	}
-	guardKey("workers speedup", old.CoreWorkersSpeedup, new_.CoreWorkersSpeedup, func(o, n float64) (string, bool) {
-		return fmt.Sprintf("core_workers_speedup fell below the %.2f floor — the parallel Decide path lost its edge", th.minWorkersSpeedup),
-			n < th.minWorkersSpeedup
-	})
 	guardKey("serve ns/slot", old.ServeNsPerSlot, new_.ServeNsPerSlot, func(o, n float64) (string, bool) {
 		return fmt.Sprintf("serve ns/slot regressed beyond %.0f%%", th.maxNsRegress*100),
 			n > o*(1+th.maxNsRegress)
@@ -349,8 +338,6 @@ func main() {
 		"fail when allocs/slot grows by more than this fraction (plus a +2 absolute grace for tiny baselines; +0.5 for serve allocs/req)")
 	maxRatioDrift := flag.Float64("max-ratio-drift", 1e-9,
 		"fail when |Δ lfsc_oracle_ratio| exceeds this absolute epsilon")
-	minWorkersSpeedup := flag.Float64("min-workers-speedup", 0.9,
-		"fail when core_workers_speedup falls below this floor (nominally 1.0; the default leaves noise grace for single-core boxes where the parallel path can only tie)")
 	sloHistory := flag.String("slo-history", "",
 		"validate an lfscload -slo-json history file (JSON Lines) instead of diffing artifacts")
 	flag.Usage = func() {
@@ -402,10 +389,9 @@ func main() {
 		fmt.Println("  warning: horizons/seeds differ; figures are not directly comparable")
 	}
 	lines, failed := diff(old, new_, thresholds{
-		maxNsRegress:      *maxNsRegress,
-		maxAllocRegress:   *maxAllocRegress,
-		maxRatioDrift:     *maxRatioDrift,
-		minWorkersSpeedup: *minWorkersSpeedup,
+		maxNsRegress:    *maxNsRegress,
+		maxAllocRegress: *maxAllocRegress,
+		maxRatioDrift:   *maxRatioDrift,
 	})
 	for _, l := range lines {
 		fmt.Println(l)

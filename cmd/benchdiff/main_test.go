@@ -84,7 +84,7 @@ func baseResult() *benchResult {
 	}
 }
 
-var defaultTh = thresholds{maxNsRegress: 0.25, maxAllocRegress: 0.25, maxRatioDrift: 1e-9, minWorkersSpeedup: 0.9}
+var defaultTh = thresholds{maxNsRegress: 0.25, maxAllocRegress: 0.25, maxRatioDrift: 1e-9}
 
 func runDiff(t *testing.T, old, new_ *benchResult) (string, bool) {
 	t.Helper()
@@ -230,57 +230,6 @@ func TestDiffObsOverheadGuard(t *testing.T) {
 	t.Run("absent on both sides passes", func(t *testing.T) {
 		if out, failed := runDiff(t, with(f64(4500), nil), with(f64(4500), nil)); failed {
 			t.Fatalf("pre-obs artifacts failed:\n%s", out)
-		}
-	})
-}
-
-// TestDiffWorkersSpeedupGuard pins the core_workers_speedup gate: an
-// absolute floor (default 0.9 — nominal 1.0 with noise grace for
-// single-core boxes), the same dropped-key-fails rule as the serve block,
-// and the informational new-key path.
-func TestDiffWorkersSpeedupGuard(t *testing.T) {
-	with := func(v *float64) *benchResult {
-		r := baseResult()
-		r.CoreWorkersSpeedup = v
-		return r
-	}
-	t.Run("above floor passes", func(t *testing.T) {
-		if out, failed := runDiff(t, with(f64(1.05)), with(f64(0.95))); failed {
-			t.Fatalf("speedup 0.95 failed the 0.9 floor:\n%s", out)
-		}
-	})
-	t.Run("below floor fails", func(t *testing.T) {
-		out, failed := runDiff(t, with(f64(1.05)), with(f64(0.85)))
-		if !failed || !strings.Contains(out, "core_workers_speedup fell below") {
-			t.Fatalf("speedup 0.85 passed the 0.9 floor:\n%s", out)
-		}
-	})
-	t.Run("floor is absolute, not relative to OLD", func(t *testing.T) {
-		// A big drop from OLD still passes as long as NEW clears the floor:
-		// the figure is pure noise on single-core machines, so only the
-		// absolute floor is load-bearing.
-		if out, failed := runDiff(t, with(f64(1.6)), with(f64(0.95))); failed {
-			t.Fatalf("relative drop failed despite clearing the absolute floor:\n%s", out)
-		}
-	})
-	t.Run("dropped key fails", func(t *testing.T) {
-		out, failed := runDiff(t, with(f64(1.0)), with(nil))
-		if !failed || !strings.Contains(out, "missing from NEW") {
-			t.Fatalf("dropped core_workers_speedup passed:\n%s", out)
-		}
-	})
-	t.Run("new key on NEW side only passes", func(t *testing.T) {
-		out, failed := runDiff(t, with(nil), with(f64(0.5)))
-		if failed {
-			t.Fatalf("newly added speedup key was gated:\n%s", out)
-		}
-		if !strings.Contains(out, "new key, not compared") {
-			t.Fatalf("new speedup key not reported informationally:\n%s", out)
-		}
-	})
-	t.Run("absent on both sides passes", func(t *testing.T) {
-		if out, failed := runDiff(t, with(nil), with(nil)); failed {
-			t.Fatalf("pre-speedup artifacts failed:\n%s", out)
 		}
 	})
 }

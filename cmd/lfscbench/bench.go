@@ -8,7 +8,6 @@ import (
 	"runtime/debug"
 	"time"
 
-	"lfsc/internal/core"
 	"lfsc/internal/obs"
 	"lfsc/internal/serve"
 	"lfsc/internal/sim"
@@ -28,8 +27,8 @@ type benchResult struct {
 	TSlots int    `json:"t_slots"`
 	Seed   uint64 `json:"seed"`
 	// Workers is the worker count of the headline run — always 1: the
-	// serial kernel is the deterministic baseline every other figure is
-	// measured against (see CoreWorkersSpeedup for the parallel path).
+	// LFSC replay runs on one goroutine (the serve block overlays this
+	// key with its shard count).
 	Workers int `json:"workers"`
 
 	// NsPerSlot is wall time of the LFSC replay loop (Decide + environment
@@ -43,10 +42,6 @@ type benchResult struct {
 	// (see internal/core/alloc_test.go); what remains is trace replay
 	// bookkeeping and the metrics series.
 	AllocsPerSlot float64 `json:"allocs_per_slot"`
-	// CoreWorkersSpeedup is headline (Workers=1) ns/slot divided by the
-	// same replay at Workers=NumCPU: >1 means the parallel per-SCN path
-	// pays off on this machine. On a single-core box it hovers around 1.
-	CoreWorkersSpeedup float64 `json:"core_workers_speedup"`
 
 	LFSCTotalReward   float64 `json:"lfsc_total_reward"`
 	OracleTotalReward float64 `json:"oracle_total_reward"`
@@ -58,47 +53,44 @@ type benchResult struct {
 
 // runBenchJSON measures the paper scenario against an eagerly materialized
 // shared trace: the workload (and its hypercube context indexing) is
-// generated once before any clock starts, then replayed three times — the
-// headline LFSC run at Workers=1, the same run at Workers=NumCPU for the
-// speedup figure, and the oracle for the reward ratio. The two LFSC runs
-// must earn bit-identical reward (the Workers=1-vs-N determinism contract);
-// a mismatch fails the bench. obsOpts (from -observe) is plumbed into every
-// run so a paper-horizon benchmark can be watched live; it is nil in the
-// default measurement configuration — the numbers BENCH_core.json pins are
-// taken with the probe's nil fast path, like every production run. The
-// -workers flag does not apply here: the worker counts are fixed by the
-// measurement design.
+// generated once before any clock starts, then replayed by LFSC benchReps
+// times — every pass must earn the bit-identical reward, or the bench
+// fails — and once by the oracle for the reward ratio. obsOpts (from
+// -observe) is plumbed into every run so a paper-horizon benchmark can be
+// watched live; it is nil in the default measurement configuration — the
+// numbers BENCH_core.json pins are taken with the probe's nil fast path,
+// like every production run. The -workers flag does not apply here: each
+// replay is one sim.Run.
 func runBenchJSON(path string, horizon int, seed uint64, obsOpts *obs.Options) error {
 	sc := sim.PaperScenario()
 	sc.Cfg.T = horizon
 	sc.Cfg.Obs = obsOpts
 
-	// Each LFSC configuration is replayed benchReps times and scored by its
-	// fastest pass (the standard guard against scheduler interference); the
-	// oracle needs one more replay pass.
+	// LFSC is replayed benchReps times and scored by its fastest pass (the
+	// standard guard against scheduler interference); the oracle needs one
+	// more replay pass.
 	const benchReps = 5
 	fmt.Printf("bench: materializing workload trace (T=%d, seed=%d)...\n", horizon, seed)
-	shared, err := sim.NewSharedTraceEager(sc, seed, 2*benchReps+1)
+	shared, err := sim.NewSharedTraceEager(sc, seed, benchReps+1)
 	if err != nil {
 		return fmt.Errorf("shared trace: %w", err)
 	}
 	sc.Shared = shared
 
-	// timedRun replays the shared trace under LFSC at the given worker
-	// count and reports (total reward, ns/slot, allocs/slot). The collector
+	// timedRun replays the shared trace under LFSC and reports (total
+	// reward, ns/slot, allocs/slot). The collector
 	// is paused for the timed region: the resident trace is a large
 	// pointer-dense heap the GC would otherwise rescan mid-measurement,
 	// charging the workload source's memory to the kernel's clock. The
 	// replay loop itself allocates almost nothing (allocs/slot ≪ 1), so
 	// the heap barely moves while the GC is off.
-	timedRun := func(w int) (float64, float64, float64, error) {
-		factory := sim.LFSCFactory(func(c *core.Config) { c.Workers = w })
+	timedRun := func() (float64, float64, float64, error) {
 		runtime.GC()
 		gcPct := debug.SetGCPercent(-1)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		series, err := sim.Run(sc, factory, seed)
+		series, err := sim.Run(sc, sim.LFSCFactory(nil), seed)
 		elapsed := time.Since(start)
 		runtime.ReadMemStats(&after)
 		debug.SetGCPercent(gcPct)
@@ -109,46 +101,21 @@ func runBenchJSON(path string, horizon int, seed uint64, obsOpts *obs.Options) e
 			float64(elapsed.Nanoseconds()) / float64(horizon),
 			float64(after.Mallocs-before.Mallocs) / float64(horizon), nil
 	}
-	// bestOf replays reps times and keeps the fastest pass; every pass of
-	// every configuration must earn the identical reward (replays are
-	// deterministic in the seed, and Workers must not change decisions).
-	bestOf := func(w, reps int) (float64, float64, float64, error) {
-		var reward, bestNs, allocs float64
-		for i := 0; i < reps; i++ {
-			r, ns, al, err := timedRun(w)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			if i == 0 {
-				reward, bestNs, allocs = r, ns, al
-				continue
-			}
-			if r != reward {
-				return 0, 0, 0, fmt.Errorf("replay %d at workers=%d earned %v, first pass %v (determinism broken)",
-					i, w, r, reward)
-			}
-			if ns < bestNs {
-				bestNs, allocs = ns, al
-			}
+	// Keep the fastest pass; every pass must earn the identical reward
+	// (replays are deterministic in the seed).
+	fmt.Printf("bench: LFSC replay x%d...\n", benchReps)
+	var reward1, ns1, allocs1 float64
+	for i := 0; i < benchReps; i++ {
+		r, ns, al, err := timedRun()
+		if err != nil {
+			return fmt.Errorf("lfsc run: %w", err)
 		}
-		return reward, bestNs, allocs, nil
-	}
-
-	fmt.Printf("bench: LFSC replay x%d (workers=1)...\n", benchReps)
-	reward1, ns1, allocs1, err := bestOf(1, benchReps)
-	if err != nil {
-		return fmt.Errorf("lfsc run (workers=1): %w", err)
-	}
-
-	numCPU := runtime.NumCPU()
-	fmt.Printf("bench: LFSC replay x%d (workers=%d)...\n", benchReps, numCPU)
-	rewardN, nsN, _, err := bestOf(numCPU, benchReps)
-	if err != nil {
-		return fmt.Errorf("lfsc run (workers=%d): %w", numCPU, err)
-	}
-	if rewardN != reward1 {
-		return fmt.Errorf("bench: workers=%d reward %v != workers=1 reward %v (determinism broken)",
-			numCPU, rewardN, reward1)
+		if i > 0 && r != reward1 {
+			return fmt.Errorf("lfsc replay %d earned %v, first pass %v (determinism broken)", i, r, reward1)
+		}
+		if i == 0 || ns < ns1 {
+			reward1, ns1, allocs1 = r, ns, al
+		}
 	}
 
 	fmt.Printf("bench: oracle reference run...\n")
@@ -158,20 +125,19 @@ func runBenchJSON(path string, horizon int, seed uint64, obsOpts *obs.Options) e
 	}
 
 	res := benchResult{
-		Name:               "lfsc-core",
-		Timestamp:          time.Now().UTC().Format(time.RFC3339),
-		GoVersion:          runtime.Version(),
-		GOOS:               runtime.GOOS,
-		GOARCH:             runtime.GOARCH,
-		NumCPU:             numCPU,
-		TSlots:             horizon,
-		Seed:               seed,
-		Workers:            1,
-		NsPerSlot:          ns1,
-		AllocsPerSlot:      allocs1,
-		CoreWorkersSpeedup: ns1 / nsN,
-		LFSCTotalReward:    reward1,
-		OracleTotalReward:  oracleSeries.TotalReward(),
+		Name:              "lfsc-core",
+		Timestamp:         time.Now().UTC().Format(time.RFC3339),
+		GoVersion:         runtime.Version(),
+		GOOS:              runtime.GOOS,
+		GOARCH:            runtime.GOARCH,
+		NumCPU:            runtime.NumCPU(),
+		TSlots:            horizon,
+		Seed:              seed,
+		Workers:           1,
+		NsPerSlot:         ns1,
+		AllocsPerSlot:     allocs1,
+		LFSCTotalReward:   reward1,
+		OracleTotalReward: oracleSeries.TotalReward(),
 	}
 	if res.OracleTotalReward != 0 {
 		res.LFSCOracleRatio = res.LFSCTotalReward / res.OracleTotalReward
@@ -180,8 +146,8 @@ func runBenchJSON(path string, horizon int, seed uint64, obsOpts *obs.Options) e
 	if err := mergeBenchJSON(path, &res); err != nil {
 		return err
 	}
-	fmt.Printf("bench: %.0f ns/slot, %.2f allocs/slot, %.2fx workers speedup, LFSC/Oracle reward ratio %.4f\n",
-		res.NsPerSlot, res.AllocsPerSlot, res.CoreWorkersSpeedup, res.LFSCOracleRatio)
+	fmt.Printf("bench: %.0f ns/slot, %.2f allocs/slot, LFSC/Oracle reward ratio %.4f\n",
+		res.NsPerSlot, res.AllocsPerSlot, res.LFSCOracleRatio)
 	fmt.Printf("wrote %s\n", path)
 	return nil
 }

@@ -8,13 +8,11 @@ import (
 
 // TestDecideObserveAllocFree pins the scratch-arena contract: after the
 // warm-up slots have grown every buffer to its steady-state size, the
-// serial (Workers=1) Decide/Observe loop performs zero heap allocations.
+// Decide/Observe loop performs zero heap allocations.
 // This is what keeps the T × replicas × scenarios figure benchmarks off the
 // allocator and the GC.
 func TestDecideObserveAllocFree(t *testing.T) {
-	cfg := paperBenchConfig()
-	cfg.Workers = 1
-	l := MustNew(cfg, rng.New(1))
+	l := MustNew(paperBenchConfig(), rng.New(1))
 	view := paperBenchView(2)
 	fb, _ := benchFeedback(l, view)
 	// Warm up: let every arena reach its high-water mark.
@@ -31,39 +29,11 @@ func TestDecideObserveAllocFree(t *testing.T) {
 	}
 }
 
-// TestDecideObserveParallelAllocBounded pins the parallel path's allocation
-// budget: at Workers>1 the per-SCN fan-out costs a fixed handful of heap
-// allocations per Decide/Observe pair (goroutines, the work-stealing
-// closure, the WaitGroup guard) and nothing else — the per-SCN arenas are
-// still reused. The bound is deliberately tight enough that any per-task or
-// per-cell allocation sneaking into the parallel kernel (hundreds to
-// thousands per slot at this scale) fails immediately, while leaving room
-// for the fan-out scaffolding.
-func TestDecideObserveParallelAllocBounded(t *testing.T) {
-	cfg := paperBenchConfig()
-	cfg.Workers = 4 // force real fan-out even on a single-core machine
-	l := MustNew(cfg, rng.New(1))
-	view := paperBenchView(2)
-	fb, _ := benchFeedback(l, view)
-	for i := 0; i < 5; i++ {
-		assigned := l.Decide(view)
-		l.Observe(view, assigned, fb)
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		assigned := l.Decide(view)
-		l.Observe(view, assigned, fb)
-	})
-	if avg > 64 {
-		t.Fatalf("parallel Decide+Observe allocates %.2f times per slot, want ≤ 64 (fan-out scaffolding only)", avg)
-	}
-}
-
 // TestDecideAllocFreeAllModes extends the zero-alloc contract to the Race
 // and Deterministic selection ablations.
 func TestDecideAllocFreeAllModes(t *testing.T) {
 	for _, mode := range []SelectionMode{DepRoundMode, Race, Deterministic} {
 		cfg := paperBenchConfig()
-		cfg.Workers = 1
 		cfg.Mode = mode
 		l := MustNew(cfg, rng.New(1))
 		view := paperBenchView(2)

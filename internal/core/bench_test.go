@@ -53,12 +53,11 @@ func benchFeedback(l *LFSC, view *policy.SlotView) (*policy.Feedback, []int) {
 	return fb, assigned
 }
 
-// benchDecide times steady-state Decide at paper scale
-// (one op = one slot, so ns/op is ns/slot).
-func benchDecide(b *testing.B, workers int) {
-	cfg := paperBenchConfig()
-	cfg.Workers = workers
-	l := MustNew(cfg, rng.New(1))
+// BenchmarkDecide times steady-state Decide at paper scale (one op = one
+// slot, so ns/op is ns/slot). Steady state must be allocation-free — 0
+// allocs/op is an acceptance criterion tracked by BENCH_core.json.
+func BenchmarkDecide(b *testing.B) {
+	l := MustNew(paperBenchConfig(), rng.New(1))
 	view := paperBenchView(2)
 	l.Decide(view) // warm up the scratch arenas
 	b.ReportAllocs()
@@ -69,13 +68,11 @@ func benchDecide(b *testing.B, workers int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/slot")
 }
 
-// benchUpdate times steady-state Observe (Alg. 3) at paper scale. Each
-// Observe consumes the scratch of a Decide, so the paired Decide runs with
-// the timer stopped.
-func benchUpdate(b *testing.B, workers int) {
-	cfg := paperBenchConfig()
-	cfg.Workers = workers
-	l := MustNew(cfg, rng.New(1))
+// BenchmarkUpdate times steady-state Observe (Alg. 3) at paper scale; it
+// must be allocation-free. Each Observe consumes the scratch of a Decide,
+// so the paired Decide runs with the timer stopped.
+func BenchmarkUpdate(b *testing.B) {
+	l := MustNew(paperBenchConfig(), rng.New(1))
 	view := paperBenchView(2)
 	fb, assigned := benchFeedback(l, view)
 	b.ReportAllocs()
@@ -88,23 +85,6 @@ func benchUpdate(b *testing.B, workers int) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/slot")
 }
-
-// BenchmarkDecide is the serial (Workers=1) kernel: steady state must be
-// allocation-free — 0 allocs/op is an acceptance criterion tracked by
-// BENCH_core.json.
-func BenchmarkDecide(b *testing.B) { benchDecide(b, 1) }
-
-// BenchmarkDecideParallel is the same kernel on all cores (the default
-// heuristic); the goroutine fan-out costs a handful of allocations but
-// buys wall-clock on wide slots.
-func BenchmarkDecideParallel(b *testing.B) { benchDecide(b, 0) }
-
-// BenchmarkUpdate is the serial (Workers=1) Observe kernel: steady state
-// must be allocation-free.
-func BenchmarkUpdate(b *testing.B) { benchUpdate(b, 1) }
-
-// BenchmarkUpdateParallel is Observe on all cores.
-func BenchmarkUpdateParallel(b *testing.B) { benchUpdate(b, 0) }
 
 // BenchmarkDecideObserve measures a full policy slot (Decide + Observe),
 // the quantity every figure benchmark multiplies by T × replicas.

@@ -13,7 +13,6 @@ import (
 // derived quantities.
 func TestSnapshotMatchesAccessors(t *testing.T) {
 	cfg := paperBenchConfig()
-	cfg.Workers = 1
 	l := MustNew(cfg, rng.New(1))
 	view := paperBenchView(2)
 	fb, _ := benchFeedback(l, view)
@@ -57,9 +56,7 @@ func TestSnapshotMatchesAccessors(t *testing.T) {
 // repeated sampling into the same snapshot performs no heap allocations —
 // the sampling loop must not disturb the run's allocation profile.
 func TestSnapshotAllocFree(t *testing.T) {
-	cfg := paperBenchConfig()
-	cfg.Workers = 1
-	l := MustNew(cfg, rng.New(1))
+	l := MustNew(paperBenchConfig(), rng.New(1))
 	view := paperBenchView(2)
 	l.Decide(view)
 	var snap obs.PolicySnapshot

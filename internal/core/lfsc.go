@@ -39,7 +39,7 @@
 // rescanning the coverage lists. Each scnState owns a scratch arena sized
 // once at New from KMax/Cells/Capacity; the policy owns the cross-SCN
 // buffers. See DESIGN.md §8 for the incremental-maintenance model and the
-// parallel ownership rules.
+// ownership rules that let a shard's partial learner run its SCNs alone.
 package core
 
 import (
@@ -48,7 +48,6 @@ import (
 	"slices"
 
 	"lfsc/internal/assign"
-	"lfsc/internal/parallel"
 	"lfsc/internal/policy"
 	"lfsc/internal/rng"
 )
@@ -115,13 +114,6 @@ type Config struct {
 	// pure hinge subgradient (λ only ratchets up). Zero selects the
 	// default; negative selects the pure hinge.
 	SlackPull float64
-	// Workers forces the number of goroutines used for the per-SCN
-	// Decide/Observe computation: 1 runs strictly serially, larger values
-	// bound the fan-out, 0 (default) sizes the parallelism to the slot.
-	// Results are bit-identical for every setting — parallelism never
-	// changes what is computed (each SCN owns its weights, multipliers,
-	// RNG stream, and scratch arena).
-	Workers int
 	// Mode selects randomized or deterministic edge priorities.
 	Mode SelectionMode
 	// DisableCapping turns off Exp3.M weight capping (ablation A5).
@@ -150,8 +142,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: gamma %v outside [0,1]", c.Gamma)
 	case c.Eta < 0 || c.Delta < 0:
 		return fmt.Errorf("core: eta/delta must be non-negative")
-	case c.Workers < 0:
-		return fmt.Errorf("core: workers must be non-negative, got %d", c.Workers)
 	}
 	return nil
 }
@@ -204,17 +194,17 @@ func (c Config) Schedule() (gamma, eta, delta float64) {
 //
 // Everything below the learner state is the SCN's private scratch arena:
 // buffers sized once (from KMax, Cells, Capacity) and reset by re-slicing,
-// never reallocated in steady state. Only the goroutine processing SCN m
-// inside Decide/Observe may touch SCN m's arena — that ownership is what
-// makes the parallel per-SCN loop race-free and bit-identical to serial
-// execution.
+// never reallocated in steady state. Only SCN m's own per-SCN stage
+// (decideSCN, observeSCN) touches SCN m's arena, so a partial learner
+// that owns a subset of the SCNs (a shard) computes exactly what the full
+// learner computes for them.
 type scnState struct {
 	logW    []float64 // log-weights, one per hypercube
 	lambda1 float64   // multiplier for the QoS floor (1c)
 	lambda2 float64   // multiplier for the resource ceiling (1d)
 	// r is this SCN's private random stream (derived from the policy
 	// stream by SCN index), so per-SCN computation is independent of
-	// iteration order and safe to run in parallel.
+	// which learner — full or a shard's partial one — runs the SCN.
 	r *rng.Stream
 
 	// Per-slot cell cache, written by Decide and read by the same slot's
@@ -429,12 +419,9 @@ func (l *LFSC) Weights(m int) []float64 {
 }
 
 // Decide implements policy.Policy: Alg. 2 per SCN, then Alg. 4 globally.
-//
-// The per-SCN probability computation and candidate sampling are
-// independent (each SCN has private weights, multipliers, RNG stream, and
-// scratch arena), so they run on all cores via a dynamic worker loop; only
-// the cross-SCN candidate resolution is a global step. Results are
-// bit-identical to the sequential execution.
+// Both stages run serially on the caller's goroutine, in SCN order — the
+// same code and order as a one-shard daemon's slot (DecideLocal, then the
+// shared resolver).
 //
 // The returned assignment aliases a policy-owned buffer: it is valid until
 // the next Decide call, which matches the simulator's slot protocol
@@ -451,17 +438,11 @@ func (l *LFSC) Decide(view *policy.SlotView) []int {
 // and candidate sampling) for every SCN this learner owns, leaving each
 // owned scnState primed for a resolver pass. A full learner's Decide is
 // DecideLocal + resolve; a sharded deployment calls DecideLocal on every
-// shard in parallel and then resolves once through a Merger over the
-// combined states — the same resolver code, hence bit-identical results.
+// shard and then resolves once through a Merger over the combined states
+// — the same resolver code, hence bit-identical results.
 func (l *LFSC) DecideLocal(view *policy.SlotView) {
-	if workers := l.workersFor(view); workers == 1 {
-		// Serial fast path: no goroutine fan-out, no closure — the
-		// steady-state Decide allocates nothing.
-		for m := range view.SCNs {
-			l.decideSCN(view, m)
-		}
-	} else {
-		parallel.ForDynamic(len(view.SCNs), workers, func(m int) { l.decideSCN(view, m) })
+	for m := range view.SCNs {
+		l.decideSCN(view, m)
 	}
 }
 
@@ -537,8 +518,8 @@ func (r *resolver) resolve(states []*scnState, view *policy.SlotView) []int {
 		}
 		r.backfill(states, view, r.assigned)
 	} else {
-		// Each SCN's edge list was sorted inside the parallel per-SCN
-		// stage, so the global greedy consumes them through a k-way merge —
+		// Each SCN's edge list was sorted by its own per-SCN stage, so
+		// the global greedy consumes them through a k-way merge —
 		// bit-identical to concatenating and sorting, minus the dominant
 		// comparison sort. Empty-cover SCNs never primed st.edges this
 		// slot, so their lists are pinned to nil rather than read stale.
@@ -565,8 +546,8 @@ func (r *resolver) mergeGreedy(view *policy.SlotView) {
 }
 
 // decideSCN runs Alg. 2 for one SCN: per-cell probabilities, then candidate
-// sampling. It touches only SCN m's arena, so any number of decideSCN calls
-// for distinct SCNs may run concurrently.
+// sampling. It touches only SCN m's arena and stream, so its result does
+// not depend on which other SCNs the learner owns.
 func (l *LFSC) decideSCN(view *policy.SlotView, m int) {
 	st := l.scns[m]
 	if st == nil {
@@ -612,7 +593,7 @@ func (l *LFSC) decideSCN(view *policy.SlotView, m int) {
 			st.edges = append(st.edges, assign.Edge{SCN: m, Task: cover[i], W: st.cellW[f]})
 		}
 	}
-	// Pre-sort this SCN's edges (in the parallel stage) so the global
+	// Pre-sort this SCN's edges (in the per-SCN stage) so the global
 	// greedy can k-way merge the lists instead of sorting the union.
 	assign.SortEdges(st.edges)
 }
@@ -644,23 +625,6 @@ func (r *resolver) mergePicks(states []*scnState, view *policy.SlotView) {
 			}
 		}
 	}
-}
-
-// workersFor sizes the parallelism to the slot: tiny slots are cheaper to
-// process serially than to fan out. A positive Config.Workers overrides the
-// heuristic.
-func (l *LFSC) workersFor(view *policy.SlotView) int {
-	if l.cfg.Workers > 0 {
-		return l.cfg.Workers
-	}
-	total := 0
-	for m := range view.SCNs {
-		total += len(view.SCNs[m].Cover)
-	}
-	if total < 256 {
-		return 1
-	}
-	return 0 // default worker count
 }
 
 // backfill tops up SCNs that lost sampled candidates to cross-SCN conflicts:
@@ -1011,17 +975,16 @@ const defaultLambdaRate = 3.0
 // importance-weighted estimates cannot overflow float64 in one step.
 const maxExponent = 30.0
 
-// Observe implements policy.Policy: Alg. 3 for every SCN, in parallel
+// Observe implements policy.Policy: Alg. 3 for every SCN, in SCN order
 // (each SCN only touches its own weights, multipliers and scratch).
 func (l *LFSC) Observe(view *policy.SlotView, assigned []int, fb *policy.Feedback) {
 	// Bucket the slot's executions by SCN with a counting sort so each
-	// SCN's worker scans only its own feedback instead of its whole
+	// SCN's update scans only its own feedback instead of its whole
 	// coverage list. fb.Execs arrive in ascending task order (the
 	// policy.Feedback contract) and the counting sort is stable, so every
 	// bucket preserves ascending task order — which, with ascending
 	// coverage rows, is exactly the accumulation order of the former
-	// per-position scan. Built serially before the fan-out, read-only
-	// inside it.
+	// per-position scan.
 	scns := len(view.SCNs)
 	off := growInts(&l.execOff, scns+1)
 	for i := range off {
@@ -1044,19 +1007,15 @@ func (l *LFSC) Observe(view *policy.SlotView, assigned []int, fb *policy.Feedbac
 			cur[m]++
 		}
 	}
-	if workers := l.workersFor(view); workers == 1 {
-		for m := range view.SCNs {
-			l.observeSCN(view, fb, m)
-		}
-	} else {
-		parallel.ForDynamic(scns, workers, func(m int) { l.observeSCN(view, fb, m) })
+	for m := range view.SCNs {
+		l.observeSCN(view, fb, m)
 	}
 	l.slots++
 }
 
 // observeSCN runs Alg. 3 for one SCN. Like decideSCN it touches only SCN
-// m's arena (plus the read-only exec buckets), so distinct SCNs may run
-// concurrently.
+// m's arena (plus the read-only exec buckets), so its update does not
+// depend on which other SCNs the learner owns.
 func (l *LFSC) observeSCN(view *policy.SlotView, fb *policy.Feedback, m int) {
 	st := l.scns[m]
 	if st == nil {

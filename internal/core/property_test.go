@@ -150,17 +150,16 @@ func TestSelectionTracksProbabilities(t *testing.T) {
 	}
 }
 
-// TestParallelDecideMatchesSerial pins the bit-identical parallel/serial
-// equivalence: forcing the worker heuristic both ways yields the same
-// assignment for the same seed.
-func TestParallelDecideMatchesSerial(t *testing.T) {
+// TestDecideEqualSeedsIdentical pins Decide's determinism: two learners
+// built with equal seeds assign a wide, many-task view identically.
+func TestDecideEqualSeedsIdentical(t *testing.T) {
 	mk := func() *LFSC {
 		return MustNew(Config{
 			SCNs: 6, Capacity: 4, Alpha: 2, Beta: 8,
 			Cells: 27, KMax: 80, Horizon: 1000,
 		}, rng.New(9))
 	}
-	// Build a big view (over the parallel threshold) shared by both runs.
+	// Build a wide view (50-80 tasks per SCN) shared by both runs.
 	r := rng.New(10)
 	cells := make([][]int, 6)
 	for m := range cells {
@@ -175,7 +174,7 @@ func TestParallelDecideMatchesSerial(t *testing.T) {
 	b := mk().Decide(view)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatal("repeated parallel Decide diverged for equal seeds")
+			t.Fatal("repeated Decide diverged for equal seeds")
 		}
 	}
 }

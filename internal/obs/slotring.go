@@ -25,7 +25,7 @@ type SlotSpan struct {
 	TimedOut bool `json:"timed_out,omitempty"`
 
 	// Stage durations, in protocol order. The compute stages (all but
-	// WaitNS and ObserveOverlapNS) saturate at ~4.29s — they are stored
+	// WaitNS) saturate at ~4.29s — they are stored
 	// as packed 32-bit halves in the ring (see slotRec) and real values
 	// sit orders of magnitude below the cap.
 	//
@@ -38,9 +38,9 @@ type SlotSpan struct {
 	MergeNS   uint64 `json:"merge_ns,omitempty"`
 	WaitNS    uint64 `json:"wait_ns"` // decide done → all reports in (batch open→close)
 	ObserveNS uint64 `json:"observe_ns"`
-	// ObserveOverlapNS is the staging time for slot t+1 that landed
-	// inside this slot's Observe window — the measured ingest overlap of
-	// the pipelined close.
+	// ObserveOverlapNS is always zero: Observe runs under the engine's
+	// lock, so no staging for slot t+1 can land inside it. The field is
+	// kept so readers of the record's schema keep decoding it.
 	ObserveOverlapNS uint64 `json:"observe_overlap_ns,omitempty"`
 	CheckpointNS     uint64 `json:"checkpoint_ns,omitempty"`
 
@@ -82,13 +82,12 @@ type slotRec struct {
 	// Duration words, two clamped uint32 nanosecond halves each (~4.29s
 	// cap — these are compute stages, orders of magnitude shorter):
 	// viewDecide = view<<32 | decide, mergeObserve = merge<<32 |
-	// observe, ckptStage = checkpoint<<32 | stage, overlap =
-	// observeOverlap (full word). wait keeps a full uint64: it spans the
-	// report wait, which is configured in wall-clock seconds.
+	// observe, ckptStage = checkpoint<<32 | stage. wait keeps a full
+	// uint64: it spans the report wait, which is configured in
+	// wall-clock seconds.
 	viewDecide   atomic.Uint64
 	mergeObserve atomic.Uint64
 	ckptStage    atomic.Uint64
-	overlap      atomic.Uint64
 	wait         atomic.Uint64
 	// shardDO packs each shard's decide<<32 | observe pair; shardStage
 	// holds each shard's staging attribution as a full word.
@@ -198,12 +197,6 @@ func (r *SlotRing) Publish() {
 	rec.viewDecide.Store(clamp32(s.ViewNS)<<32 | clamp32(s.DecideNS))
 	rec.mergeObserve.Store(clamp32(s.MergeNS)<<32 | clamp32(s.ObserveNS))
 	rec.ckptStage.Store(clamp32(s.CheckpointNS)<<32 | clamp32(s.StageNS))
-	// overlap is zero on the lockstep path (no staging lands inside an
-	// Observe window), so a load-and-skip — safe with a single writer —
-	// replaces an always-on store with a near-free load.
-	if v := s.ObserveOverlapNS; v != 0 || rec.overlap.Load() != 0 {
-		rec.overlap.Store(v)
-	}
 	rec.wait.Store(s.WaitNS)
 	for k := range rec.shardDO {
 		var d, o, st uint64
@@ -279,7 +272,6 @@ func (r *SlotRing) Snapshot(into []SlotSpan) []SlotSpan {
 			s.MergeNS, s.ObserveNS = mo>>32, mo&0xffffffff
 			cs := rec.ckptStage.Load()
 			s.CheckpointNS, s.StageNS = cs>>32, cs&0xffffffff
-			s.ObserveOverlapNS = rec.overlap.Load()
 			s.WaitNS = rec.wait.Load()
 			if len(rec.shardDO) > 0 {
 				s.ShardDecideNS = make([]uint64, len(rec.shardDO))

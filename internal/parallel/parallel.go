@@ -1,12 +1,11 @@
-// Package parallel provides the small parallel runtime used by the simulator:
-// a bounded worker pool, a chunked parallel-for, and a map-reduce helper.
-//
-// The experiment harness runs many independent simulation replicas (one per
-// random seed) and, inside a replica, the per-SCN probability computation of
-// LFSC is embarrassingly parallel. Everything here is stdlib-only
-// (sync + runtime) and deterministic in its results: parallelism never
-// changes *what* is computed, only *when* — callers supply per-index RNG
-// streams (rng.Stream.Derive) so output is independent of scheduling.
+// Package parallel provides the repository's one fan-out loop, ForDynamic.
+// It runs independent units of work: the policies of sim.RunAll, the
+// seeds of sim.RunReplicas and the shard legs of the serving engine's
+// slot. Inside a slot the LFSC learner itself is serial. The loop is
+// stdlib-only (sync + runtime) and deterministic in its results:
+// parallelism never changes *what* is computed, only *when* — callers
+// give each index its own state and RNG stream (rng.Stream.Derive), so
+// output is independent of scheduling.
 package parallel
 
 import (
@@ -52,45 +51,6 @@ func DefaultWorkers() int {
 		n = 1
 	}
 	return n
-}
-
-// For runs fn(i) for each i in [0,n) on up to workers goroutines
-// (workers <= 0 means DefaultWorkers). It blocks until all iterations
-// complete. Iterations are distributed in contiguous chunks to keep
-// per-iteration overhead low for the short loop bodies typical here.
-// A panic in fn propagates to the caller (the first one, when several
-// workers panic) after all workers have stopped.
-func For(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var pb panicBox
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				pb.guard(fn, i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	pb.rethrow()
 }
 
 // ForDynamic runs fn(i) for each i in [0,n) with dynamic (work-stealing-ish)
@@ -143,92 +103,4 @@ func ForDynamic(n, workers int, fn func(i int)) {
 	}
 	wg.Wait()
 	pb.rethrow()
-}
-
-// Map applies fn to each index and collects the results in order.
-func Map[T any](n, workers int, fn func(i int) T) []T {
-	out := make([]T, n)
-	For(n, workers, func(i int) { out[i] = fn(i) })
-	return out
-}
-
-// MapReduce applies fn to each index and folds the results with reduce,
-// which must be associative and commutative. zero is the reduction identity.
-// Partial reductions happen per worker without locks; the final fold is
-// sequential over at most `workers` partials.
-func MapReduce[T any](n, workers int, zero T, fn func(i int) T, reduce func(a, b T) T) T {
-	if n <= 0 {
-		return zero
-	}
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	partials := make([]T, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			acc := zero
-			for i := lo; i < hi; i++ {
-				acc = reduce(acc, fn(i))
-			}
-			partials[w] = acc
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	acc := zero
-	for _, p := range partials {
-		acc = reduce(acc, p)
-	}
-	return acc
-}
-
-// Pool is a long-lived worker pool for submitting independent tasks.
-// It exists for the CLI tools, which interleave simulation work with
-// progress reporting and want a fixed concurrency ceiling across
-// heterogeneous jobs.
-type Pool struct {
-	tasks chan func()
-	wg    sync.WaitGroup
-	once  sync.Once
-}
-
-// NewPool starts a pool with the given number of workers
-// (<= 0 means DefaultWorkers).
-func NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	p := &Pool{tasks: make(chan func(), 4*workers)}
-	for i := 0; i < workers; i++ {
-		go func() {
-			for task := range p.tasks {
-				task()
-				p.wg.Done()
-			}
-		}()
-	}
-	return p
-}
-
-// Submit enqueues a task. It must not be called after Close.
-func (p *Pool) Submit(task func()) {
-	p.wg.Add(1)
-	p.tasks <- task
-}
-
-// Wait blocks until all submitted tasks have finished.
-func (p *Pool) Wait() { p.wg.Wait() }
-
-// Close waits for outstanding tasks and shuts the workers down.
-// The pool must not be used afterwards.
-func (p *Pool) Close() {
-	p.wg.Wait()
-	p.once.Do(func() { close(p.tasks) })
 }

@@ -1,32 +1,9 @@
 package parallel
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 )
-
-func TestForCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 7, 64} {
-		const n = 1000
-		var seen [n]int32
-		For(n, workers, func(i int) { atomic.AddInt32(&seen[i], 1) })
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("workers=%d index %d visited %d times", workers, i, c)
-			}
-		}
-	}
-}
-
-func TestForEmptyAndSmall(t *testing.T) {
-	For(0, 4, func(int) { t.Fatal("should not run") })
-	ran := false
-	For(1, 8, func(i int) { ran = true })
-	if !ran {
-		t.Fatal("single iteration did not run")
-	}
-}
 
 func TestForDynamicCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 16} {
@@ -96,21 +73,6 @@ func TestForDynamicPanicPropagates(t *testing.T) {
 	}
 }
 
-func TestForPanicPropagates(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		got := panics(func() {
-			For(50, workers, func(i int) {
-				if i == 7 {
-					panic("boom 7")
-				}
-			})
-		})
-		if got != "boom 7" {
-			t.Fatalf("workers=%d: panic not propagated, recovered %v", workers, got)
-		}
-	}
-}
-
 func TestForDynamicFirstPanicWins(t *testing.T) {
 	// Several workers panicking concurrently: exactly one value surfaces
 	// and the call still returns (no deadlock, no goroutine crash).
@@ -122,83 +84,6 @@ func TestForDynamicFirstPanicWins(t *testing.T) {
 	}
 }
 
-func TestMapOrder(t *testing.T) {
-	out := Map(100, 8, func(i int) int { return i * i })
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-}
-
-func TestMapReduceSum(t *testing.T) {
-	got := MapReduce(1000, 8, 0,
-		func(i int) int { return i },
-		func(a, b int) int { return a + b })
-	if got != 999*1000/2 {
-		t.Fatalf("sum = %d", got)
-	}
-}
-
-func TestMapReduceEmpty(t *testing.T) {
-	got := MapReduce(0, 8, 42, func(int) int { return 0 }, func(a, b int) int { return a + b })
-	if got != 42 {
-		t.Fatalf("empty reduce should return zero value, got %d", got)
-	}
-}
-
-func TestMapReduceMatchesSerial(t *testing.T) {
-	fn := func(i int) float64 { return float64(i%7) * 0.5 }
-	serial := 0.0
-	for i := 0; i < 777; i++ {
-		serial += fn(i)
-	}
-	par := MapReduce(777, 5, 0.0, fn, func(a, b float64) float64 { return a + b })
-	if diff := par - serial; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("parallel %v != serial %v", par, serial)
-	}
-}
-
-func TestPool(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var count int64
-	for i := 0; i < 100; i++ {
-		p.Submit(func() { atomic.AddInt64(&count, 1) })
-	}
-	p.Wait()
-	if count != 100 {
-		t.Fatalf("count = %d", count)
-	}
-	// Pool remains usable after Wait.
-	p.Submit(func() { atomic.AddInt64(&count, 1) })
-	p.Wait()
-	if count != 101 {
-		t.Fatalf("count after reuse = %d", count)
-	}
-}
-
-func TestPoolConcurrentSubmitters(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	var count int64
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				p.Submit(func() { atomic.AddInt64(&count, 1) })
-			}
-		}()
-	}
-	wg.Wait()
-	p.Wait()
-	if count != 400 {
-		t.Fatalf("count = %d", count)
-	}
-}
-
 func TestDefaultWorkersPositive(t *testing.T) {
 	if DefaultWorkers() < 1 {
 		t.Fatal("DefaultWorkers < 1")
@@ -207,6 +92,6 @@ func TestDefaultWorkersPositive(t *testing.T) {
 
 func BenchmarkForOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		For(64, 4, func(int) {})
+		ForDynamic(64, 4, func(int) {})
 	}
 }

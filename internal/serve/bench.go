@@ -429,10 +429,9 @@ func RunBench(slots, httpSlots int, seed uint64) (BenchResult, error) {
 	// never does — best-of-12 converges BOTH sides of the gate pair onto
 	// their floors, where the real marginal cost of the obs stack (a few
 	// tens of ns, now that the ring publish skips its usually-zero words)
-	// is what gets priced. The pipelined close shrank the probe baseline
-	// by ~15%, which shrank the gate's absolute headroom with it; the
-	// extra reps buy back the margin that took. The gate pair is
-	// probe vs full stack: lfscd constructs its slot-phase probe
+	// is what gets priced. A faster probe baseline leaves the gate less
+	// absolute headroom; the extra reps buy back that margin. The gate
+	// pair is probe vs full stack: lfscd constructs its slot-phase probe
 	// unconditionally (it predates the fleet-observability layer and
 	// feeds the /lfsc/status phase table), so the shipped metrics-off
 	// baseline is probe-on, and the marginal cost being priced is exactly

@@ -167,11 +167,12 @@ var errStopped = errors.New("serve: engine stopped")
 // inlining changes which stack does the work, never the order the
 // learner sees it, which is why the bit-identity tests pass unchanged.
 //
-// The loop remains pipelined for channel traffic: while slot t sits
-// open collecting outcome reports, the engine keeps draining the
-// submission channel, so slot t+1's batch accumulates (and its wire
-// decoding proceeds on handler goroutines) during slot t's report wait
-// and Observe.
+// The loop keeps accepting channel traffic while slot t sits open
+// collecting outcome reports: the engine drains the submission channel,
+// so slot t+1's batch accumulates during slot t's report wait (its wire
+// decoding proceeds on handler goroutines meanwhile). Observe, like every
+// other transition, runs under mu, so the learner is never touched by
+// two stacks at once.
 type Engine struct {
 	cfg Config
 	// The learner plane (shard.go): one partial learner per non-empty
@@ -265,18 +266,10 @@ type Engine struct {
 	stages [2]ingestStage
 	cur    int
 	// view is the single policy-facing SlotView, repointed at the closing
-	// arena each slot. One struct suffices: decideSlot(t+1) cannot run
-	// before slot t's Observe completes (the observing gate), and Observe
-	// is the last reader of slot t's view.
+	// arena each slot. One struct suffices: advance decides slot t+1 only
+	// once finishSlot has run slot t's Observe (both under mu), and
+	// Observe is the last reader of slot t's view.
 	view policy.SlotView
-	// observing marks the pipelined-close window: finishSlot is running
-	// Observe for slot t with mu RELEASED, so handlers can decode,
-	// validate, and stage slot t+1's traffic concurrently. Every
-	// transition that could race the learner (decideSlot, advance's
-	// deferred/close branches, shutdown's flush) gates on it; obsCond
-	// wakes shutdown when the window closes.
-	observing bool
-	obsCond   *sync.Cond
 	// scen is the per-slot scenario view scratch (guarded by mu; only
 	// meaningful while deciding when cfg.Scenario != nil).
 	scen   scenario.View
@@ -322,12 +315,9 @@ type Engine struct {
 	mergeLat obs.Histogram
 	// Staged-ingest timing (traced engines only — cfg.SlotRing != nil,
 	// see admit; guarded by mu): trStageNS accumulates staging time for
-	// the slot being batched and is published as openStageNS at close;
-	// trOverlapNS accumulates staging time landing inside the open slot's
-	// observe window — the pipelined close's measured ingest overlap.
+	// the slot being batched and is published as openStageNS at close.
 	trStageNS   uint64
 	openStageNS uint64
-	trOverlapNS uint64
 
 	// Report-wait timer, reused across slots. Armed and drained only by
 	// the engine goroutine (inline callers never touch it — they kick the
@@ -357,8 +347,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: partition: %w", err)
 	}
-	// Every shard's learner runs its per-SCN stages serially: the
-	// engine's one fan-out axis is across shards.
 	coreCfg := core.Config{
 		SCNs:     cfg.SCNs,
 		Capacity: cfg.Capacity,
@@ -367,7 +355,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		Cells:    part.Cells(),
 		KMax:     cfg.KMax,
 		Horizon:  cfg.Horizon,
-		Workers:  1,
 	}
 	e := &Engine{
 		cfg:     cfg,
@@ -388,7 +375,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	for i := range e.stages {
 		e.stages[i].cov = make([][]int, cfg.SCNs)
 	}
-	e.obsCond = sync.NewCond(&e.mu)
 	if cfg.Metrics != nil {
 		e.registerMetrics(cfg.Metrics)
 	}
@@ -652,26 +638,10 @@ func (e *Engine) tryStepInline(q *wireReq) (stepReply, error, bool) {
 	}
 }
 
-// tryReportInline is the pure-report inline path: absorb into the open
-// slot (or reject as late) on the caller's stack. The reply is always
-// immediate. Returns ok=false when the preconditions don't hold.
-func (e *Engine) tryReportInline(q *wireReq) (stepReply, bool) {
-	if !e.mu.TryLock() {
-		return stepReply{}, false
-	}
-	if !e.running || e.stopping || len(e.subCh) > 0 || len(e.repCh) > 0 {
-		e.mu.Unlock()
-		return stepReply{}, false
-	}
-	e.ingestReport(q)
-	e.advance()
-	e.kickIfStale()
-	e.mu.Unlock()
-	return <-q.resp, true
-}
-
-// dispatchReport delivers a pure report (no tasks) and waits for the
-// absorb result.
+// dispatchReport delivers a pure report (no tasks) to the engine
+// goroutine and waits for the absorb result. That goroutine replies as
+// soon as the reports are absorbed and only then finishes the slot, so
+// the reply is not held behind Observe, a checkpoint or the next decide.
 func (e *Engine) dispatchReport(q *wireReq) (stepReply, error) {
 	select {
 	case e.repCh <- q:
@@ -758,7 +728,9 @@ func (e *Engine) Submit(req *SubmitRequest) (*SubmitResponse, error) {
 }
 
 // Report delivers realised outcomes for the open slot, blocking until
-// absorbed or rejected.
+// absorbed or rejected. Like /v1/report it returns before the slot's
+// Observe runs: a caller that reads Slot or CumReward next must wait for
+// the slot to finish.
 func (e *Engine) Report(req *ReportRequest) (*ReportResponse, error) {
 	start := time.Now()
 	out := sloSkip
@@ -771,13 +743,7 @@ func (e *Engine) Report(req *ReportRequest) (*ReportResponse, error) {
 	q.hasSlot = true
 	q.reports = append(q.reports[:0], req.Reports...)
 	q.hasReps = true
-	rep, ok := e.tryReportInline(q)
-	var err error
-	if ok {
-		err = rep.err
-	} else {
-		rep, err = e.dispatchReport(q)
-	}
+	rep, err := e.dispatchReport(q)
 	if err != nil {
 		if !errors.Is(err, errStopped) {
 			out = sloOK
@@ -894,14 +860,6 @@ func (e *Engine) loop() {
 			timerC = e.timer.C
 			e.parkedTimer = true
 		} else {
-			if e.observing {
-				// A pipelined Observe is in flight on another stack: a tick
-				// consumed now would hit the observing-gated decideSlot and
-				// be lost. Leave it buffered in the ticker, exactly as an
-				// open slot does; finishSlot kicks this park when the
-				// window closes.
-				ticks = nil
-			}
 			e.parkedTimer = false
 		}
 		e.mu.Unlock()
@@ -989,13 +947,6 @@ func (e *Engine) ingestReport(q *wireReq) {
 // KMax). Call under mu.
 func (e *Engine) advance() {
 	for {
-		if e.observing {
-			// Slot t's Observe is running with mu released on the finishing
-			// stack; no transition may touch the learner until it lands.
-			// That stack's own advance loop re-runs these conditions after
-			// finishSlot returns, so nothing accumulated here is stranded.
-			return
-		}
 		if e.openActive {
 			if e.openRemaining > 0 && !e.stopping {
 				return
@@ -1030,9 +981,8 @@ func (e *Engine) admit(q *wireReq) {
 		return
 	}
 	e.batch.add(q, e.stages[e.cur].n)
-	// Stage timing attributes ingest cost across shards and sizes the
-	// pipelined-close overlap; it costs two clock reads per admission, so
-	// only traced engines pay it.
+	// Stage timing attributes ingest cost across shards; it costs two
+	// clock reads per admission, so only traced engines pay it.
 	if e.cfg.SlotRing == nil {
 		e.stageSub(q)
 		return
@@ -1041,9 +991,6 @@ func (e *Engine) admit(q *wireReq) {
 	e.stageSub(q)
 	d := uint64(time.Since(t0))
 	e.trStageNS += d
-	if e.observing {
-		e.trOverlapNS += d
-	}
 	e.shards[e.router.Shard(q.scns[0])].stageAccNS += d
 }
 
@@ -1074,12 +1021,6 @@ func (e *Engine) stageSub(q *wireReq) {
 // handler blocks forever. Call under mu.
 func (e *Engine) shutdown() {
 	e.stopping = true
-	// A pipelined Observe may be in flight on another stack with mu
-	// released; wait for its window to close before flushing, so the
-	// final advance sees a quiescent learner.
-	for e.observing {
-		e.obsCond.Wait()
-	}
 	e.advance()
 	if !e.abort.Load() && e.cfg.CheckpointPath != "" {
 		// Best effort — the periodic checkpoint remains if this fails.
@@ -1124,12 +1065,6 @@ func (e *Engine) failBatch(err error) {
 // probe's breakdown is comparable across offline and serving runs (the
 // view phase now only publishes — the build work happened at ingest).
 func (e *Engine) decideSlot() {
-	if e.observing {
-		// Slot t's Observe is still running with mu released; deciding
-		// t+1 now would break the learner's slot protocol. The finishing
-		// stack re-runs the close conditions once the window ends.
-		return
-	}
 	b := &e.batch
 	st := &e.stages[e.cur]
 	n := st.n
@@ -1201,7 +1136,7 @@ func (e *Engine) decideSlot() {
 
 	// Flip the staging arenas and reset the sequencer: the NEXT slot
 	// stages into the other arena while this one (aliased by the live
-	// view) collects reports and observes — the pipeline overlap.
+	// view) collects reports and observes.
 	b.reset()
 	e.cur ^= 1
 	e.stages[e.cur].reset()
@@ -1246,13 +1181,10 @@ func (e *Engine) decideSlot() {
 }
 
 // finishSlot closes the open slot: build the feedback from whatever
-// reports arrived, Observe, account, maybe checkpoint. Call under mu;
-// the mutex is RELEASED for the Observe itself (the pipelined close) —
-// handlers decode, validate, and stage the next slot's traffic on their
-// own stacks while the learner updates, with the observing flag gating
-// every transition that could touch the learner mid-flight. An inline
-// lockstep step that closes the slot still runs the whole sequence —
-// including the unlocked Observe — on the caller's stack.
+// reports arrived, Observe, account, maybe checkpoint. Call under mu,
+// which stays held throughout — Observe is a transition like any other.
+// An inline lockstep step that closes the slot runs the whole sequence
+// on the caller's stack.
 func (e *Engine) finishSlot() {
 	probe := e.cfg.Probe
 	traced := e.cfg.SlotRing != nil
@@ -1284,35 +1216,22 @@ func (e *Engine) finishSlot() {
 		e.fb.Execs = append(e.fb.Execs, ex)
 		slotReward += ex.Compound()
 	}
-	// The pipelined window: everything Observe reads (openView,
-	// openAssigned, fb, the closed arena) is engine-owned and untouched by
-	// ingest — decideSlot, the only writer, is gated on observing; late
-	// reports during the window see openActive == false, exactly as they
-	// would after a non-pipelined close.
 	e.openActive = false
-	e.observing = true
-	e.trOverlapNS = 0
-	e.mu.Unlock()
 	e.observe()
-	var obsEnd time.Time
 	if instr {
-		obsEnd = time.Now()
-	}
-	e.mu.Lock()
-	e.observing = false
-	e.obsCond.Broadcast()
-	if e.cfg.SlotEvery > 0 {
-		// A tick may have landed while the loop's park had the ticker
-		// gated for the window; wake it so the buffered tick is seen.
-		e.kick()
-	}
-	if instr {
-		span = probe.LapAt(obs.PhaseObserve, span, obsEnd)
+		span = probe.LapAt(obs.PhaseObserve, span, time.Now())
 		if traced {
 			observeNS = uint64(span.Sub(trObsStart))
 		}
 	}
 	probe.EndSlot()
+	if e.cfg.SlotEvery > 0 {
+		// The loop may be parked with the ticker gated, because the slot
+		// was open when it parked, while this slot finished on an inline
+		// caller's stack. kickIfStale does not cover that park; without
+		// the kick a buffered tick would wait for the report-wait timer.
+		e.kick()
+	}
 
 	cum := e.CumReward() + slotReward
 	e.cumRewardBits.Store(math.Float64bits(cum))
@@ -1354,7 +1273,6 @@ func (e *Engine) finishSlot() {
 		rec.MergeNS = e.lastMergeNS
 		rec.WaitNS = waitNS
 		rec.ObserveNS = observeNS
-		rec.ObserveOverlapNS = e.trOverlapNS
 		rec.CheckpointNS = ckptNS
 		for _, sh := range e.shards {
 			rec.ShardDecideNS = append(rec.ShardDecideNS, sh.lastDecideNS.Load())

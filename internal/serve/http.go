@@ -252,8 +252,9 @@ func (e *Engine) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	// Through the engine goroutine, not inline: that goroutine replies as
 	// soon as the reports are absorbed and only then finishes the slot, so
-	// the 200 is not held behind Observe, a checkpoint or the next decide,
-	// and the client's next request overlaps them.
+	// the 200 is not held behind Observe, a checkpoint or the next decide.
+	// The client's next request decodes on its handler meanwhile and
+	// enters the slot machine once the slot is finished.
 	rep, err := e.dispatchReport(q)
 	switch {
 	case err == nil:

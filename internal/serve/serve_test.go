@@ -645,6 +645,7 @@ func BenchmarkEngineSlot(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	awaitSlots(b, eng, b.N)
 	if eng.Slot() != b.N {
 		b.Fatalf("served %d slots, want %d", eng.Slot(), b.N)
 	}

@@ -49,9 +49,8 @@ type engineShard struct {
 // over the given shard count, one partial learner per non-empty shard
 // (every shard's learner derives its per-SCN streams from the same root —
 // rng Derive is pure, so the streams are bit-identical to an unsharded
-// learner's), and the merger stitched over all of them. Each learner
-// runs its per-SCN stages serially (coreCfg.Workers is 1); the engine
-// fans out across shards.
+// learner's), and the merger stitched over all of them. The engine fans
+// out across shards; each learner runs its own SCNs serially.
 func buildShards(coreCfg core.Config, seed uint64, shards int) ([]*engineShard, *core.Merger, []int, *Router, error) {
 	router := NewRouter(shards)
 	owner, ownedOf := router.OwnerMap(coreCfg.SCNs)

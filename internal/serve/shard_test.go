@@ -116,12 +116,11 @@ func runLockstep(t *testing.T, sc ReplayScenario, shards int) (daemon, client fl
 	return eng.CumReward(), rep.CumReward()
 }
 
-// TestShardedLockstepThreeWayIdentity is the sharded extension of the
-// Workers=1-vs-N determinism contract from the core layer: daemons at
-// Shards=1, 2 and 4 (two of the four shards own no SCN at this scale)
-// and an offline sim.Run of the same scenario all earn the
-// hex-float-identical cumulative reward, on the daemon side and the
-// client side.
+// TestShardedLockstepThreeWayIdentity pins the shard plane's
+// determinism: daemons at Shards=1, 2 and 4 (two of the four shards own
+// no SCN at this scale) and an offline sim.Run of the same scenario all
+// earn the hex-float-identical cumulative reward, on the daemon side and
+// the client side.
 func TestShardedLockstepThreeWayIdentity(t *testing.T) {
 	const T, seed = 250, 42
 	sc := testScenario(T, seed)
@@ -554,6 +553,7 @@ func BenchmarkShardedEngineSlot(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	awaitSlots(b, eng, b.N)
 	if eng.Slot() != b.N {
 		b.Fatalf("served %d slots, want %d", eng.Slot(), b.N)
 	}

@@ -121,11 +121,11 @@ func TestStagingRouterBoundary(t *testing.T) {
 // TestConcurrentIngestStaging hammers the staged-ingest path from many
 // connections while slots close underneath it: a fast slot clock, a tiny
 // batch bound, and a short report wait keep the engine in a rolling
-// decide/observe cycle — including the pipelined-close window, where
-// Observe runs with the engine mutex released and handlers stage the next
-// slot's traffic concurrently. Run under -race (the serve package is in
-// RACE_PKGS), this is the data-race pin for the ping-pong arenas; the
-// traced engine variant also drives the stage-timing words.
+// decide/observe cycle while handlers decode the next slot's traffic on
+// their own goroutines and stage it between transitions. Run under -race
+// (the serve package is in RACE_PKGS), this is the data-race pin for the
+// ping-pong arenas; the traced engine variant also drives the
+// stage-timing words.
 func TestConcurrentIngestStaging(t *testing.T) {
 	sc := testScenario(1_000_000, 13)
 	ring := obs.NewSlotRing(64, 2)

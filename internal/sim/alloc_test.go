@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"testing"
-
-	"lfsc/internal/core"
-)
+import "testing"
 
 // TestRunSteadyStateAllocs pins the full-loop allocation budget: the
 // per-slot cost of Run (generation + view building + Decide + environment
@@ -22,7 +18,7 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 		sc := PaperScenario()
 		sc.Cfg.T = T
 		return testing.AllocsPerRun(1, func() {
-			if _, err := Run(sc, LFSCFactory(func(c *core.Config) { c.Workers = 1 }), 42); err != nil {
+			if _, err := Run(sc, LFSCFactory(nil), 42); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -52,7 +48,7 @@ func TestRunSteadyStateAllocsMBS(t *testing.T) {
 		sc.Cfg.T = T
 		sc.Cfg.MBS = &MBSConfig{Capacity: 50}
 		return testing.AllocsPerRun(1, func() {
-			if _, err := Run(sc, LFSCFactory(func(c *core.Config) { c.Workers = 1 }), 42); err != nil {
+			if _, err := Run(sc, LFSCFactory(nil), 42); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"lfsc/internal/core"
 	"lfsc/internal/obs"
 )
 
@@ -17,7 +16,7 @@ import (
 func TestObsBitIdentical(t *testing.T) {
 	sc := PaperScenario()
 	sc.Cfg.T = 200
-	factory := LFSCFactory(func(c *core.Config) { c.Workers = 1 })
+	factory := LFSCFactory(nil)
 
 	bare, err := Run(sc, factory, 42)
 	if err != nil {
@@ -65,7 +64,7 @@ func TestObsPhaseSumsCoverWallClock(t *testing.T) {
 	probe := obs.NewProbe()
 	sc.Cfg.Obs = &obs.Options{Probe: probe}
 	start := time.Now()
-	if _, err := Run(sc, LFSCFactory(func(c *core.Config) { c.Workers = 1 }), 42); err != nil {
+	if _, err := Run(sc, LFSCFactory(nil), 42); err != nil {
 		t.Fatal(err)
 	}
 	wall := time.Since(start)
@@ -93,7 +92,7 @@ func TestObsSnapshotContent(t *testing.T) {
 	ring := obs.NewSnapshotRing(8)
 	reg := obs.NewRegistry()
 	sc.Cfg.Obs = &obs.Options{Registry: reg, SnapshotEvery: 40, SnapshotSink: ring}
-	series, err := Run(sc, LFSCFactory(func(c *core.Config) { c.Workers = 1 }), 7)
+	series, err := Run(sc, LFSCFactory(nil), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +154,7 @@ func TestObsJSONLFromRun(t *testing.T) {
 	var buf bytes.Buffer
 	w := obs.NewJSONLWriter(&buf)
 	sc.Cfg.Obs = &obs.Options{SnapshotEvery: 30, SnapshotSink: w}
-	if _, err := Run(sc, LFSCFactory(func(c *core.Config) { c.Workers = 1 }), 3); err != nil {
+	if _, err := Run(sc, LFSCFactory(nil), 3); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Err(); err != nil {

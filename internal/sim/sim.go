@@ -837,7 +837,7 @@ func RunAll(sc *Scenario, factories []Factory, seed uint64, workers int) ([]*met
 	}
 	out := make([]*metrics.Series, len(factories))
 	errs := make([]error, len(factories))
-	parallel.For(len(factories), workers, func(i int) {
+	parallel.ForDynamic(len(factories), workers, func(i int) {
 		out[i], errs[i] = Run(sc, factories[i], seed)
 	})
 	for _, err := range errs {

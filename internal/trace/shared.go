@@ -64,7 +64,7 @@ func (c SharedTraceConfig) maxCached() int {
 // readers have passed it, and may be evicted earlier (and later rebuilt from
 // a snapshot) to keep at most MaxCachedChunks in memory. All generator
 // access is serialized under an internal mutex, so readers are safe to drive
-// from concurrent goroutines (the parallel.For fan-out in sim.RunAll).
+// from concurrent goroutines (the parallel.ForDynamic fan-out in sim.RunAll).
 type SharedTrace struct {
 	mu      sync.Mutex
 	gen     Generator
