@@ -14,7 +14,7 @@ GO ?= go
 # are all concurrent by construction.
 RACE_PKGS = ./internal/core ./internal/parallel ./internal/assign ./internal/sim ./internal/trace ./internal/obs ./internal/metrics ./internal/serve
 
-.PHONY: all build vet test test-race bench-short bench json bench-serve bench-serve-shards bench-diff fuzz-short serve-smoke serve-smoke-shards client-smoke obs-smoke scenario-smoke perfbench-test perfbench-smoke ci clean
+.PHONY: all build vet test test-race bench-short bench json results-check bench-serve bench-serve-shards bench-diff fuzz-short serve-smoke serve-smoke-shards client-smoke obs-smoke scenario-smoke perfbench-test perfbench-smoke ci clean
 
 all: vet test
 
@@ -31,7 +31,9 @@ test-race:
 	$(GO) test -race $(RACE_PKGS)
 
 # Quick perf snapshot of the hot path: the allocation-free micro kernels
-# (Decide/Update/Greedy/DepRound/hypercube indexing), the workload
+# (Decide on a fresh learner and, as BenchmarkDecideLearned, on one warmed
+# through 3,000 realistic slots; Update; Greedy; DepRound on uniform and
+# skewed marginals; hypercube indexing), the workload
 # substrate every slot pays for (one paper-scale slot generated through
 # the pooled NextInto, one environment outcome draw, and one slot's tasks
 # indexed through IndexTask), the serving wire codec (encode and decode
@@ -57,6 +59,23 @@ bench:
 # LFSC/Oracle ratio at the paper horizon).
 json:
 	$(GO) run ./cmd/lfscbench -benchjson BENCH_core.json
+
+# Regenerate all 14 results/ CSVs (every experiment at the paper's
+# horizon, seed 42) into a temporary directory and compare each byte for
+# byte with the committed file. It takes about 6 minutes on 2 vCPUs, so it
+# stays out of `make ci`; a change to behaviour or to the hot path runs it
+# and reports the outcome. The tier-1 counterpart is
+# internal/experiments' TestSeriesDigestGoldens (T=600, bit-exact).
+results-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/lfscbench -exp all -T 10000 -seed 42 -outdir "$$tmp" && \
+	n=0 && for f in results/*.csv; do \
+		cmp "$$f" "$$tmp/$$(basename "$$f")" || exit 1; n=$$((n+1)); \
+	done && \
+	if [ "$$(ls "$$tmp"/*.csv | wc -l)" -ne "$$n" ]; then \
+		echo "results-check: lfscbench wrote $$(ls "$$tmp"/*.csv | wc -l) CSVs, results/ has $$n"; exit 1; \
+	fi && \
+	echo "results-check: all $$n results/ CSVs byte-identical"
 
 # Measure the serving data plane and merge its figures into the same
 # artifact: serve_ns_per_slot (in-process batched /v1/step lockstep,

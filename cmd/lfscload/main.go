@@ -62,6 +62,22 @@ import (
 	"lfsc/internal/trace"
 )
 
+// statsAt polls the daemon's stats until its slot reaches slot or wait
+// runs out, and returns the last read. The daemon answers a slot's last
+// report before it runs that slot's Observe, so a read made right after
+// the replay can still show the slot before, with that slot's reward
+// missing from the cumulative total.
+func statsAt(client loadConn, slot int, wait time.Duration) (*serve.Stats, error) {
+	deadline := time.Now().Add(wait)
+	for {
+		st, err := client.Stats()
+		if err != nil || st.Slot >= slot || time.Now().After(deadline) {
+			return st, err
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // loadConn is what the generator needs from its transport — the replay
 // protocol plus the stats/reuse introspection the summary prints.
 // Satisfied by *serve.Client and *serve.ShardPool.
@@ -218,7 +234,10 @@ func main() {
 		LatMeanNS: ls.MeanNS, LatP50NS: ls.P50NS, LatP90NS: ls.P90NS,
 		LatP99NS: ls.P99NS, LatP999NS: ls.P999NS,
 	}
-	if dst, err := client.Stats(); err == nil {
+	if dst, err := statsAt(client, *horizon, 5*time.Second); err == nil {
+		if dst.Slot < *horizon {
+			fmt.Fprintf(os.Stderr, "lfscload: daemon still at slot %d after 5s, want %d\n", dst.Slot, *horizon)
+		}
 		fmt.Printf("daemon:     slot %d  cum reward %.6f  shed requests %d  late slots %d\n",
 			dst.Slot, dst.CumReward, dst.ShedRequests, dst.LateSlots)
 		if dst.SLO != nil {

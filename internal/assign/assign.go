@@ -8,10 +8,10 @@
 // Lemma 2 proves this is a (c+1)-approximation of the maximum-weight
 // assignment; tests compare it against the exact min-cost-flow optimum.
 //
-// The package also provides DepRound — the dependent-rounding sampler from
-// the Exp3.M literature that draws exactly k arms with prescribed marginals
-// — used by the single-agent ablation, and the Random baseline assignment
-// from the paper's evaluation.
+// The package also provides DepRoundGather — the dependent-rounding
+// sampler from the Exp3.M literature that draws exactly k arms with
+// prescribed marginals — with which LFSC samples each SCN's candidates,
+// and the Random baseline assignment from the paper's evaluation.
 package assign
 
 import (
@@ -427,126 +427,144 @@ func RandomCaps(coverage [][]int, numTasks, capacity int, caps []int, r *rng.Str
 	return assigned
 }
 
-// DepRoundScratch holds the reusable working memory of DepRoundInto: the
-// mutable probability copy, the fractional-index stack, and the output
-// buffer. A zero value is ready to use; buffers grow to the high-water mark
+// DepRoundScratch holds the reusable working memory of DepRoundGather: the
+// fractional entries (positions and marginals, in stack order) and the
+// picks. A zero value is ready to use; buffers grow to the high-water mark
 // and are never shrunk. A scratch value must not be shared between
 // concurrent calls (LFSC keeps one per SCN).
 type DepRoundScratch struct {
-	w     []float64
-	stack []int
-	out   []int
+	fi    []int32
+	fv    []float64
+	picks []int32
 }
 
-// DepRound samples a subset S ⊆ [0,n) with |S| = round(Σp) such that
-// P(i ∈ S) = p[i] exactly, via Gandhi et al.'s dependent rounding: while two
-// fractional probabilities remain, shift mass between them so that at least
-// one becomes integral, choosing the direction with the probability that
-// preserves marginals. Inputs must lie in [0,1]; the sum should be within
-// rounding distance of an integer (as Exp3.M guarantees with Σp = c).
+// depTol is DepRound's integrality tolerance: a marginal within depTol of 0
+// or 1 is already rounded.
+const depTol = 1e-9
+
+// DepRoundGather samples a subset S of the positions [0, len(at)) with |S|
+// = round(Σp) such that P(i ∈ S) = p_i exactly, where p_i = vals[at[i]]
+// (the layout of LFSC's per-cell probabilities, read in place instead of
+// first copied out one per task). It uses Gandhi et al.'s dependent
+// rounding: while two fractional probabilities remain, shift mass between
+// them so that at least one becomes integral, choosing the direction with
+// the probability that preserves marginals. Inputs must lie in [0,1]; the
+// sum should be within rounding distance of an integer (as Exp3.M
+// guarantees with Σp = c).
 //
-// Returned indices are in increasing order. DepRound allocates per call;
-// steady-state callers should hold a DepRoundScratch and use DepRoundInto.
-func DepRound(p []float64, r *rng.Stream) []int {
-	var s DepRoundScratch
-	return DepRoundInto(&s, p, r)
-}
-
-// DepRoundInto is DepRound with caller-owned memory. The returned slice
-// aliases s.out and is only valid until the next call with the same scratch.
-// It consumes the random stream exactly as DepRound does, so swapping one
-// for the other never changes what is sampled.
-func DepRoundInto(s *DepRoundScratch, p []float64, r *rng.Stream) []int {
-	w := s.Weights(len(p))
-	copy(w, p)
-	return DepRoundPrepared(s, r)
-}
-
-// Weights returns the scratch's marginal buffer resized to n, for callers
-// that write the probabilities in place (e.g. by gathering per-cell values)
-// and then run DepRoundPrepared — sparing the copy DepRoundInto would make.
-// The buffer grows to the high-water mark and is never shrunk.
-func (s *DepRoundScratch) Weights(n int) []float64 {
-	if cap(s.w) < n {
-		s.w = make([]float64, n, n+n/2)
+// The selected positions come in the order they were rounded, not sorted.
+// The slice aliases s and is valid until the next call with the same
+// scratch, which makes steady-state calls allocation-free.
+func DepRoundGather(s *DepRoundScratch, at []int32, vals []float64, r *rng.Stream) []int32 {
+	n := len(at)
+	if cap(s.fi) < n {
+		s.fi = make([]int32, n, n+n/2)
+		s.fv = make([]float64, n, n+n/2)
 	}
-	s.w = s.w[:n]
-	return s.w
-}
-
-// DepRoundPrepared runs dependent rounding over the marginals previously
-// written into s.Weights(n). It is the body shared with DepRoundInto — the
-// clamp pass, stack order, and random draws are identical, so the two forms
-// sample exactly the same subsets from the same stream state.
-func DepRoundPrepared(s *DepRoundScratch, r *rng.Stream) []int {
-	const tol = 1e-9
-	w := s.w
-	// Clamp and collect the stack of fractional indices in one pass (a
-	// clamped value is integral, so clamping never changes membership).
-	// Each pairing below pops two entries and pushes back at most one
-	// still-fractional index plus possibly its partner, so the stack never
-	// outgrows its initial size and the loop is linear; a fixed-capacity
-	// array with a manual pointer keeps the hot loop free of slice-header
-	// updates.
-	if cap(s.stack) < len(w) {
-		s.stack = make([]int, len(w))
-	}
-	stack := s.stack[:cap(s.stack)]
+	fi, fv := s.fi[:n], s.fv[:n]
+	picks := s.picks[:0]
+	// One pass classifies every entry: a fractional one joins the stack,
+	// one within depTol of 1 (clamped from up to 1+depTol) is selected at
+	// once, and one within depTol of 0 (or NaN) is dropped.
 	sp := 0
-	for i, v := range w {
-		if v < -tol || v > 1+tol {
+	for i, f := range at {
+		v := vals[f]
+		if v > depTol && v < 1-depTol {
+			fi[sp], fv[sp] = int32(i), v
+			sp++
+		} else if v < -depTol || v > 1+depTol {
 			panic(fmt.Sprintf("assign: DepRound probability %v out of [0,1]", v))
-		}
-		if v < 0 {
-			w[i] = 0
-		} else if v > 1 {
-			w[i] = 1
-		} else if v > tol && v < 1-tol {
-			stack[sp] = i
-			sp++
+		} else if v >= 1-depTol {
+			picks = append(picks, int32(i))
 		}
 	}
-	for sp >= 2 {
-		i := stack[sp-1]
-		j := stack[sp-2]
-		sp -= 2
-		alpha := min2(1-w[i], w[j])
-		beta := min2(w[i], 1-w[j])
-		// With prob beta/(alpha+beta): w[i]+=alpha, w[j]-=alpha.
-		if r.Float64() < beta/(alpha+beta) {
-			w[i] += alpha
-			w[j] -= alpha
-		} else {
-			w[i] -= beta
-			w[j] += beta
+	picks = depChain(fi[:sp], fv[:sp], picks, r)
+	s.picks = picks
+	return picks
+}
+
+// depChain rounds the fractional entries fi/fv (positions and marginals,
+// bottom of the stack first), appending every position that rounds to 1.
+//
+// Each step pops the top entry i and the one below it, j. A coin with
+// probability beta/(alpha+beta) moves mass between them until one is
+// integral, and the at most one survivor goes back on top — so it is the
+// next step's i. The survivor is therefore carried in locals (ci, cv)
+// while the stack below only shrinks, and an entry that reaches 1 is
+// emitted the moment it does. When the pair's mass fits in one entry
+// (alpha = w[j] and beta = w[i]), both coin outcomes leave the survivor at
+// w[i]+w[j] and the other entry at exactly 0: the coin only selects which
+// index survives, and the carried value waits on one addition, not on the
+// draw. The generator is held by value for the whole chain.
+func depChain(fi []int32, fv []float64, picks []int32, r *rng.Stream) []int32 {
+	g := r.PCG()
+	sp := len(fi)
+	ci, cv := int32(-1), 0.0
+	for {
+		if ci < 0 {
+			if sp < 2 {
+				break
+			}
+			sp--
+			ci, cv = fi[sp], fv[sp]
+		} else if sp == 0 {
+			break
 		}
-		if wi := w[i]; wi > tol && wi < 1-tol {
-			stack[sp] = i
-			sp++
+		sp--
+		j, wj := fi[sp], fv[sp]
+		var u float64
+		u, g = g.Float64()
+		alpha := min2(1-cv, wj)
+		beta := min2(cv, 1-wj)
+		heads := u < beta/(alpha+beta) // w[i] += alpha, w[j] -= alpha
+		if alpha == wj && beta == cv {
+			// heads: w[i] = cv+wj, w[j] = 0; tails: w[i] = 0, w[j] = wj+cv.
+			if !heads {
+				ci = j
+			}
+			cv += wj
+			if cv >= 1-depTol {
+				picks = append(picks, ci)
+				ci = -1
+			}
+			continue
 		}
-		if wj := w[j]; wj > tol && wj < 1-tol {
-			stack[sp] = j
-			sp++
+		ni, nj := cv-beta, wj+beta
+		if heads {
+			ni, nj = cv+alpha, wj-alpha
+		}
+		// One of the pair is now integral: the side that gained 1−w
+		// rounds to within an ulp of 1, the side that lost its own w
+		// lands on exactly 0.
+		if ni >= 1-depTol {
+			picks = append(picks, ci)
+		}
+		if nj >= 1-depTol {
+			picks = append(picks, j)
+		}
+		switch {
+		case ni > depTol && ni < 1-depTol:
+			cv = ni
+		case nj > depTol && nj < 1-depTol:
+			ci, cv = j, nj
+		default:
+			ci = -1
 		}
 	}
-	// A single leftover fractional entry (sum not exactly integral):
-	// round it by its own probability.
-	if sp == 1 {
-		k := stack[0]
-		if r.Float64() < w[k] {
-			w[k] = 1
-		} else {
-			w[k] = 0
+	// A single leftover fractional entry (sum not exactly integral): round
+	// it by its own probability.
+	if ci < 0 && sp == 1 {
+		ci, cv = fi[0], fv[0]
+	}
+	if ci >= 0 {
+		var u float64
+		u, g = g.Float64()
+		if u < cv {
+			picks = append(picks, ci)
 		}
 	}
-	out := s.out[:0]
-	for i, v := range w {
-		if v >= 1-tol {
-			out = append(out, i)
-		}
-	}
-	s.out = out
-	return out
+	r.SetPCG(g)
+	return picks
 }
 
 func min2(a, b float64) float64 {

@@ -190,7 +190,7 @@ func TestDepRoundCardinality(t *testing.T) {
 	// Σp = 3 exactly.
 	p := []float64{0.5, 0.5, 0.5, 0.5, 0.5, 0.5}
 	for trial := 0; trial < 200; trial++ {
-		s := DepRound(p, r)
+		s := depRound(p, r)
 		if len(s) != 3 {
 			t.Fatalf("|S| = %d, want 3", len(s))
 		}
@@ -208,7 +208,7 @@ func TestDepRoundMarginals(t *testing.T) {
 	counts := make([]int, len(p))
 	const n = 60000
 	for trial := 0; trial < n; trial++ {
-		for _, i := range DepRound(p, r) {
+		for _, i := range depRound(p, r) {
 			counts[i]++
 		}
 	}
@@ -222,7 +222,7 @@ func TestDepRoundMarginals(t *testing.T) {
 
 func TestDepRoundIntegralInputs(t *testing.T) {
 	r := rng.New(8)
-	s := DepRound([]float64{1, 0, 1, 0}, r)
+	s := depRound([]float64{1, 0, 1, 0}, r)
 	if len(s) != 2 || s[0] != 0 || s[1] != 2 {
 		t.Fatalf("integral input selection %v", s)
 	}
@@ -234,7 +234,7 @@ func TestDepRoundNonIntegralSum(t *testing.T) {
 	ones := 0
 	const n = 20000
 	for trial := 0; trial < n; trial++ {
-		s := DepRound([]float64{0.25, 0.25}, r)
+		s := depRound([]float64{0.25, 0.25}, r)
 		if len(s) > 1 {
 			t.Fatalf("cardinality %d for Σp=0.5", len(s))
 		}
@@ -251,5 +251,5 @@ func TestDepRoundPanicsOnBadProbability(t *testing.T) {
 			t.Fatal("p>1 did not panic")
 		}
 	}()
-	DepRound([]float64{1.5}, rng.New(10))
+	depRound([]float64{1.5}, rng.New(10))
 }

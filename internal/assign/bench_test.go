@@ -49,19 +49,36 @@ func BenchmarkGreedyAlloc(b *testing.B) {
 }
 
 // BenchmarkDepRound measures one SCN's steady-state candidate sampling
-// (DepRoundInto with caller-owned scratch): K=100 visible tasks with
-// marginals summing to c=20 (one op = one SCN-slot).
+// (DepRoundGather with caller-owned scratch, one op = one SCN-slot) at
+// K=100 visible tasks with marginals summing to c=20: uniform, as a fresh
+// learner's are, and skewed, as a learned one's are (capped ones, a
+// geometric tail, the exploration floor).
 func BenchmarkDepRound(b *testing.B) {
 	const k, c = 100, 20
-	p := make([]float64, k)
-	for i := range p {
-		p[i] = float64(c) / float64(k)
+	uniform := make([]float64, k)
+	for i := range uniform {
+		uniform[i] = float64(c) / float64(k)
 	}
-	r := rng.New(13)
-	var s DepRoundScratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = DepRoundInto(&s, p, r)
+	at := make([]int32, k)
+	for i := range at {
+		at[i] = int32(i)
+	}
+	for _, bc := range []struct {
+		name string
+		p    []float64
+	}{
+		{"uniform", uniform},
+		{"skewed", skewed(k, c, 4, rng.New(17))},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			r := rng.New(13)
+			var s DepRoundScratch
+			DepRoundGather(&s, at, bc.p, r)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = DepRoundGather(&s, at, bc.p, r)
+			}
+		})
 	}
 }

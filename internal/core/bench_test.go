@@ -3,8 +3,12 @@ package core
 import (
 	"testing"
 
+	"lfsc/internal/env"
+	"lfsc/internal/hypercube"
 	"lfsc/internal/policy"
 	"lfsc/internal/rng"
+	"lfsc/internal/task"
+	"lfsc/internal/trace"
 )
 
 // paperBenchConfig is the Sec. 5 evaluation shape: 30 SCNs, c=20, 27 cells,
@@ -60,6 +64,68 @@ func BenchmarkDecide(b *testing.B) {
 	l := MustNew(paperBenchConfig(), rng.New(1))
 	view := paperBenchView(2)
 	l.Decide(view) // warm up the scratch arenas
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = l.Decide(view)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/slot")
+}
+
+// warmedPaperLearner runs a paper-scale learner through warm realistic
+// slots and returns it with the next slot's view. Each slot comes from the
+// paper's synthetic workload (30 SCNs, |D| ~ U[35,100]), its cells from
+// the 3×3×3 context partition, and the feedback for every assigned task
+// from the default environment — the same pieces sim.Run composes, so the
+// weights end skewed and capped the way a live run's are. A fresh
+// learner's weights are uniform and never capped.
+func warmedPaperLearner(tb testing.TB, warm int) (*LFSC, *policy.SlotView) {
+	gen, err := trace.NewSynthetic(trace.DefaultSyntheticConfig(), rng.New(1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	part := hypercube.MustNew(task.ContextDims, 3)
+	en := env.MustNew(env.DefaultConfig(gen.SCNs(), part.Cells()), rng.New(2))
+	cfg := paperBenchConfig()
+	cfg.KMax = gen.MaxPerSCN()
+	l := MustNew(cfg, rng.New(3))
+	fbR := rng.New(4)
+	fb := &policy.Feedback{}
+	for t := 0; ; t++ {
+		slot := gen.Next(t)
+		view := &policy.SlotView{T: t, NumTasks: len(slot.Tasks)}
+		for _, tk := range slot.Tasks {
+			view.Cells = append(view.Cells, part.IndexTask(tk, false))
+		}
+		for _, cov := range slot.Coverage {
+			view.SCNs = append(view.SCNs, policy.SCNView{Cover: cov})
+		}
+		if t == warm {
+			return l, view
+		}
+		en.Advance(t)
+		assigned := l.Decide(view)
+		fb.Execs = fb.Execs[:0]
+		for i, m := range assigned {
+			if m < 0 {
+				continue
+			}
+			o := en.Draw(m, view.Cells[i], fbR)
+			fb.Execs = append(fb.Execs, policy.Exec{
+				SCN: m, Task: i, Cell: view.Cells[i], U: o.U, V: o.V(), Q: o.Q,
+			})
+		}
+		l.Observe(view, assigned, fb)
+	}
+}
+
+// BenchmarkDecideLearned times steady-state Decide on a learner warmed
+// through 3,000 realistic slots: skewed weights, capped cells and the
+// exploration floor, where BenchmarkDecide's fresh learner is uniform. It
+// must be allocation-free too.
+func BenchmarkDecideLearned(b *testing.B) {
+	l, view := warmedPaperLearner(b, 3000)
+	l.Decide(view) // grow the scratch arenas to this view
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -21,14 +21,14 @@ import (
 // that cancels in aggregate; these checks compare the raw state hex-float
 // digit by digit.
 
-// naiveCapFixedPoint is the from-scratch reference for the Exp3.M cap fixed
-// point ε = τ·Σ_i min(w_i, ε): sort the per-task weights and scan for the
-// valid cap rank. It deliberately shares no state with solveCapCells — no
-// persistent order, no grouped expansion — but mirrors its summation order
-// and tolerance constants, because the property under test is that the
-// incremental bookkeeping changes nothing, not that a different summation
-// order lands on the same floats.
-func naiveCapFixedPoint(w []float64, tau float64) float64 {
+// solveCap is the from-scratch reference for the Exp3.M cap fixed point
+// ε = τ·Σ_i min(w_i, ε): sort the per-task weights and scan for the valid
+// cap rank. It deliberately shares no state with solveCapCells — no
+// persistent order, no grouped expansion, no streaming — but mirrors its
+// summation order and tolerance constants, because the property under test
+// is that the incremental bookkeeping changes nothing, not that a different
+// summation order lands on the same floats.
+func solveCap(w []float64, tau float64) float64 {
 	asc := append([]float64(nil), w...)
 	slices.Sort(asc)
 	n := len(asc)
@@ -90,7 +90,7 @@ func naiveProbs(l *LFSC, st *scnState, cover []int, cells []int) []float64 {
 	}
 	tau := (1/float64(c) - l.gamma/float64(k)) / (1 - l.gamma)
 	if !l.cfg.DisableCapping && tau > 0 && maxW >= tau*sum {
-		eps := naiveCapFixedPoint(w, tau)
+		eps := solveCap(w, tau)
 		for i := range w {
 			if w[i] >= eps {
 				w[i] = eps

@@ -45,7 +45,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"lfsc/internal/assign"
 	"lfsc/internal/policy"
@@ -221,15 +220,12 @@ type scnState struct {
 	taskCells  []int32 // hypercube per visible-task position
 
 	// Decide-internal scratch:
-	probs    []float64              // positional probabilities (test/reference fan-out)
-	sorted   []float64              // solveCap ascending order statistics
-	suffix   []float64              // solveCap prefix sums (k+1)
 	edges    []assign.Edge          // this SCN's bipartite edges (Race/Deterministic)
 	dep      assign.DepRoundScratch // DepRound working memory
 	pickTask []int32                // DepRound candidate task indices (≤ Capacity+1)
 	pickP    []float64              // matching selection probabilities
-	capV     []float64              // solveCapCells distinct values, ascending
-	capN     []int                  // solveCapCells multiplicities, parallel to capV
+	capTop   []float64              // solveCapCells: the largest weights, descending
+	capRest  []float64              // solveCapCells: capRest[j] = sum of all but the j largest
 	// order holds every hypercube sorted ascending by logW. The weight
 	// update barely perturbs the ranking, so solveCapCells repairs it with
 	// an insertion pass over a nearly sorted array and gets its ascending
@@ -253,11 +249,8 @@ func newSCNState(cfg Config, r *rng.Stream) *scnState {
 		order:      order,
 		logW:       make([]float64, cfg.Cells),
 		r:          r,
-		probs:      make([]float64, 0, cfg.KMax),
 		capped:     make([]bool, cfg.Cells),
 		cappedList: make([]int, 0, cfg.Cells),
-		sorted:     make([]float64, 0, cfg.KMax),
-		suffix:     make([]float64, 0, cfg.KMax+1),
 		edges:      make([]assign.Edge, 0, cfg.KMax),
 		pickTask:   make([]int32, 0, cfg.Capacity+1),
 		pickP:      make([]float64, 0, cfg.Capacity+1),
@@ -265,8 +258,8 @@ func newSCNState(cfg Config, r *rng.Stream) *scnState {
 		cellCnt:    make([]int, cfg.Cells),
 		cellList:   make([]int, 0, cfg.Cells),
 		taskCells:  make([]int32, 0, cfg.KMax),
-		capV:       make([]float64, 0, cfg.Cells),
-		capN:       make([]int, 0, cfg.Cells),
+		capTop:     make([]float64, 0, cfg.Capacity+1),
+		capRest:    make([]float64, 0, cfg.Capacity+1),
 		accG:       make([]float64, cfg.Cells),
 		accV:       make([]float64, cfg.Cells),
 		accQ:       make([]float64, cfg.Cells),
@@ -295,7 +288,6 @@ func (st *scnState) resetCaches() {
 		st.cellCnt[f] = 0
 	}
 	st.cellList = st.cellList[:0]
-	st.probs = st.probs[:0]
 }
 
 // setCapped flags hypercube f as a member of S' this slot.
@@ -459,7 +451,7 @@ type resolver struct {
 	assigned    []int     // assignment buffer returned by resolve
 	bestP       []float64 // per-task best candidate probability (mergePicks)
 	greedy      assign.GreedyScratch
-	counts      []int     // backfill per-SCN beam counters
+	counts      []int     // per-SCN beams assigned so far (mergePicks, countBeams; read by backfill)
 	selP        []float64 // backfill top-free selection: probabilities,
 	selLW       []float64 // log-weight tie-breaks,
 	selIdx      []int     // and slot-global task indices (≤ Capacity each)
@@ -513,10 +505,11 @@ func (r *resolver) resolve(states []*scnState, view *policy.SlotView) []int {
 				r.perSCNEdges[m] = st.edges
 			}
 			r.mergeGreedy(view)
+			r.countBeams()
 		} else {
 			r.mergePicks(states, view)
 		}
-		r.backfill(states, view, r.assigned)
+		r.backfill(states, view)
 	} else {
 		// Each SCN's edge list was sorted by its own per-SCN stage, so
 		// the global greedy consumes them through a k-way merge —
@@ -570,14 +563,12 @@ func (l *LFSC) decideSCN(view *policy.SlotView, m int) {
 	taskCells := st.taskCells[:len(cover)]
 	switch l.cfg.Mode {
 	case DepRoundMode:
-		// Sample the SCN's candidate set with marginals exactly p: gather
-		// the per-cell probabilities into the DepRound buffer (same values
-		// the positional fan-out used to produce) and round in place.
-		w := st.dep.Weights(len(cover))
-		for i, f := range taskCells {
-			w[i] = st.cellW[f]
-		}
-		for _, i := range assign.DepRoundPrepared(&st.dep, st.r) {
+		// Sample the SCN's candidate set with marginals exactly p, read
+		// straight from the per-cell probabilities. The picks come in the
+		// order DepRound rounds them; neither mergePicks (strictly best p
+		// per task, SCNs in order) nor the overflow path (which sorts)
+		// depends on the order within one SCN.
+		for _, i := range assign.DepRoundGather(&st.dep, taskCells, st.cellW, st.r) {
 			st.pickTask = append(st.pickTask, int32(cover[i]))
 			st.pickP = append(st.pickP, st.cellW[taskCells[i]])
 		}
@@ -604,7 +595,10 @@ func (l *LFSC) decideSCN(view *policy.SlotView, m int) {
 // greedy would accept is simply the heaviest edge of its task, ties to the
 // lowest SCN (the cmpEdge order). Scanning SCNs in ascending order and
 // keeping the strictly best probability per task therefore reproduces the
-// former sort + k-way-merge greedy bit-for-bit, in linear time.
+// former sort + k-way-merge greedy bit-for-bit, in linear time, whatever
+// the order of the picks within one SCN. It counts each SCN's beams as it
+// assigns — a task taken over by a later SCN moves its beam — so backfill
+// reads the counts without a pass over every task.
 func (r *resolver) mergePicks(states []*scnState, view *policy.SlotView) {
 	n := view.NumTasks
 	assigned := growInts(&r.assigned, n)
@@ -612,6 +606,8 @@ func (r *resolver) mergePicks(states []*scnState, view *policy.SlotView) {
 	for i := range assigned {
 		assigned[i] = -1
 	}
+	counts := r.counts
+	clear(counts)
 	for m := range view.SCNs {
 		st := states[m]
 		for j, t32 := range st.pickTask {
@@ -619,10 +615,26 @@ func (r *resolver) mergePicks(states []*scnState, view *policy.SlotView) {
 			if idx < 0 || idx >= n {
 				panic(fmt.Sprintf("core: candidate task %d out of range", idx))
 			}
-			if p := st.pickP[j]; assigned[idx] == -1 || p > bestP[idx] {
+			if p, prev := st.pickP[j], assigned[idx]; prev == -1 || p > bestP[idx] {
+				if prev >= 0 {
+					counts[prev]--
+				}
+				counts[m]++
 				assigned[idx] = m
 				bestP[idx] = p
 			}
+		}
+	}
+}
+
+// countBeams counts every SCN's assigned beams from scratch, for the
+// overflow path's greedy assignment.
+func (r *resolver) countBeams() {
+	counts := r.counts
+	clear(counts)
+	for _, m := range r.assigned {
+		if m >= 0 {
+			counts[m]++
 		}
 	}
 }
@@ -639,17 +651,8 @@ func (r *resolver) mergePicks(states []*scnState, view *policy.SlotView) {
 // times selects exactly the prefix a full descending sort would — without
 // building or sorting a candidate list (free ≤ c is small; the conflicts
 // being repaired rarely free more than a few beams).
-func (r *resolver) backfill(states []*scnState, view *policy.SlotView, assigned []int) {
-	counts := r.counts[:0]
-	for m := 0; m < r.numSCNs; m++ {
-		counts = append(counts, 0)
-	}
-	r.counts = counts
-	for _, m := range assigned {
-		if m >= 0 {
-			counts[m]++
-		}
-	}
+func (r *resolver) backfill(states []*scnState, view *policy.SlotView) {
+	assigned, counts := r.assigned, r.counts
 	for m := range view.SCNs {
 		free := view.CapAt(m, r.capacity) - counts[m]
 		if free <= 0 {
@@ -761,21 +764,24 @@ func (l *LFSC) cellProbs(st *scnState, cover []int, cells []int, c int) {
 			maxLog = lw
 		}
 	}
+	// The largest weight is the largest present cell's: a maximum does not
+	// depend on the order or multiplicity it is taken over. The sum does,
+	// so it stays per task, in task order.
+	maxW := 0.0
 	for _, f := range present {
 		d := st.logW[f] - maxLog
 		if d < minLogDiff {
 			d = minLogDiff
 		}
-		st.cellW[f] = math.Exp(d)
+		w := math.Exp(d)
+		st.cellW[f] = w
+		if w > maxW {
+			maxW = w
+		}
 	}
 	sum := 0.0
-	maxW := 0.0
 	for _, f := range taskCells {
-		wi := st.cellW[f]
-		sum += wi
-		if wi > maxW {
-			maxW = wi
-		}
+		sum += st.cellW[f]
 	}
 	// τ = (1/c − γ/K)/(1−γ): the weight-share above which p would exceed 1.
 	tau := (1/float64(c) - l.gamma/float64(k)) / (1 - l.gamma)
@@ -807,19 +813,6 @@ func (l *LFSC) cellProbs(st *scnState, cover []int, cells []int, c int) {
 	}
 }
 
-// probabilities is the positional form of cellProbs, used by tests and
-// reference implementations: the per-cell probabilities are fanned out to
-// st's probs arena, one entry per cover position (the layout the hot path
-// no longer materializes).
-func (l *LFSC) probabilities(st *scnState, cover []int, cells []int) []float64 {
-	l.cellProbs(st, cover, cells, l.cfg.Capacity)
-	probs := growFloats(&st.probs, len(cover))
-	for i, f := range st.taskCells[:len(cover)] {
-		probs[i] = st.cellW[f]
-	}
-	return probs
-}
-
 // growInt32 re-slices *buf to length n, reallocating only when the arena
 // capacity is exceeded (first slots of a run, or a workload spike).
 func growInt32(buf *[]int32, n int) []int32 {
@@ -840,12 +833,21 @@ func growInts(buf *[]int, n int) []int {
 	return *buf
 }
 
-// solveCapCells solves the cap fixed point over the grouped weights: the
-// ascending order statistics of the per-task weight multiset are produced by
-// walking the persistent logW-sorted cell order and expanding each present
-// value by its task count. Equal values are interchangeable in an
-// order-statistics array, so the expansion is element-for-element the array
-// solveCapInto would sort, without any per-slot comparison sort.
+// solveCapCells solves the Exp3.M cap fixed point ε = τ·Σ_i min(w_i, ε)
+// over the slot's k per-task weights, grouped by cell. With the j largest
+// weights capped, ε_j = τ·rest_j/(1−jτ), where rest_j sums the other k−j
+// weights; the answer is the first j whose ε_j lies between the j-th and
+// (j+1)-th largest weight (relative tolerance 1e-12), and the largest weight
+// when no j qualifies.
+//
+// The search stops once 1−jτ ≤ 0, so it reads only the jmax+1 largest
+// weights and rest_1..rest_jmax, with jmax < 1/τ ≤ c. The weights are
+// streamed once in ascending order — the persistent logW-sorted cell order,
+// each present cell expanded by its task count — and summed smallest first,
+// one task at a time: adding head weights first, or subtracting them from a
+// total, would lose the tail when log-weights span e^±60. Only the values
+// the search reads are kept (capTop, capRest: at most c each), so no
+// K-sized order-statistics or prefix-sum array is built.
 func solveCapCells(st *scnState, k int, tau float64) float64 {
 	// Repair the persistent ascending-by-logW cell order. Between calls the
 	// weight update moves only a handful of cells (and the decay is
@@ -864,27 +866,47 @@ func solveCapCells(st *scnState, k int, tau float64) float64 {
 		}
 		ord[j] = f
 	}
-	// The shifted weight exp(clamp(logW − maxLog)) is monotone
-	// non-decreasing in logW, so filtering the order to present cells
-	// yields the distinct values already ascending — no per-slot sort.
-	vals := st.capV[:0]
-	cnts := st.capN[:0]
-	for _, f := range st.order {
-		if st.cellCnt[f] > 0 {
-			vals = append(vals, st.cellW[f])
-			cnts = append(cnts, st.cellCnt[f])
+	jmax := 0
+	for jmax < k && 1-float64(jmax+1)*tau > 0 {
+		jmax++
+	}
+	// top[x] is the (x+1)-th largest weight, x ≤ jmax; rest[j] is the sum
+	// of the k−j smallest, 1 ≤ j ≤ jmax. The shifted weight
+	// exp(clamp(logW − maxLog)) is monotone non-decreasing in logW, so the
+	// present cells in logW order stream the weights ascending.
+	top := growFloats(&st.capTop, min(k, jmax+1))
+	rest := growFloats(&st.capRest, jmax+1)
+	lo := k - 1 - jmax // first ascending position kept in top
+	acc, pos := 0.0, 0
+	for _, f := range ord {
+		end := pos + st.cellCnt[f]
+		v := st.cellW[f]
+		for ; pos < end && pos < lo; pos++ {
+			acc += v
+		}
+		for ; pos < end; pos++ {
+			x := k - 1 - pos
+			top[x] = v
+			if x < jmax {
+				rest[x+1] = acc
+			}
+			acc += v
 		}
 	}
-	st.capV, st.capN = vals, cnts
-	asc := growFloats(&st.sorted, k)
-	pos := 0
-	for i, v := range vals {
-		for x := 0; x < cnts[i]; x++ {
-			asc[pos] = v
-			pos++
+	for j := 1; j <= jmax; j++ {
+		eps := tau * rest[j] / (1 - float64(j)*tau)
+		lower := 0.0
+		if j < k {
+			lower = top[j]
+		}
+		if eps <= top[j-1]*(1+1e-12) && eps >= lower*(1-1e-12) {
+			return eps
 		}
 	}
-	return solveCapSorted(&st.suffix, asc, tau)
+	// Should be unreachable for K > c (existence is proven in the Exp3.M
+	// analysis); fall back to the identity cap (no weight modified) and
+	// rely on the final per-task clamp p ≤ 1.
+	return top[0]
 }
 
 // growFloats re-slices *buf to length n, reallocating only when the arena
@@ -895,66 +917,6 @@ func growFloats(buf *[]float64, n int) []float64 {
 	}
 	*buf = (*buf)[:n]
 	return *buf
-}
-
-// solveCap finds ε with ε = τ·Σ_i min(w_i, ε) (the Exp3.M cap fixed point).
-// With the top-j weights capped, ε_j = τ·rest_j/(1−jτ); the valid j is the
-// one with w_(j) ≥ ε_j ≥ w_(j+1) in the descending order statistics.
-func solveCap(w []float64, tau float64) float64 {
-	var sorted, suffix []float64
-	return solveCapInto(&sorted, &suffix, w, tau)
-}
-
-// solveCapInto is solveCap with caller-owned scratch for the order
-// statistics and suffix sums (LFSC passes the SCN's arena).
-//
-// The order statistics are kept ascending and indexed from the back: the
-// specialized slices.Sort on a bare []float64 is several times faster than a
-// comparison-function sort, and weights are never NaN, so the descending
-// view asc[n-1-x] is exactly the old explicitly-descending array.
-func solveCapInto(sortedBuf, suffixBuf *[]float64, w []float64, tau float64) float64 {
-	asc := append((*sortedBuf)[:0], w...)
-	*sortedBuf = asc
-	slices.Sort(asc)
-	return solveCapSorted(suffixBuf, asc, tau)
-}
-
-// solveCapSorted runs the fixed-point search over ascending order
-// statistics (the tail of solveCapInto, shared with solveCapCells).
-func solveCapSorted(suffixBuf *[]float64, asc []float64, tau float64) float64 {
-	n := len(asc)
-	// rest_j (the tail sum Σ_{i>j} w_(j)) is accumulated smallest-first as a
-	// prefix sum over the ascending order: subtracting head weights from the
-	// total instead would cancel catastrophically when the tail is many
-	// orders of magnitude below the head (log-weights legitimately span
-	// e^±60 here). pre[i] = Σ of the i smallest weights, so the descending
-	// tail sum past rank j is pre[n-j] — added in the identical
-	// smallest-first order as the former backward suffix loop.
-	pre := growFloats(suffixBuf, n+1)
-	pre[0] = 0
-	for i := 0; i < n; i++ {
-		pre[i+1] = pre[i] + asc[i]
-	}
-	for j := 1; j <= n; j++ {
-		rest := pre[n-j]
-		denom := 1 - float64(j)*tau
-		if denom <= 0 {
-			break
-		}
-		eps := tau * rest / denom
-		lower := 0.0
-		if j < n {
-			lower = asc[n-1-j]
-		}
-		// Validity window with relative tolerance.
-		if eps <= asc[n-j]*(1+1e-12) && eps >= lower*(1-1e-12) {
-			return eps
-		}
-	}
-	// Should be unreachable for K > c (existence is proven in the Exp3.M
-	// analysis); fall back to the identity cap (no weight modified) and
-	// rely on the final per-task clamp p ≤ 1.
-	return asc[n-1]
 }
 
 // defaultSlackPull is the default dual-update asymmetry (see

@@ -38,6 +38,18 @@ func makeView(t int, cellsPerSCN [][]int) *policy.SlotView {
 	return v
 }
 
+// probabilities is the positional form of cellProbs: the per-cell
+// probabilities fanned out to one entry per cover position (a layout the
+// hot path never materializes), in a fresh slice.
+func (l *LFSC) probabilities(st *scnState, cover []int, cells []int) []float64 {
+	l.cellProbs(st, cover, cells, l.cfg.Capacity)
+	probs := make([]float64, len(cover))
+	for i, f := range st.taskCells[:len(cover)] {
+		probs[i] = st.cellW[f]
+	}
+	return probs
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := testConfig().Validate(); err != nil {
 		t.Fatal(err)
@@ -168,6 +180,71 @@ func TestSolveCapFixedPoint(t *testing.T) {
 		}
 		if math.Abs(eps-tau*capSum) > 1e-6*math.Max(1, eps) {
 			t.Fatalf("trial %d: ε=%v not a fixed point (τΣmin=%v)", trial, eps, tau*capSum)
+		}
+	}
+}
+
+// TestSolveCapCellsMatchesSorted checks the streamed cap solver against the
+// sort-based reference solveCap on random cell multisets: tied weights,
+// weights on the e^-60 floor, a single present cell, and K = c+1. The two
+// must return the bit-identical ε, whether or not capping would trigger.
+func TestSolveCapCellsMatchesSorted(t *testing.T) {
+	r := rng.New(31)
+	for trial := 0; trial < 4000; trial++ {
+		c := 1 + r.Intn(20)
+		cfg := Config{SCNs: 1, Capacity: c, Cells: 27, KMax: 200, Horizon: 10000}
+		l := MustNew(cfg, rng.New(1))
+		st := l.scns[0]
+		present := 1 + r.Intn(cfg.Cells)
+		if trial%4 == 0 {
+			present = 1
+		}
+		for f := range st.logW {
+			switch trial % 4 {
+			case 1: // few distinct values: ties within and across cells
+				st.logW[f] = -float64(r.Intn(3))
+			case 2: // part of the cells far below the floor
+				st.logW[f] = r.Uniform(-5, 5)
+				if r.Bernoulli(0.4) {
+					st.logW[f] = r.Uniform(-200, -61)
+				}
+			default:
+				st.logW[f] = r.Uniform(-20, 20)
+			}
+		}
+		cells := r.Perm(cfg.Cells)[:present]
+		k := 0
+		for _, f := range cells {
+			st.cellCnt[f] = 1 + r.Intn(8)
+			k += st.cellCnt[f]
+		}
+		if trial%4 == 3 { // K = c+1 exactly
+			clear(st.cellCnt)
+			k = c + 1
+			for x := 0; x < k; x++ {
+				st.cellCnt[cells[x%present]]++
+			}
+		}
+		maxLog := math.Inf(-1)
+		for _, f := range cells {
+			maxLog = math.Max(maxLog, st.logW[f])
+		}
+		var w []float64
+		for _, f := range cells {
+			st.cellW[f] = math.Exp(math.Max(st.logW[f]-maxLog, -60))
+			for x := 0; x < st.cellCnt[f]; x++ {
+				w = append(w, st.cellW[f])
+			}
+		}
+		r.Shuffle(len(st.order), func(i, j int) { st.order[i], st.order[j] = st.order[j], st.order[i] })
+		gamma := r.Uniform(0.001, 0.5)
+		tau := (1/float64(c) - gamma/float64(k)) / (1 - gamma)
+		if tau <= 0 {
+			continue
+		}
+		want := solveCap(w, tau)
+		if got := solveCapCells(st, k, tau); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d (k=%d, c=%d, %d cells): streamed ε %x, sorted %x", trial, k, c, present, got, want)
 		}
 	}
 }
@@ -383,27 +460,4 @@ func TestEmptySlot(t *testing.T) {
 		t.Fatalf("empty slot assignment length %d", len(assigned))
 	}
 	l.Observe(view, assigned, &policy.Feedback{})
-}
-
-func BenchmarkDecidePaperScale(b *testing.B) {
-	cfg := Config{
-		SCNs: 30, Capacity: 20, Alpha: 15, Beta: 27,
-		Cells: 27, KMax: 200, Horizon: 10000,
-	}
-	l := MustNew(cfg, rng.New(1))
-	r := rng.New(2)
-	cells := make([][]int, 30)
-	for m := range cells {
-		n := 35 + r.Intn(66)
-		cells[m] = make([]int, n)
-		for i := range cells[m] {
-			cells[m][i] = r.Intn(27)
-		}
-	}
-	view := makeView(0, cells)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = l.Decide(view)
-	}
 }

@@ -129,8 +129,7 @@ func TestSelectionTracksProbabilities(t *testing.T) {
 	// Unequal weights: cell 0 heavy.
 	l.scns[0].logW[0] = 1.5
 	view := makeView(0, [][]int{{0, 0, 1, 1, 1, 1}})
-	// Copy out of the arena: Decide below overwrites the probs scratch.
-	probs := append([]float64(nil), l.probabilities(l.scns[0], view.SCNs[0].Cover, view.Cells)...)
+	probs := l.probabilities(l.scns[0], view.SCNs[0].Cover, view.Cells)
 	counts := make([]float64, 6)
 	const rounds = 20000
 	for it := 0; it < rounds; it++ {

@@ -120,11 +120,39 @@ func (s *Stream) Uint64() uint64 {
 	return uint64(pcgOut(old))<<32 | uint64(pcgOut(old*pcgMul+s.inc))
 }
 
-// Float64 returns a uniform float64 in [0,1) with 53 random bits. The
-// 53-bit value never sets the sign bit, so converting it as an int64 is
-// exact and cheaper than the unsigned conversion.
+// Float64 returns a uniform float64 in [0,1) with 53 random bits.
 func (s *Stream) Float64() float64 {
-	return float64(int64(s.Uint64()>>11)) / (1 << 53)
+	old := s.state
+	s.state = old*pcgMul2 + s.inc*pcgMulP1
+	return pcgFloat64(old, s.inc)
+}
+
+// pcgFloat64 is the draw of Stream.Float64 and PCG.Float64 from pre-step
+// state old: Uint64's bits mapped to [0,1) with 53 random bits. The 53-bit
+// value never sets the sign bit, so converting it as an int64 is exact and
+// cheaper than the unsigned conversion. It spells out Uint64's output
+// rather than calling a helper for it: one more call level would take
+// Stream.Float64 past the compiler's inlining budget.
+func pcgFloat64(old, inc uint64) float64 {
+	return float64(int64((uint64(pcgOut(old))<<32|uint64(pcgOut(old*pcgMul+inc)))>>11)) / (1 << 53)
+}
+
+// PCG is a Stream's generator held by value. A loop that draws through a
+// *Stream loads and stores the state word on every draw; a PCG in a local
+// variable stays in a register. Take it with Stream.PCG, draw with
+// PCG.Float64, and store it back with Stream.SetPCG: the values and the
+// final state are exactly those of the same draws on the Stream.
+type PCG struct{ state, inc uint64 }
+
+// PCG returns s's generator by value.
+func (s *Stream) PCG() PCG { return PCG{s.state, s.inc} }
+
+// SetPCG stores g, taken from s with PCG and advanced since, back into s.
+func (s *Stream) SetPCG(g PCG) { s.state = g.state }
+
+// Float64 returns Stream.Float64's next draw and the generator after it.
+func (g PCG) Float64() (float64, PCG) {
+	return pcgFloat64(g.state, g.inc), PCG{g.state*pcgMul2 + g.inc*pcgMulP1, g.inc}
 }
 
 // Uniform returns a uniform float64 in [lo,hi).

@@ -380,3 +380,26 @@ func TestRestoreRejectsEvenIncrement(t *testing.T) {
 		t.Fatal("failed restore mutated the stream")
 	}
 }
+
+// TestPCGMatchesStream pins the by-value generator to the Stream it came
+// from: PCG.Float64 draws the same values as Stream.Float64, and SetPCG
+// leaves the stream in the state the same draws on it would.
+func TestPCGMatchesStream(t *testing.T) {
+	for _, seed := range []uint64{1, 42, 0xfeedface12345678} {
+		a, b := New(seed), New(seed)
+		a.Uint32() // an odd step count: the pair boundary must not matter
+		b.Uint32()
+		g := b.PCG()
+		for i := 0; i < 1000; i++ {
+			var v float64
+			v, g = g.Float64()
+			if w := a.Float64(); math.Float64bits(v) != math.Float64bits(w) {
+				t.Fatalf("seed %#x draw %d: PCG %v, Stream %v", seed, i, v, w)
+			}
+		}
+		b.SetPCG(g)
+		if a.State() != b.State() {
+			t.Fatalf("seed %#x: state after SetPCG %x, want %x", seed, b.State(), a.State())
+		}
+	}
+}
