@@ -14,7 +14,7 @@ GO ?= go
 # are all concurrent by construction.
 RACE_PKGS = ./internal/core ./internal/parallel ./internal/assign ./internal/sim ./internal/trace ./internal/obs ./internal/metrics ./internal/serve
 
-.PHONY: all build vet test test-race bench-short bench json results-check bench-serve bench-serve-shards bench-diff fuzz-short serve-smoke serve-smoke-shards client-smoke obs-smoke scenario-smoke perfbench-test perfbench-smoke ci clean
+.PHONY: all build vet test test-race bench-short bench json results-check bench-serve bench-serve-shards bench-diff fuzz-short serve-smoke serve-smoke-shards client-smoke obs-smoke scenario-smoke examples-smoke perfbench-test perfbench-smoke ci clean
 
 all: vet test
 
@@ -40,8 +40,10 @@ test-race:
 # of a paper-scale /v1/step body, JSON and binary frame — the source of
 # DESIGN.md §10's decode figures) and the client round trip (one lockstep
 # /v1/step over loopback against an in-process daemon, 4-SCN and paper
-# shape). All benchmarks report allocs/op; the steady-state kernels and
-# the substrate must show 0.
+# shape), plus one scenario timeline build (scenarios/churn.scn over the
+# paper topology at T=10⁴, what a -scenario daemon pays at boot). All
+# benchmarks report allocs/op; the steady-state kernels and the substrate
+# must show 0.
 bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkDecide|BenchmarkUpdate' -benchtime 10x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkGreedyAssign|BenchmarkDepRound' -benchtime 100x ./internal/assign
@@ -50,6 +52,7 @@ bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkDraw$$' -benchtime 100000x ./internal/env
 	$(GO) test -run '^$$' -bench 'BenchmarkWireCodec' -benchtime 10x ./internal/serve
 	$(GO) test -run '^$$' -bench 'BenchmarkClientStep' -benchtime 500x ./internal/serve
+	$(GO) test -run '^$$' -bench 'BenchmarkBuild$$' -benchtime 10x ./internal/scenario
 
 # Full benchmark suite (figure-level harness included; slow).
 bench:
@@ -175,6 +178,19 @@ obs-smoke:
 scenario-smoke:
 	$(GO) test -race -count=1 -run 'TestScenarioServeSmokeResume|TestScenarioLockstepThreeWayIdentity|TestScenarioObservability' ./internal/serve
 
+# Build and run every examples/ program with its default arguments; any
+# non-zero exit fails the target. Some packages are reachable only from an
+# example (internal/radio from examples/mobility, internal/queueing from
+# examples/latency), so this is the one gate that runs them. Each example
+# takes a few seconds at most; TMPDIR points at a directory removed
+# afterwards, so the trace examples/tracedriven records goes with it.
+examples-smoke:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for d in examples/*/; do \
+		TMPDIR="$$tmp" $(GO) run "./$$d" >/dev/null || { echo "examples-smoke: $$d failed"; exit 1; }; \
+		echo "examples-smoke: $$d ok"; \
+	done
+
 # perfbench/ (the BENCHMARK.json runner) is a nested Go module, so the
 # root `go test ./...` never reaches its package tests; vet and test it
 # from inside the module.
@@ -198,10 +214,10 @@ perfbench-smoke:
 # smoke, the observability scrape smoke, the scenario churn smoke, the
 # quick perf kernels (which also assert 0 allocs/op on the steady-state
 # paths), the short-mode shard-scaling curve, a short fuzz pass over
-# the untrusted-input decoders, the perfbench module's own vet and
-# tests, and a paper-scale served slot stream through perfbench's
-# client == daemon == offline gate.
-ci: vet test test-race serve-smoke serve-smoke-shards client-smoke obs-smoke scenario-smoke bench-short bench-serve-shards fuzz-short perfbench-test perfbench-smoke
+# the untrusted-input decoders, every examples/ program, the perfbench
+# module's own vet and tests, and a paper-scale served slot stream
+# through perfbench's client == daemon == offline gate.
+ci: vet test test-race serve-smoke serve-smoke-shards client-smoke obs-smoke scenario-smoke bench-short bench-serve-shards fuzz-short examples-smoke perfbench-test perfbench-smoke
 
 clean:
 	$(GO) clean ./...

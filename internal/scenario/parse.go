@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -24,8 +25,9 @@ import (
 //	mean-down = 20
 //
 // Sections may repeat; events compose. Duplicate keys within a scope,
-// unknown keys/kinds, malformed numbers, and out-of-range SCN ranges
-// are hard errors — the parser never silently drops input.
+// unknown kinds, keys the section's kind does not read (kindKeys),
+// malformed numbers, and out-of-range SCN ranges are hard errors — the
+// parser never silently drops input.
 
 // maxSetSpan bounds how many SCN ids a single set expression may
 // expand to, so a hostile "0-2000000000" cannot make Parse allocate
@@ -34,6 +36,18 @@ const maxSetSpan = 4096
 
 // maxEvents bounds the number of sections a config may declare.
 const maxEvents = 256
+
+// kindKeys lists the keys each event kind reads. A key outside its
+// section's list is an error, not a no-op: it would still enter the
+// digest, so two configs that build the same timeline would refuse each
+// other's checkpoints.
+var kindKeys = map[string][]string{
+	KindSleep:    {"scns", "period", "offset", "duration"},
+	KindChurn:    {"scns", "mean-up", "mean-down"},
+	KindBlockage: {"scns", "rate", "width", "duration"},
+	KindDiurnal:  {"scns", "period", "offset", "min-cap"},
+	KindBudget:   {"scns", "period", "offset", "alpha-min", "beta-min"},
+}
 
 // Parse decodes a scenario config. It performs syntactic and
 // field-level checks only; call Config.Validate (or Build, which does)
@@ -53,9 +67,7 @@ func Parse(data []byte) (Config, error) {
 				return Config{}, fmt.Errorf("scenario: line %d: unterminated section header %q", ln+1, line)
 			}
 			kind := strings.TrimSpace(line[1 : len(line)-1])
-			switch kind {
-			case KindSleep, KindChurn, KindBlockage, KindDiurnal, KindBudget:
-			default:
+			if _, ok := kindKeys[kind]; !ok {
 				return Config{}, fmt.Errorf("scenario: line %d: unknown event kind %q", ln+1, kind)
 			}
 			if len(cfg.Events) >= maxEvents {
@@ -118,6 +130,9 @@ func ParseFile(path string) (Config, error) {
 }
 
 func setField(ev *Event, key, val string) error {
+	if !slices.Contains(kindKeys[ev.Kind], key) {
+		return fmt.Errorf("unknown key %q in [%s]", key, ev.Kind)
+	}
 	switch key {
 	case "scns":
 		set, err := parseSet(val)

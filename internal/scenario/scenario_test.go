@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -50,6 +51,13 @@ var goldenConfigs = []struct {
 	{"budget-bad-alpha", "[budget]\nperiod = 100\nalpha-min = 1.5\n", false},
 	{"scns-mismatch", "scns = 12\n[sleep]\nperiod = 10\nduration = 2\n", false},
 	{"truncated-mid-line", "[sleep]\nperiod = 1", false}, // parses but fails validation (duration 0)
+
+	// Each is a valid config plus one key its kind never reads.
+	{"sleep-stray-key", "[sleep]\nperiod = 10\nduration = 2\nmin-cap = 0.5\n", false},
+	{"churn-stray-key", "[churn]\nmean-up = 80\nmean-down = 20\nmin-cap = 0.5\n", false},
+	{"blockage-stray-key", "[blockage]\nrate = 0.01\nwidth = 4\nduration = 12\noffset = 3\n", false},
+	{"diurnal-stray-key", "[diurnal]\nperiod = 500\nmin-cap = 0.4\nduration = 50\n", false},
+	{"budget-stray-key", "[budget]\nperiod = 300\nalpha-min = 0.5\nduration = 60\n", false},
 }
 
 func TestParseGoldens(t *testing.T) {
@@ -100,19 +108,41 @@ alpha-min = 0.6
 beta-min = 0.8
 `
 
-// TestBuildDeterministic: same config + seed ⇒ bit-identical timeline;
-// a different seed must actually change the stochastic sources.
+// sameViews reports whether two timelines give equal views and event
+// totals at every slot of their horizon.
+func sameViews(a, b *Timeline) bool {
+	if a.Slots() != b.Slots() {
+		return false
+	}
+	var va, vb View
+	for t := 0; t < a.Slots(); t++ {
+		a.ViewInto(t, &va)
+		b.ViewInto(t, &vb)
+		if !reflect.DeepEqual(va, vb) {
+			return false
+		}
+		sa, fa, ra := a.EventTotals(t)
+		sb, fb, rb := b.EventTotals(t)
+		if sa != sb || fa != fb || ra != rb {
+			return false
+		}
+	}
+	return true
+}
+
+// TestBuildDeterministic: same config + seed ⇒ identical views at every
+// slot; a different seed must actually change the stochastic sources.
 func TestBuildDeterministic(t *testing.T) {
 	a := mustBuild(t, testCfg, 12, 400, 3, 42)
 	b := mustBuild(t, testCfg, 12, 400, 3, 42)
-	if !reflect.DeepEqual(a, b) {
+	if !sameViews(a, b) {
 		t.Fatal("same config+seed produced different timelines")
 	}
 	if a.Digest() != b.Digest() {
 		t.Fatal("digest not deterministic")
 	}
 	c := mustBuild(t, testCfg, 12, 400, 3, 43)
-	if reflect.DeepEqual(a.up, c.up) {
+	if sameViews(a, c) {
 		t.Fatal("different seed left the churn/blockage mask unchanged")
 	}
 	if a.Digest() == c.Digest() {
@@ -303,5 +333,82 @@ func TestViewIntoZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ViewInto allocates %.1f per call pair", allocs)
+	}
+}
+
+// churn300 is scenarios/churn.scn with its SCN sets scaled tenfold, for
+// the 300-SCN scale point.
+const churn300 = `
+scns = 300
+[churn]
+scns = 100-299
+mean-up = 400
+mean-down = 60
+[blockage]
+scns = 0-99
+rate = 0.005
+width = 4
+duration = 12
+[diurnal]
+scns = *
+period = 2000
+min-cap = 0.6
+`
+
+// timelineBytes is the memory a timeline keeps: its slot records and
+// its interned rows.
+func timelineBytes(tl *Timeline) int {
+	return cap(tl.slot)*int(reflect.TypeOf(slotRec{}).Size()) + cap(tl.upRows) +
+		cap(tl.capRows)*int(reflect.TypeOf(0).Size()) + cap(tl.mulRows)*8
+}
+
+// TestBuildCost pins what Build costs. On the paper topology (30 SCNs,
+// c = 20), scenarios/churn.scn at T = 10⁴ allocates under 2 MB, and its
+// allocation count does not grow with the horizon; the slot-by-SCN
+// layout allocated 8.4 MB in ~10⁴ allocations, one per slot. Scaled to
+// 300 SCNs over 4×10⁴ slots it keeps at most 15 MB, where that layout
+// kept 109 MB.
+func TestBuildCost(t *testing.T) {
+	cfg, err := Parse([]byte(shippedScenario(t, "churn.scn")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost := func(slots int) (bytes, allocs uint64) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, err := Build(cfg, 30, slots, 20, 42); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc, m1.Mallocs - m0.Mallocs
+	}
+	bytes, allocs := cost(10000)
+	if bytes >= 2<<20 {
+		t.Errorf("T=10⁴: Build allocated %d bytes, want < 2 MiB", bytes)
+	}
+	if _, long := cost(40000); long > allocs+5 {
+		t.Errorf("Build made %d allocations at T=4×10⁴ but %d at T=10⁴", long, allocs)
+	}
+	tl := mustBuild(t, churn300, 300, 40000, 20, 42)
+	if n := timelineBytes(tl); n > 15e6 {
+		t.Errorf("300 SCNs × 4×10⁴ slots: the timeline keeps %d bytes, want ≤ 15 MB", n)
+	}
+}
+
+var buildSink *Timeline
+
+// BenchmarkBuild times Build on scenarios/churn.scn over the paper
+// topology at T = 10⁴: what lfscd, lfscsim and lfscload pay at start-up
+// under -scenario.
+func BenchmarkBuild(b *testing.B) {
+	cfg, err := Parse([]byte(shippedScenario(b, "churn.scn")))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if buildSink, err = Build(cfg, 30, 10000, 20, 42); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"lfsc/internal/rng"
 )
@@ -29,12 +30,22 @@ type View struct {
 	UpCount  int       // number of true entries in Up
 }
 
-// Timeline is a fully materialized scenario: per-(slot, SCN) state
-// precomputed at Build time into flat immutable arrays. Materializing
-// buys random access (ViewInto at any slot, which is what checkpoint
-// resume and Workers=N replay need), trivial race-freedom, and an
-// alloc-free per-slot view, at a memory cost of ~17 bytes per
-// (slot, SCN) — about 5 MB at the paper scale (10k slots × 30 SCNs).
+// Timeline is a fully materialized scenario: every slot's availability,
+// capacity and budget rows are computed at Build time, so ViewInto can
+// serve any slot in O(1) with no allocation (random access is what
+// checkpoint resume needs) and concurrent readers need no
+// synchronization. Rows are interned by runs: a slot whose row equals
+// the previous slot's stores no row of its own, only the index of the
+// stored row it shares, so memory is O(slots + row changes × SCNs)
+// rather than O(slots × SCNs). Availability and capacity rows change
+// only at events and capacity steps; a budget cycle's multipliers move
+// every slot, so budget rows are stored about once per slot. For
+// scenarios/churn.scn on the paper topology (30 SCNs × 10⁴ slots) Build
+// takes ~4 ms, allocates 0.63 MB in ~60 allocations and keeps 0.41 MB,
+// where one array entry per (slot, SCN) took ~16 ms, 8.4 MB in ~10⁴
+// allocations and kept 2.95 MB; at 300 SCNs × 4×10⁴ slots (the same
+// config, SCN sets scaled tenfold) it takes ~180 ms, allocates 26 MB and
+// keeps 9.4 MB, against ~470 ms, 337 MB and 109 MB (DESIGN.md §13).
 // Slots beyond the horizon wrap (t mod slots), so a daemon outliving
 // the configured horizon sees the cycle repeat rather than a cliff.
 type Timeline struct {
@@ -43,23 +54,33 @@ type Timeline struct {
 	capacity int
 	digest   string
 
-	up      []bool    // [t*scns+m]
-	caps    []int     // nil when no diurnal events
-	aMul    []float64 // nil when no budget events
-	bMul    []float64
-	upCount []int32 // per-slot
+	slot    []slotRec
+	upRows  []bool    // interned per-SCN availability rows
+	capRows []int     // interned per-SCN capacity rows; nil when no diurnal events
+	mulRows []float64 // interned α then β multiplier rows (2·scns each); nil when no budget events
+}
 
-	// Cumulative event counts through the end of slot t, for the
-	// serving tier's counters: sleeps = entries into a sleep window,
-	// fails = churn failures + blockage hits, rejoins = recoveries
-	// from churn/blockage (sleep wake-ups are scheduled, not rejoins).
-	sleeps, fails, rejoins []uint64
+// slotRec is one slot's entry: the indices of its interned rows, its up
+// count, and the cumulative event counts through the end of the slot,
+// for the serving tier's counters: sleeps = entries into a sleep window,
+// fails = churn failures + blockage hits, rejoins = recoveries from
+// churn/blockage (sleep wake-ups are scheduled, not rejoins).
+type slotRec struct {
+	up, caps, mul          int32 // row indices into upRows, capRows, mulRows
+	upCount                int32
+	sleeps, fails, rejoins uint64
 }
 
 // Build materializes cfg over a topology of scns SCNs and a horizon of
 // slots slots. capacity is the nominal per-SCN capacity (required > 0
 // when the config has diurnal events; otherwise may be 0). seed is the
 // run's master seed — the same one handed to the simulator or daemon.
+//
+// Build walks the slots once. Each availability source keeps its own
+// per-SCN mask for the current slot (transitions are counted per
+// source, so overlapping sources each report their own events) and the
+// masks OR into the slot's up row; capacity and budget cycles multiply
+// into one-slot multiplier rows in event order.
 func Build(cfg Config, scns, slots, capacity int, seed uint64) (*Timeline, error) {
 	if err := cfg.Validate(scns); err != nil {
 		return nil, err
@@ -70,207 +91,262 @@ func Build(cfg Config, scns, slots, capacity int, seed uint64) (*Timeline, error
 	if capacity < 0 {
 		return nil, fmt.Errorf("scenario: capacity %d < 0", capacity)
 	}
-	tl := &Timeline{
-		scns:     scns,
-		slots:    slots,
-		capacity: capacity,
-		digest:   digest(&cfg, scns, slots, capacity, seed),
-		up:       make([]bool, slots*scns),
-		upCount:  make([]int32, slots),
-		sleeps:   make([]uint64, slots),
-		fails:    make([]uint64, slots),
-		rejoins:  make([]uint64, slots),
-	}
-	root := rng.New(seed).Derive(streamLabel)
-
-	// Availability: each source fills a scratch mask; a transition pass
-	// counts its events and ORs it into the composed down mask.
-	down := make([]bool, slots*scns)
-	scratch := make([]bool, slots*scns)
-	var capMul, aMul, bMul []float64
+	var root rng.Stream
+	rng.New(seed).DeriveInto(streamLabel, &root)
+	var (
+		srcs           []availability
+		cycles         []cycle
+		capMul, mulRow []float64 // this slot's capacity multipliers; α then β multipliers
+	)
 	for i := range cfg.Events {
 		ev := &cfg.Events[i]
-		st := root.Derive(uint64(i))
+		members := ev.SCNs.members(scns)
 		switch ev.Kind {
 		case KindSleep, KindChurn, KindBlockage:
-			for j := range scratch {
-				scratch[j] = false
-			}
-			switch ev.Kind {
-			case KindSleep:
-				fillSleep(scratch, ev, scns, slots)
-			case KindChurn:
-				fillChurn(scratch, ev, st, scns, slots)
-			case KindBlockage:
-				fillBlockage(scratch, ev, st, scns, slots)
-			}
-			tl.countAndMerge(down, scratch, ev.Kind)
+			srcs = append(srcs, newAvailability(ev, members, &root, uint64(i)))
 		case KindDiurnal:
 			if capacity <= 0 {
 				return nil, fmt.Errorf("scenario: diurnal event %d needs a positive nominal capacity", i)
 			}
 			if capMul == nil {
-				capMul = onesSlice(slots * scns)
+				capMul = make([]float64, scns)
 			}
-			applyCycle(capMul, ev, ev.MinCap, scns, slots)
+			cycles = append(cycles, cycle{ev, ev.MinCap, members, capMul})
 		case KindBudget:
-			if aMul == nil {
-				aMul = onesSlice(slots * scns)
-				bMul = onesSlice(slots * scns)
+			if mulRow == nil {
+				mulRow = make([]float64, 2*scns)
 			}
 			if ev.AlphaMin < 1 {
-				applyCycle(aMul, ev, ev.AlphaMin, scns, slots)
+				cycles = append(cycles, cycle{ev, ev.AlphaMin, members, mulRow[:scns]})
 			}
 			if ev.BetaMin < 1 {
-				applyCycle(bMul, ev, ev.BetaMin, scns, slots)
+				cycles = append(cycles, cycle{ev, ev.BetaMin, members, mulRow[scns:]})
 			}
 		}
 	}
 
-	for j, d := range down {
-		tl.up[j] = !d
+	tl := &Timeline{
+		scns:     scns,
+		slots:    slots,
+		capacity: capacity,
+		digest:   digest(&cfg, scns, slots, capacity, seed),
+		slot:     make([]slotRec, slots),
+	}
+	up := make([]bool, scns)
+	var capRow []int
+	if capMul != nil {
+		capRow = make([]int, scns)
+	}
+	if mulRow != nil {
+		// A budget cycle moves its multipliers every slot, so nearly
+		// every slot stores a row of its own.
+		tl.mulRows = make([]float64, 0, slots*len(mulRow))
 	}
 	for t := 0; t < slots; t++ {
-		var n int32
-		for m := 0; m < scns; m++ {
-			if tl.up[t*scns+m] {
-				n++
-			}
-		}
-		tl.upCount[t] = n
+		rec := &tl.slot[t]
+		changed := t == 0
 		if t > 0 {
-			tl.sleeps[t] += tl.sleeps[t-1]
-			tl.fails[t] += tl.fails[t-1]
-			tl.rejoins[t] += tl.rejoins[t-1]
+			*rec = tl.slot[t-1]
+		}
+		for i := range srcs {
+			if srcs[i].step(t, slots, rec) {
+				changed = true
+			}
+		}
+		if changed {
+			for m := range up {
+				up[m] = true
+			}
+			for i := range srcs {
+				srcs[i].mask(up)
+			}
+			n := int32(0)
+			for _, u := range up {
+				if u {
+					n++
+				}
+			}
+			rec.upCount = n
+			rec.up = intern(&tl.upRows, up)
+		}
+
+		for m := range capMul {
+			capMul[m] = 1
+		}
+		for m := range mulRow {
+			mulRow[m] = 1
+		}
+		for i := range cycles {
+			cycles[i].apply(t)
+		}
+		if capRow != nil {
+			c := 0
+			for m, mul := range capMul {
+				if m == 0 || mul != capMul[m-1] { // SCNs under the same cycles round once
+					c = min(max(int(math.Round(mul*float64(capacity))), 1), capacity)
+				}
+				capRow[m] = c
+			}
+			rec.caps = intern(&tl.capRows, capRow)
+		}
+		if mulRow != nil {
+			rec.mul = intern(&tl.mulRows, mulRow)
 		}
 	}
-	if capMul != nil {
-		tl.caps = make([]int, slots*scns)
-		for j, mul := range capMul {
-			c := int(math.Round(mul * float64(capacity)))
-			if c < 1 {
-				c = 1
-			}
-			if c > capacity {
-				c = capacity
-			}
-			tl.caps[j] = c
-		}
-	}
-	tl.aMul, tl.bMul = aMul, bMul
+	tl.upRows, tl.capRows = slices.Clone(tl.upRows), slices.Clone(tl.capRows)
 	return tl, nil
 }
 
-// countAndMerge counts this source's down/up transitions into the
-// per-slot event counters and ORs its mask into the composed one.
-// Counters are per-source, so overlapping sources each report their
-// own events (the composed mask is what masking consumes; the counters
-// are operator telemetry).
-func (tl *Timeline) countAndMerge(down, src []bool, kind string) {
-	n := tl.scns
-	for m := 0; m < n; m++ {
-		prev := false
-		for t := 0; t < tl.slots; t++ {
-			cur := src[t*n+m]
-			if cur != prev {
-				if cur {
-					if kind == KindSleep {
-						tl.sleeps[t]++
-					} else {
-						tl.fails[t]++
-					}
-				} else if kind != KindSleep {
-					tl.rejoins[t]++
-				}
-				prev = cur
-			}
-			if cur {
-				down[t*n+m] = true
-			}
+// intern stores row at the end of rows unless it equals the row stored
+// last, and returns the index of the stored row that equals it. Build
+// interns each slot's row in slot order, so a run of equal rows is
+// stored once. The store doubles when full, so its allocation count
+// grows with the log of the row changes; Build copies it to its length
+// when done.
+func intern[E comparable](rows *[]E, row []E) int32 {
+	n := len(row)
+	last := len(*rows) - n
+	if last < 0 || !slices.Equal((*rows)[last:], row) {
+		if cap(*rows)-len(*rows) < n {
+			*rows = slices.Grow(*rows, len(*rows)+n)
 		}
+		*rows = append(*rows, row...)
+		last += n
 	}
+	return int32(last / n)
 }
 
-func fillSleep(mask []bool, ev *Event, scns, slots int) {
-	for _, m := range ev.SCNs.members(scns) {
-		for t := ev.Offset; t < slots; t++ {
-			if (t-ev.Offset)%ev.Period < ev.Duration {
-				mask[t*scns+m] = true
-			}
-		}
-	}
+// availability is one sleep, churn or blockage source's state while
+// Build walks the slots.
+type availability struct {
+	ev      *Event
+	members []int
+	down    []bool       // per member: the source's mask at the current slot
+	until   []int        // per member: churn's next phase start, blockage's outage end
+	streams []rng.Stream // churn: one stream per member
+	st      rng.Stream   // the event's stream: blockage draws from it, churn derives from it
+	starts  int          // blockage: burst placements within the set
 }
 
-// fillChurn walks each affected SCN's alternating up/down renewal
-// process from its own derived stream, so the result is independent of
-// SCN iteration order and of every other event source.
-func fillChurn(mask []bool, ev *Event, st *rng.Stream, scns, slots int) {
-	for _, m := range ev.SCNs.members(scns) {
-		r := st.Derive(uint64(m))
-		t, up := 0, true
-		for t < slots {
+func newAvailability(ev *Event, members []int, root *rng.Stream, label uint64) availability {
+	a := availability{
+		ev:      ev,
+		members: members,
+		down:    make([]bool, len(members)),
+		until:   make([]int, len(members)),
+	}
+	root.DeriveInto(label, &a.st)
+	switch ev.Kind {
+	case KindChurn:
+		// Each SCN walks its renewal process from its own derived
+		// stream, so the result is independent of SCN iteration order
+		// and of every other event source.
+		a.streams = make([]rng.Stream, len(members))
+		for k, m := range members {
+			a.st.DeriveInto(uint64(m), &a.streams[k])
+		}
+	case KindBlockage:
+		a.starts = len(members) - ev.Width + 1
+		if a.starts < 1 {
+			a.starts = 1 // narrower set than the burst width: whole set goes down
+		}
+	}
+	return a
+}
+
+// step advances the source to slot t, counts its transitions into rec
+// and reports whether any member changed state.
+func (a *availability) step(t, slots int, rec *slotRec) (changed bool) {
+	ev := a.ev
+	switch ev.Kind {
+	case KindSleep:
+		// Down for Duration slots of every Period from Offset on.
+		down := t >= ev.Offset && (t-ev.Offset)%ev.Period < ev.Duration
+		for k := range a.members {
+			changed = a.set(k, down, rec) || changed
+		}
+	case KindChurn:
+		// Alternating up/down phases, each 1 + an exponential draw
+		// long; the first phase is up.
+		for k := range a.members {
+			if t < a.until[k] {
+				continue
+			}
+			down := t > 0 && !a.down[k]
 			mean := ev.MeanUp
-			if !up {
+			if down {
 				mean = ev.MeanDown
 			}
-			draw := r.Exponential(1 / mean)
+			draw := a.streams[k].Exponential(1 / mean)
 			if draw > float64(slots) {
 				draw = float64(slots) // a phase outliving the horizon is just "rest of horizon"
 			}
-			d := 1 + int(draw)
-			if !up {
-				for k := t; k < t+d && k < slots; k++ {
-					mask[k*scns+m] = true
-				}
-			}
-			t += d
-			up = !up
+			a.until[k] = t + 1 + int(draw)
+			changed = a.set(k, down, rec) || changed
 		}
-	}
-}
-
-// fillBlockage draws burst starts from a single sequential stream (one
-// Bernoulli per slot, plus one placement draw per burst), taking out a
-// contiguous run of Width SCNs within the event's set for Duration
-// slots. Overlapping bursts simply extend the outage.
-func fillBlockage(mask []bool, ev *Event, st *rng.Stream, scns, slots int) {
-	members := ev.SCNs.members(scns)
-	starts := len(members) - ev.Width + 1
-	if starts < 1 {
-		starts = 1 // narrower set than the burst width: whole set goes down
-	}
-	for t := 0; t < slots; t++ {
-		if !st.Bernoulli(ev.Rate) {
-			continue
-		}
-		lo := st.Intn(starts)
-		for k := lo; k < lo+ev.Width && k < len(members); k++ {
-			m := members[k]
-			for u := t; u < t+ev.Duration && u < slots; u++ {
-				mask[u*scns+m] = true
+	case KindBlockage:
+		// One Bernoulli per slot, plus one placement draw per burst,
+		// from a single sequential stream: a burst takes out a
+		// contiguous run of Width SCNs within the set for Duration
+		// slots, and an overlapping later burst extends the outage.
+		if a.st.Bernoulli(ev.Rate) {
+			lo := a.st.Intn(a.starts)
+			for k := lo; k < lo+ev.Width && k < len(a.members); k++ {
+				a.until[k] = t + ev.Duration
 			}
 		}
+		for k := range a.members {
+			changed = a.set(k, t < a.until[k], rec) || changed
+		}
 	}
+	return changed
 }
 
-// applyCycle multiplies a sinusoidal cycle — 1 at the crest (t =
-// Offset mod Period), min at the trough — into the affected SCNs' rows.
-func applyCycle(dst []float64, ev *Event, min float64, scns, slots int) {
-	for t := 0; t < slots; t++ {
-		phase := 2 * math.Pi * float64(t-ev.Offset) / float64(ev.Period)
-		mul := min + (1-min)*0.5*(1+math.Cos(phase))
-		for _, m := range ev.SCNs.members(scns) {
-			dst[t*scns+m] *= mul
+// mask clears the up entries of the SCNs the source holds down.
+func (a *availability) mask(up []bool) {
+	for k, m := range a.members {
+		if a.down[k] {
+			up[m] = false
 		}
 	}
 }
 
-func onesSlice(n int) []float64 {
-	s := make([]float64, n)
-	for i := range s {
-		s[i] = 1
+// set moves member k to down, counting a transition the way the
+// source's kind reports it, and reports whether the member changed.
+func (a *availability) set(k int, down bool, rec *slotRec) bool {
+	if down == a.down[k] {
+		return false
 	}
-	return s
+	a.down[k] = down
+	switch {
+	case down && a.ev.Kind == KindSleep:
+		rec.sleeps++
+	case down:
+		rec.fails++
+	case a.ev.Kind != KindSleep:
+		rec.rejoins++
+	}
+	return true
+}
+
+// cycle is one sinusoidal multiplier source — a diurnal capacity cycle
+// or one of a budget event's α/β cycles — and the slot row it
+// multiplies into.
+type cycle struct {
+	ev      *Event
+	min     float64
+	members []int
+	dst     []float64
+}
+
+// apply multiplies the cycle's value at slot t — 1 at the crest (t =
+// Offset mod Period), min at the trough — into its members' entries.
+func (c *cycle) apply(t int) {
+	phase := 2 * math.Pi * float64(t-c.ev.Offset) / float64(c.ev.Period)
+	mul := c.min + (1-c.min)*0.5*(1+math.Cos(phase))
+	for _, m := range c.members {
+		c.dst[m] *= mul
+	}
 }
 
 // wrap maps an arbitrary slot index onto the materialized horizon.
@@ -285,21 +361,25 @@ func (tl *Timeline) wrap(t int) int {
 }
 
 // ViewInto fills v with slot t's cross-section. The slices alias the
-// timeline (read-only); no allocation ever.
+// timeline's interned rows (read-only); no allocation ever.
 func (tl *Timeline) ViewInto(t int, v *View) {
 	t = tl.wrap(t)
-	row := t * tl.scns
+	rec := &tl.slot[t]
+	n := tl.scns
 	v.Slot = t
-	v.Up = tl.up[row : row+tl.scns]
-	v.UpCount = int(tl.upCount[t])
-	if tl.caps != nil {
-		v.Caps = tl.caps[row : row+tl.scns]
+	r := int(rec.up) * n
+	v.Up = tl.upRows[r : r+n]
+	v.UpCount = int(rec.upCount)
+	if tl.capRows != nil {
+		r = int(rec.caps) * n
+		v.Caps = tl.capRows[r : r+n]
 	} else {
 		v.Caps = nil
 	}
-	if tl.aMul != nil {
-		v.AlphaMul = tl.aMul[row : row+tl.scns]
-		v.BetaMul = tl.bMul[row : row+tl.scns]
+	if tl.mulRows != nil {
+		r = int(rec.mul) * 2 * n
+		v.AlphaMul = tl.mulRows[r : r+n]
+		v.BetaMul = tl.mulRows[r+n : r+2*n]
 	} else {
 		v.AlphaMul, v.BetaMul = nil, nil
 	}
@@ -318,14 +398,14 @@ func (tl *Timeline) Slots() int { return tl.slots }
 func (tl *Timeline) Digest() string { return tl.digest }
 
 // UpCount returns the number of up SCNs at slot t.
-func (tl *Timeline) UpCount(t int) int { return int(tl.upCount[tl.wrap(t)]) }
+func (tl *Timeline) UpCount(t int) int { return int(tl.slot[tl.wrap(t)].upCount) }
 
 // EventTotals returns the cumulative sleep/fail/rejoin event counts
 // through the end of slot t. Totals are monotone in t up to the
 // horizon and restart from the full-cycle totals when t wraps.
 func (tl *Timeline) EventTotals(t int) (sleeps, fails, rejoins uint64) {
-	t = tl.wrap(t)
-	return tl.sleeps[t], tl.fails[t], tl.rejoins[t]
+	rec := &tl.slot[tl.wrap(t)]
+	return rec.sleeps, rec.fails, rec.rejoins
 }
 
 // CumEventTotals returns the cumulative sleep/fail/rejoin totals through
@@ -336,12 +416,12 @@ func (tl *Timeline) CumEventTotals(t int) (sleeps, fails, rejoins uint64) {
 	if t < 0 {
 		t = 0
 	}
-	w := t % tl.slots
-	sleeps, fails, rejoins = tl.sleeps[w], tl.fails[w], tl.rejoins[w]
+	rec, last := &tl.slot[t%tl.slots], &tl.slot[tl.slots-1]
+	sleeps, fails, rejoins = rec.sleeps, rec.fails, rec.rejoins
 	if cycles := uint64(t / tl.slots); cycles > 0 {
-		sleeps += cycles * tl.sleeps[tl.slots-1]
-		fails += cycles * tl.fails[tl.slots-1]
-		rejoins += cycles * tl.rejoins[tl.slots-1]
+		sleeps += cycles * last.sleeps
+		fails += cycles * last.fails
+		rejoins += cycles * last.rejoins
 	}
 	return sleeps, fails, rejoins
 }
@@ -350,12 +430,7 @@ func (tl *Timeline) CumEventTotals(t int) (sleeps, fails, rejoins uint64) {
 // capacity or budget dynamics — i.e. it is semantically the static
 // topology.
 func (tl *Timeline) AllUp() bool {
-	for _, u := range tl.up {
-		if !u {
-			return false
-		}
-	}
-	return tl.caps == nil && tl.aMul == nil
+	return !slices.Contains(tl.upRows, false) && tl.capRows == nil && tl.mulRows == nil
 }
 
 func (tl *Timeline) String() string {
