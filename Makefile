@@ -14,7 +14,7 @@ GO ?= go
 # are all concurrent by construction.
 RACE_PKGS = ./internal/core ./internal/parallel ./internal/assign ./internal/sim ./internal/trace ./internal/obs ./internal/metrics ./internal/serve
 
-.PHONY: all build vet test test-race bench-short bench json results-check bench-serve bench-serve-shards bench-diff fuzz-short serve-smoke serve-smoke-shards client-smoke obs-smoke scenario-smoke examples-smoke perfbench-test perfbench-smoke ci clean
+.PHONY: all build vet deps-check test test-race bench-short bench json results-check bench-serve bench-serve-shards bench-diff fuzz-short serve-smoke serve-smoke-shards client-smoke obs-smoke scenario-smoke examples-smoke perfbench-test perfbench-smoke ci clean
 
 all: vet test
 
@@ -23,6 +23,21 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Every internal/ package must be linked into a program: the root package,
+# a cmd/ binary or an example. A package that only tests import is code no
+# user runs; this names each such package and fails. (Make's /bin/sh has no
+# process substitution, so the linked set is passed to grep as a pattern
+# list.)
+deps-check:
+	@linked=$$($(GO) list -deps . ./cmd/... ./examples/...) && \
+	pkgs=$$($(GO) list ./internal/...) || exit 1; \
+	unlinked=$$(printf '%s\n' "$$pkgs" | grep -vxF -e "$$linked"); \
+	if [ -n "$$unlinked" ]; then \
+		echo "deps-check: no program links these packages:"; \
+		printf '  %s\n' $$unlinked; exit 1; \
+	fi; \
+	echo "deps-check: every internal/ package is linked into a program"
 
 test:
 	$(GO) test ./...
@@ -179,15 +194,17 @@ scenario-smoke:
 	$(GO) test -race -count=1 -run 'TestScenarioServeSmokeResume|TestScenarioLockstepThreeWayIdentity|TestScenarioObservability' ./internal/serve
 
 # Build and run every examples/ program with its default arguments; any
-# non-zero exit fails the target. Some packages are reachable only from an
-# example (internal/radio from examples/mobility, internal/queueing from
-# examples/latency), so this is the one gate that runs them. Each example
-# takes a few seconds at most; TMPDIR points at a directory removed
-# afterwards, so the trace examples/tracedriven records goes with it.
+# non-zero exit fails the target, and so does a file an example leaves in
+# its TMPDIR (a fresh, empty directory removed afterwards). Some packages
+# are reachable only from an example (internal/radio from
+# examples/mobility, internal/queueing from examples/latency), so this is
+# the one gate that runs them. Each example takes a few seconds at most.
 examples-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	for d in examples/*/; do \
 		TMPDIR="$$tmp" $(GO) run "./$$d" >/dev/null || { echo "examples-smoke: $$d failed"; exit 1; }; \
+		left=$$(ls -A "$$tmp"); \
+		if [ -n "$$left" ]; then echo "examples-smoke: $$d left in TMPDIR:" $$left; exit 1; fi; \
 		echo "examples-smoke: $$d ok"; \
 	done
 
@@ -208,7 +225,8 @@ perfbench-smoke:
 	bash perfbench/run.sh --workload all --seconds 1 --trace 0
 
 # Everything a commit must pass, in the order a CI runner would execute:
-# static checks, the full test suite, the race-detector suite over the
+# static checks (vet, and deps-check: every internal/ package is linked
+# into a program), the full test suite, the race-detector suite over the
 # concurrency-contract packages, the serving-layer kill-and-resume
 # smokes (unsharded and Shards=4), the client connection-lifecycle
 # smoke, the observability scrape smoke, the scenario churn smoke, the
@@ -217,7 +235,7 @@ perfbench-smoke:
 # the untrusted-input decoders, every examples/ program, the perfbench
 # module's own vet and tests, and a paper-scale served slot stream
 # through perfbench's client == daemon == offline gate.
-ci: vet test test-race serve-smoke serve-smoke-shards client-smoke obs-smoke scenario-smoke bench-short bench-serve-shards fuzz-short examples-smoke perfbench-test perfbench-smoke
+ci: vet deps-check test test-race serve-smoke serve-smoke-shards client-smoke obs-smoke scenario-smoke bench-short bench-serve-shards fuzz-short examples-smoke perfbench-test perfbench-smoke
 
 clean:
 	$(GO) clean ./...

@@ -23,26 +23,38 @@ import (
 const numSCNs = 8
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run() error {
 	path := ""
 	if len(os.Args) > 1 {
 		path = os.Args[1]
 	} else {
-		// No trace supplied: record a reproducible synthetic one first.
-		path = filepath.Join(os.TempDir(), "lfsc-example-trace.csv")
+		// No trace supplied: record a reproducible synthetic one first, in
+		// a directory removed before the program exits.
+		dir, err := os.MkdirTemp("", "lfsc-example-")
+		if err != nil {
+			return err
+		}
+		defer os.RemoveAll(dir)
+		path = filepath.Join(dir, "trace.csv")
 		if err := recordTrace(path); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Printf("recorded synthetic trace to %s\n", path)
 	}
 
 	f, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	slots, err := trace.ReadCSV(f, numSCNs)
 	f.Close()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("loaded %d slots\n", len(slots))
 
@@ -62,13 +74,14 @@ func main() {
 		sim.RandomFactory(),
 	}, 11, 0)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("\n%-8s %12s %12s %8s\n", "policy", "reward", "violations", "ratio")
 	for _, s := range series {
 		fmt.Printf("%-8s %12.1f %12.1f %8.3f\n",
 			s.Policy, s.TotalReward(), s.TotalViolations(), s.PerformanceRatio())
 	}
+	return nil
 }
 
 func recordTrace(path string) error {

@@ -31,10 +31,10 @@ type Edge struct {
 }
 
 // GreedyScratch holds the reusable working memory of GreedyInto and
-// GreedyMergeInto: the sorted edge copy, the per-SCN beam counters, and the
-// k-way merge cursors/heap. A zero value is ready to use; the buffers grow to
-// the high-water mark of the calls that share them and are never shrunk. A
-// scratch value must not be shared between concurrent calls.
+// GreedyMergeCapsInto: the sorted edge copy, the per-SCN beam counters, and
+// the k-way merge cursors/heap. A zero value is ready to use; the buffers
+// grow to the high-water mark of the calls that share them and are never
+// shrunk. A scratch value must not be shared between concurrent calls.
 type GreedyScratch struct {
 	sorted []Edge
 	counts []int
@@ -90,12 +90,6 @@ func capAt(capacity int, caps []int, m int) int {
 		return caps[m]
 	}
 	return capacity
-}
-
-// GreedyCapsInto is GreedyInto with an optional per-SCN capacity vector
-// caps (nil = uniform capacity): SCN m accepts at most caps[m] tasks.
-func GreedyCapsInto(assigned []int, s *GreedyScratch, edges []Edge, numSCNs, numTasks, capacity int, caps []int) []int {
-	return greedyInto(assigned, s, edges, numSCNs, numTasks, capacity, caps)
 }
 
 // GreedyInto is Greedy with caller-owned memory: the assignment is written
@@ -211,24 +205,15 @@ func sortEdges(e []Edge) {
 	}
 }
 
-// GreedyMergeInto is GreedyInto for edges delivered as per-source lists that
-// are each already in SortEdges order (LFSC sorts each SCN's edges inside the
-// parallel per-SCN stage). The lists are consumed through a k-way heap merge,
+// GreedyMergeCapsInto is GreedyInto for edges delivered as per-source lists
+// that are each already in SortEdges order (LFSC sorts each SCN's edges in
+// its per-SCN stage), with an optional per-SCN capacity vector caps (nil =
+// uniform capacity). The lists are consumed through a k-way heap merge,
 // which visits edges in exactly the unique globally sorted order — the result
 // is bit-identical to concatenating and re-sorting, without the dominant
 // O(E log E) comparison-function sort of the hot path. Lists found out of
 // order panic rather than silently reordering the greedy.
-func GreedyMergeInto(assigned []int, s *GreedyScratch, perSrc [][]Edge, numSCNs, numTasks, capacity int) []int {
-	return greedyMergeInto(assigned, s, perSrc, numSCNs, numTasks, capacity, nil)
-}
-
-// GreedyMergeCapsInto is GreedyMergeInto with an optional per-SCN
-// capacity vector caps (nil = uniform capacity).
 func GreedyMergeCapsInto(assigned []int, s *GreedyScratch, perSrc [][]Edge, numSCNs, numTasks, capacity int, caps []int) []int {
-	return greedyMergeInto(assigned, s, perSrc, numSCNs, numTasks, capacity, caps)
-}
-
-func greedyMergeInto(assigned []int, s *GreedyScratch, perSrc [][]Edge, numSCNs, numTasks, capacity int, caps []int) []int {
 	if cap(assigned) < numTasks {
 		assigned = make([]int, numTasks)
 	}
@@ -308,7 +293,7 @@ func greedyMergeInto(assigned []int, s *GreedyScratch, perSrc [][]Edge, numSCNs,
 		}
 		siftDown(0)
 		if cmpEdge(prev, e) > 0 {
-			panic("assign: GreedyMergeInto input list not in SortEdges order")
+			panic("assign: GreedyMergeCapsInto input list not in SortEdges order")
 		}
 		prev = e
 		if e.SCN < 0 || e.SCN >= numSCNs || e.Task < 0 || e.Task >= numTasks {
@@ -361,25 +346,6 @@ func Verify(assigned []int, numSCNs, capacity int) error {
 		counts[m]++
 		if counts[m] > capacity {
 			return fmt.Errorf("assign: SCN %d exceeds capacity %d", m, capacity)
-		}
-	}
-	return nil
-}
-
-// VerifyCaps is Verify with an optional per-SCN capacity vector caps
-// (nil = uniform capacity).
-func VerifyCaps(assigned []int, numSCNs, capacity int, caps []int) error {
-	counts := make([]int, numSCNs)
-	for task, m := range assigned {
-		if m == -1 {
-			continue
-		}
-		if m < 0 || m >= numSCNs {
-			return fmt.Errorf("assign: task %d assigned to invalid SCN %d", task, m)
-		}
-		counts[m]++
-		if lim := capAt(capacity, caps, m); counts[m] > lim {
-			return fmt.Errorf("assign: SCN %d exceeds capacity %d", m, lim)
 		}
 	}
 	return nil

@@ -200,8 +200,13 @@ type OracleConfig struct {
 // offloading problem under the constraints: a max-expected-compound-reward
 // assignment (greedy or exact flow) followed by per-SCN repair steps that
 // enforce the resource ceiling β and then improve the QoS floor α by
-// swaps/additions. On small instances the repair solution is within a few
-// percent of the exact ILP (verified in tests).
+// swaps/additions. It is a heuristic, not an exact solver of ILP (1).
+// Against an exhaustive enumeration of 2-SCN instances with c = 2 and β = 3
+// (α soft; environment seeds 100–299) it is optimal on 186 of 200 with
+// disjoint coverage, worst 0.816 of the optimum; when both SCNs see the
+// same 4 tasks, 21 of 200 fall below 0.85 and the worst is 0.511, with or
+// without ExactAssign. The β repair drops a task from an over-budget SCN
+// and never offers it to another SCN that covers it.
 type Oracle struct {
 	cfg OracleConfig
 	env *env.Env

@@ -192,15 +192,6 @@ func CoverageInto(dst [][]int, scns []Point, wds []Point, radius float64) [][]in
 	return dst
 }
 
-// CoverageCounts returns |D_{m,t}| per SCN for a coverage relation.
-func CoverageCounts(cov [][]int) []int {
-	counts := make([]int, len(cov))
-	for m, c := range cov {
-		counts[m] = len(c)
-	}
-	return counts
-}
-
 // OverlapFraction returns the fraction of WDs covered by 2+ SCNs among WDs
 // covered at all; it quantifies how much cross-SCN collaboration matters.
 func OverlapFraction(cov [][]int, numWDs int) float64 {

@@ -123,10 +123,6 @@ func TestCoverage(t *testing.T) {
 	if len(cov[1]) != 2 || cov[1][0] != 1 || cov[1][1] != 2 {
 		t.Fatalf("cov[1] = %v", cov[1])
 	}
-	counts := CoverageCounts(cov)
-	if counts[0] != 2 || counts[1] != 2 {
-		t.Fatalf("counts = %v", counts)
-	}
 }
 
 func TestCoverageMatchesBruteForce(t *testing.T) {

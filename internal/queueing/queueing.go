@@ -189,13 +189,3 @@ func MM1MeanSojourn(lambda, mu float64) float64 {
 	}
 	return 1 / (mu - lambda)
 }
-
-// MM1MeanQueueLength returns the expected number in system L = ρ/(1−ρ);
-// +Inf when unstable.
-func MM1MeanQueueLength(lambda, mu float64) float64 {
-	rho := Utilization(lambda, mu)
-	if rho >= 1 {
-		return math.Inf(1)
-	}
-	return rho / (1 - rho)
-}

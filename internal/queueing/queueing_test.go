@@ -207,10 +207,7 @@ func TestAnalyticalHelpers(t *testing.T) {
 	if got := MM1MeanSojourn(0.5, 1); math.Abs(got-2) > 1e-12 {
 		t.Fatalf("E[T] = %v", got)
 	}
-	if got := MM1MeanQueueLength(0.5, 1); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("L = %v", got)
-	}
-	if !math.IsInf(MM1MeanSojourn(1, 1), 1) || !math.IsInf(MM1MeanQueueLength(2, 1), 1) {
+	if !math.IsInf(MM1MeanSojourn(1, 1), 1) {
 		t.Fatal("unstable queue should report +Inf")
 	}
 	if Utilization(1, 2) != 0.5 || Utilization(1, 0) != 0 {

@@ -1,8 +1,8 @@
 // Package stats is a small statistics toolkit used by the metrics collector
 // and the experiment harness: streaming summaries (Welford), quantiles,
-// exponential moving averages, simple linear regression (for checking the
-// sub-linear growth of regret/violation curves on log-log axes), and series
-// utilities (cumulative sums, window means, downsampling for reports).
+// simple linear regression (for checking the sub-linear growth of
+// regret/violation curves on log-log axes), and series utilities
+// (cumulative sums, window means, downsampling for reports).
 package stats
 
 import (
@@ -132,9 +132,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Median returns the 0.5 quantile.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
 // Mean returns the arithmetic mean of xs (NaN for empty input).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -155,37 +152,6 @@ func Sum(xs []float64) float64 {
 	}
 	return sum
 }
-
-// EMA holds an exponential moving average with smoothing factor alpha in
-// (0,1]; larger alpha tracks faster. The zero value must be configured via
-// NewEMA.
-type EMA struct {
-	alpha   float64
-	value   float64
-	started bool
-}
-
-// NewEMA returns an EMA with the given smoothing factor.
-func NewEMA(alpha float64) *EMA {
-	if alpha <= 0 || alpha > 1 {
-		panic("stats: EMA alpha must be in (0,1]")
-	}
-	return &EMA{alpha: alpha}
-}
-
-// Add incorporates an observation and returns the updated average.
-func (e *EMA) Add(x float64) float64 {
-	if !e.started {
-		e.value = x
-		e.started = true
-	} else {
-		e.value += e.alpha * (x - e.value)
-	}
-	return e.value
-}
-
-// Value returns the current average (0 before any observation).
-func (e *EMA) Value() float64 { return e.value }
 
 // LinearFit fits y = a + b*x by least squares and returns (a, b, r2).
 // Used by the harness to estimate growth exponents of cumulative regret:
@@ -308,25 +274,4 @@ func Clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// Histogram counts xs into nbins equal-width bins over [lo,hi); values
-// outside the range are clamped into the edge bins.
-func Histogram(xs []float64, lo, hi float64, nbins int) []int {
-	if nbins <= 0 || hi <= lo {
-		return nil
-	}
-	counts := make([]int, nbins)
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return counts
 }

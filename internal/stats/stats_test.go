@@ -100,28 +100,6 @@ func TestMeanSum(t *testing.T) {
 	}
 }
 
-func TestEMA(t *testing.T) {
-	e := NewEMA(0.5)
-	if v := e.Add(10); v != 10 {
-		t.Fatalf("first EMA value %v", v)
-	}
-	if v := e.Add(0); v != 5 {
-		t.Fatalf("second EMA value %v", v)
-	}
-	if e.Value() != 5 {
-		t.Fatal("Value mismatch")
-	}
-}
-
-func TestEMAPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewEMA(0) did not panic")
-		}
-	}()
-	NewEMA(0)
-}
-
 func TestLinearFitExact(t *testing.T) {
 	xs := []float64{0, 1, 2, 3}
 	ys := []float64{1, 3, 5, 7} // y = 1 + 2x
@@ -210,19 +188,6 @@ func TestDownsample(t *testing.T) {
 func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
 		t.Fatal("Clamp")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := Histogram([]float64{0.05, 0.15, 0.95, -1, 2}, 0, 1, 10)
-	if h[0] != 2 { // 0.05 and clamped -1
-		t.Fatalf("bin0 = %d", h[0])
-	}
-	if h[1] != 1 || h[9] != 2 {
-		t.Fatalf("hist = %v", h)
-	}
-	if Histogram(nil, 1, 0, 10) != nil {
-		t.Fatal("invalid range should return nil")
 	}
 }
 
