@@ -55,8 +55,10 @@ test-race:
 # of a paper-scale /v1/step body, JSON and binary frame — the source of
 # DESIGN.md §10's decode figures) and the client round trip (one lockstep
 # /v1/step over loopback against an in-process daemon, 4-SCN and paper
-# shape), plus one scenario timeline build (scenarios/churn.scn over the
-# paper topology at T=10⁴, what a -scenario daemon pays at boot). All
+# shape), one checkpoint commit of a warmed paper-shape learner at
+# Shards 1 and 2 (it reports fsyncs/op, 2 at any shard count), plus one
+# scenario timeline build (scenarios/churn.scn over the paper topology
+# at T=10⁴, what a -scenario daemon pays at boot). All
 # benchmarks report allocs/op; the steady-state kernels and the substrate
 # must show 0.
 bench-short:
@@ -67,6 +69,7 @@ bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkDraw$$' -benchtime 100000x ./internal/env
 	$(GO) test -run '^$$' -bench 'BenchmarkWireCodec' -benchtime 10x ./internal/serve
 	$(GO) test -run '^$$' -bench 'BenchmarkClientStep' -benchtime 500x ./internal/serve
+	$(GO) test -run '^$$' -bench 'BenchmarkCheckpointCommit' -benchtime 100x ./internal/serve
 	$(GO) test -run '^$$' -bench 'BenchmarkBuild$$' -benchtime 10x ./internal/scenario
 
 # Full benchmark suite (figure-level harness included; slow).
@@ -154,15 +157,19 @@ serve-smoke:
 	$(GO) test -race -count=1 -run 'TestServeSmoke$$|TestRestoreAfterGracefulStopResumesExactly|TestMultiClientSubmitReport' ./internal/serve
 
 # The sharded variant: the same 200-slot kill-and-resume at Shards=4
-# (per-shard checkpoint files + manifest, two empty shards at this
-# scale), the Shards=1/2/4-vs-offline three-way identity, the resharding
-# matrix (checkpoints from 1, 2 and 4 shards and a legacy single file,
-# each restored at 1, 2 and 4 shards), a refused restore that must leave
-# the engine untouched, and the cleanup of a superseded generation
-# written at another shard count — all under the race detector (the
-# shard fan-out runs Decide/Observe on parallel goroutines).
+# (one checkpoint file, two empty shards at this scale), the
+# Shards=1/2/4-vs-offline three-way identity, the resharding matrix
+# (checkpoints from 1, 2 and 4 shards, each byte-identical to the
+# committed single file, plus that file and a committed 4-shard manifest
+# generation, each restored at 1, 2 and 4 shards), refused restores
+# (missing or corrupt shard file, corrupt row) that must leave the engine
+# untouched, the removal of an imported manifest generation by the first
+# commit, an error and a crash injected at every file operation of a
+# commit at Shards 1, 2 and 4 (each restored bit-identically), and the
+# failure counters — all under the race detector (the shard fan-out runs
+# Decide/Observe on parallel goroutines).
 serve-smoke-shards:
-	$(GO) test -race -count=1 -run 'TestServeSmokeShards|TestShardedLockstepThreeWayIdentity|TestCheckpointReshardMatrix|TestFailedRestoreLeavesEngineUntouched|TestReshardRestoreCleansSupersededGeneration' ./internal/serve
+	$(GO) test -race -count=1 -run 'TestServeSmokeShards|TestShardedLockstepThreeWayIdentity|TestCheckpointReshardMatrix|TestFailedRestoreLeavesEngineUntouched|TestReshardRestoreCleansSupersededGeneration|TestCheckpointCommitFaults|TestCheckpointFailuresCounted' ./internal/serve
 
 # The client's connection lifecycle: a pooled connection the daemon
 # closed while idle is redialed once (replay bit-identical), a reply cut

@@ -42,11 +42,13 @@
 // slot counter, RNG streams, reward accumulator). It checkpoints
 // atomically every -checkpoint-every slots and again on SIGINT/SIGTERM
 // before exiting, so a kill at any point loses at most the slots since
-// the last periodic write — never the file. The daemon writes one file
-// per shard plus a manifest at the -checkpoint path, and restores it at
-// any -shards count (each shard takes its rows from whichever file
-// carries them); a single-file checkpoint from before the manifest
-// layout restores the same way.
+// the last periodic write — never the file. The checkpoint is one file at
+// the -checkpoint path, the same bytes at every -shards count, and it
+// restores at any -shards count; a manifest generation (a manifest plus
+// per-shard files) written by earlier builds restores the same way, and
+// the first checkpoint after it removes its shard files. A failed
+// shutdown checkpoint is printed; periodic failures are counted in
+// /v1/stats, /lfsc/status and /metrics.
 //
 // Observability: /lfsc/status (plain text), /v1/stats (JSON),
 // /metrics (Prometheus text exposition, on by default — disable with
@@ -234,6 +236,8 @@ func main() {
 	s := <-sig
 	fmt.Fprintf(os.Stderr, "lfscd: %v: checkpointing and shutting down\n", s)
 	srv.Close()
-	eng.Stop()
+	if err := eng.Stop(); err != nil {
+		fmt.Fprintf(os.Stderr, "lfscd: final checkpoint failed: %v\n", err)
+	}
 	fmt.Fprintf(os.Stderr, "lfscd: stopped at slot %d, cum reward %.4f\n", eng.Slot(), eng.CumReward())
 }

@@ -19,18 +19,20 @@ import (
 // streams — the learned state carries over, the slot clock does not.
 const checkpointVersion = 2
 
-// checkpoint is the serialised learner state. Only the learned quantities
-// are stored; the configuration travels separately (a checkpoint can only
-// be restored into a policy with a compatible shape).
-type checkpoint struct {
+// Checkpoint is one learner document, the JSON Gather builds and Load
+// reads. Only the learned quantities are stored; the configuration travels
+// separately (a checkpoint can only be restored into a policy with a
+// compatible shape).
+type Checkpoint struct {
 	Version int `json:"version"`
 	SCNs    int `json:"scns"`
 	Cells   int `json:"cells"`
 	T       int `json:"t,omitempty"`
-	// Owned, when present, marks a partial (shard) checkpoint: the arrays
+	// Owned, when present, marks a partial (shard) document: the arrays
 	// below carry one row per entry, row i belonging to SCN Owned[i]
-	// (strictly ascending). Absent/empty means the full per-SCN layout —
-	// the format every unsharded checkpoint has always used.
+	// (strictly ascending). Absent/empty means the full per-SCN layout,
+	// the one Gather writes; partial documents come only from manifest
+	// generations written by earlier builds, which Load still imports.
 	Owned   []int       `json:"owned,omitempty"`
 	LogW    [][]float64 `json:"log_weights"`
 	Lambda1 []float64   `json:"lambda1"`
@@ -40,47 +42,66 @@ type checkpoint struct {
 	Rng [][3]uint64 `json:"rng,omitempty"`
 }
 
-// Save serialises the learner's state (hypercube log-weights, Lagrange
-// multipliers, slot counter, and per-SCN RNG streams) to w as JSON. A
-// deployment can checkpoint a trained MBS controller and restore it after
-// a restart instead of re-exploring; with the v2 fields the restored
-// controller continues the original run bit-identically. A partial learner
-// (NewPartial) writes only its owned SCNs' rows plus the owned list — one
-// shard checkpoint per shard, stitched back together at restore time.
-func (l *LFSC) Save(w io.Writer) error {
-	rows := l.cfg.SCNs
-	if l.owned != nil {
-		rows = len(l.owned)
-	}
-	cp := checkpoint{
-		Version: checkpointVersion,
-		SCNs:    l.cfg.SCNs,
-		Cells:   l.cfg.Cells,
-		T:       l.slots,
-		Owned:   l.owned,
-		LogW:    make([][]float64, rows),
-		Lambda1: make([]float64, rows),
-		Lambda2: make([]float64, rows),
-		Rng:     make([][3]uint64, rows),
-	}
-	for i := 0; i < rows; i++ {
-		m := i
-		if l.owned != nil {
-			m = l.owned[i]
+// Gather makes cp the full document of the state the learners hold
+// between them: the shared slot counter and, for every SCN in order, its
+// hypercube log-weights, Lagrange multipliers and RNG stream state, taken
+// from whichever learner materializes it. A sharded deployment thus writes
+// the one document an unsharded learner with the same state writes, and a
+// restored controller continues the original run bit-identically. The
+// learners (nil entries are skipped) must share one shape and slot counter
+// and hold every SCN exactly once. The log-weight rows alias learner
+// state, so encode cp before the learners move again; cp's slices are
+// reused from call to call.
+func (cp *Checkpoint) Gather(learners ...*LFSC) error {
+	var first *LFSC
+	for _, l := range learners {
+		if l == nil {
+			continue
 		}
-		st := l.scns[m]
-		cp.LogW[i] = append([]float64(nil), st.logW...)
-		cp.Lambda1[i] = st.lambda1
-		cp.Lambda2[i] = st.lambda2
-		cp.Rng[i] = st.r.State()
+		if first == nil {
+			first = l
+		} else if l.cfg.SCNs != first.cfg.SCNs || l.cfg.Cells != first.cfg.Cells || l.slots != first.slots {
+			return fmt.Errorf("core: checkpoint learners disagree on shape or slot counter")
+		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&cp)
+	if first == nil {
+		return fmt.Errorf("core: checkpoint of no learner")
+	}
+	*cp = Checkpoint{
+		Version: checkpointVersion,
+		SCNs:    first.cfg.SCNs,
+		Cells:   first.cfg.Cells,
+		T:       first.slots,
+		LogW:    cp.LogW[:0],
+		Lambda1: cp.Lambda1[:0],
+		Lambda2: cp.Lambda2[:0],
+		Rng:     cp.Rng[:0],
+	}
+	for m := 0; m < cp.SCNs; m++ {
+		var st *scnState
+		for _, l := range learners {
+			if l == nil || l.scns[m] == nil {
+				continue
+			}
+			if st != nil {
+				return fmt.Errorf("core: checkpoint learners hold SCN %d twice", m)
+			}
+			st = l.scns[m]
+		}
+		if st == nil {
+			return fmt.Errorf("core: checkpoint learners leave SCN %d uncovered", m)
+		}
+		cp.LogW = append(cp.LogW, st.logW)
+		cp.Lambda1 = append(cp.Lambda1, st.lambda1)
+		cp.Lambda2 = append(cp.Lambda2, st.lambda2)
+		cp.Rng = append(cp.Rng, st.r.State())
+	}
+	return nil
 }
 
-// Load restores learner state previously written by Save, from one
-// document or several. The documents — full or partial (one per shard) —
-// may cover each SCN at most once, must cover every SCN this learner
+// Load restores learner state from one document or several. The
+// documents — full, or partial ones from a manifest generation — may cover
+// each SCN at most once, must cover every SCN this learner
 // materializes, and must agree on version, shape (the policy's exactly)
 // and slot counter; the learner takes each of its rows from whichever
 // document carries it, so state saved at one shard layout restores into
@@ -90,10 +111,10 @@ func (l *LFSC) Save(w io.Writer) error {
 // rejected checkpoint, however corrupt, truncated, or shape-mismatched,
 // leaves the policy exactly as it was.
 func (l *LFSC) Load(docs ...io.Reader) error {
-	cps := make([]checkpoint, len(docs))
+	cps := make([]Checkpoint, len(docs))
 	// src[m] is the document (and row within it) carrying SCN m.
 	type row struct {
-		cp *checkpoint
+		cp *Checkpoint
 		i  int
 	}
 	src := make([]row, l.cfg.SCNs)
@@ -147,7 +168,7 @@ func (l *LFSC) Load(docs ...io.Reader) error {
 }
 
 // rowSCN maps row i of the document to the SCN it belongs to.
-func (cp *checkpoint) rowSCN(i int) int {
+func (cp *Checkpoint) rowSCN(i int) int {
 	if len(cp.Owned) > 0 {
 		return cp.Owned[i]
 	}
@@ -156,7 +177,7 @@ func (cp *checkpoint) rowSCN(i int) int {
 
 // validate checks one decoded document against the policy's shape and
 // every value it carries, without touching policy state.
-func (l *LFSC) validate(cp *checkpoint) error {
+func (l *LFSC) validate(cp *Checkpoint) error {
 	if cp.Version != 1 && cp.Version != checkpointVersion {
 		return fmt.Errorf("core: checkpoint version %d, want 1 or %d", cp.Version, checkpointVersion)
 	}

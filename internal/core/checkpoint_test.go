@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -10,6 +11,31 @@ import (
 	"lfsc/internal/policy"
 	"lfsc/internal/rng"
 )
+
+// save encodes the full document of the learners' state, as a serving
+// checkpoint embeds it.
+func save(w io.Writer, learners ...*LFSC) error {
+	var cp Checkpoint
+	if err := cp.Gather(learners...); err != nil {
+		return err
+	}
+	return json.NewEncoder(w).Encode(&cp)
+}
+
+// savePartial encodes a partial learner's rows as one shard document of a
+// manifest generation, the layout earlier builds wrote and Load still
+// imports.
+func savePartial(w io.Writer, l *LFSC) error {
+	cp := Checkpoint{Version: checkpointVersion, SCNs: l.cfg.SCNs, Cells: l.cfg.Cells, T: l.slots, Owned: l.owned}
+	for _, m := range l.owned {
+		st := l.scns[m]
+		cp.LogW = append(cp.LogW, st.logW)
+		cp.Lambda1 = append(cp.Lambda1, st.lambda1)
+		cp.Lambda2 = append(cp.Lambda2, st.lambda2)
+		cp.Rng = append(cp.Rng, st.r.State())
+	}
+	return json.NewEncoder(w).Encode(&cp)
+}
 
 func trainedLFSC(t *testing.T, seed uint64) *LFSC {
 	t.Helper()
@@ -30,7 +56,7 @@ func trainedLFSC(t *testing.T, seed uint64) *LFSC {
 func TestCheckpointRoundTrip(t *testing.T) {
 	l := trainedLFSC(t, 30)
 	var buf bytes.Buffer
-	if err := l.Save(&buf); err != nil {
+	if err := save(&buf, l); err != nil {
 		t.Fatal(err)
 	}
 	fresh := MustNew(testConfig(), rng.New(31))
@@ -55,7 +81,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestCheckpointRestoredPolicyBehavesIdentically(t *testing.T) {
 	l := trainedLFSC(t, 32)
 	var buf bytes.Buffer
-	if err := l.Save(&buf); err != nil {
+	if err := save(&buf, l); err != nil {
 		t.Fatal(err)
 	}
 	// Restore into a policy with the SAME RNG seed as a copy of l would
@@ -80,7 +106,7 @@ func TestCheckpointRestoredPolicyBehavesIdentically(t *testing.T) {
 func TestCheckpointShapeMismatch(t *testing.T) {
 	l := trainedLFSC(t, 33)
 	var buf bytes.Buffer
-	if err := l.Save(&buf); err != nil {
+	if err := save(&buf, l); err != nil {
 		t.Fatal(err)
 	}
 	other := testConfig()
@@ -187,7 +213,7 @@ func TestCheckpointCarriesSlotCounter(t *testing.T) {
 		t.Fatalf("trained learner saw %d slots, want 100", got)
 	}
 	var buf bytes.Buffer
-	if err := l.Save(&buf); err != nil {
+	if err := save(&buf, l); err != nil {
 		t.Fatal(err)
 	}
 	fresh := MustNew(testConfig(), rng.New(999))
@@ -202,7 +228,7 @@ func TestCheckpointCarriesSlotCounter(t *testing.T) {
 func TestCheckpointV1BackwardCompatible(t *testing.T) {
 	l := trainedLFSC(t, 37)
 	var buf bytes.Buffer
-	if err := l.Save(&buf); err != nil {
+	if err := save(&buf, l); err != nil {
 		t.Fatal(err)
 	}
 	// Rewrite the v2 checkpoint as the v1 format: same learned state, no
@@ -244,7 +270,7 @@ func TestCheckpointV1BackwardCompatible(t *testing.T) {
 func TestCheckpointSerializesOnlyLearnedState(t *testing.T) {
 	l := trainedLFSC(t, 50)
 	var buf bytes.Buffer
-	if err := l.Save(&buf); err != nil {
+	if err := save(&buf, l); err != nil {
 		t.Fatal(err)
 	}
 	var keys map[string]json.RawMessage
@@ -326,7 +352,7 @@ func driftTruth(t0 int) map[int][3]float64 {
 }
 
 // TestCheckpointResumeBitIdenticalUnderDrift is the core determinism
-// guarantee the serving daemon's kill-and-resume rests on: Save at slot
+// guarantee the serving daemon's kill-and-resume rests on: checkpoint at slot
 // 100, restore into a learner constructed with a DIFFERENT seed, and the
 // twin must replay slots 100..159 with the exact same decisions, weights,
 // and multipliers as the original that never stopped — under drifting
@@ -345,7 +371,7 @@ func TestCheckpointResumeBitIdenticalUnderDrift(t *testing.T) {
 		slot(l, t0)
 	}
 	var buf bytes.Buffer
-	if err := l.Save(&buf); err != nil {
+	if err := save(&buf, l); err != nil {
 		t.Fatal(err)
 	}
 
@@ -409,7 +435,7 @@ func TestCheckpointRestoreIntoDirtyEngineBitIdentical(t *testing.T) {
 		slot(l, t0)
 	}
 	var buf bytes.Buffer
-	if err := l.Save(&buf); err != nil {
+	if err := save(&buf, l); err != nil {
 		t.Fatal(err)
 	}
 

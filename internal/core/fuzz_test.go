@@ -27,7 +27,7 @@ func FuzzCheckpointLoad(f *testing.F) {
 	// Seed corpus: a genuine v2 checkpoint, its v1 shape, and corruptions
 	// exercising every validation branch.
 	var valid bytes.Buffer
-	if err := l.Save(&valid); err != nil {
+	if err := save(&valid, l); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())

@@ -266,7 +266,7 @@ func TestPartialCheckpointRoundTrip(t *testing.T) {
 
 	for k, sh := range shards {
 		var buf bytes.Buffer
-		if err := sh.Save(&buf); err != nil {
+		if err := savePartial(&buf, sh); err != nil {
 			t.Fatalf("shard %d save: %v", k, err)
 		}
 		doc := buf.Bytes()
@@ -320,7 +320,7 @@ func TestPartialCheckpointRoundTrip(t *testing.T) {
 	}
 	full.slots = 17
 	var buf bytes.Buffer
-	if err := full.Save(&buf); err != nil {
+	if err := save(&buf, full); err != nil {
 		t.Fatal(err)
 	}
 	partial, err := NewPartial(cfg, rng.New(1), []int{1, 3})
@@ -340,6 +340,66 @@ func TestPartialCheckpointRoundTrip(t *testing.T) {
 		if partial.scns[m].r.State() != full.scns[m].r.State() {
 			t.Fatalf("SCN %d RNG state not restored", m)
 		}
+	}
+}
+
+// TestGatherFromShardsEqualsFull pins the writer's bytes: the document
+// Gather builds from 2 and from 4 partial learners (and a nil entry, an
+// empty shard) is byte-identical to the one a full learner holding the
+// same state writes. Learners that miss an SCN, hold one twice or
+// disagree on the slot counter are refused.
+func TestGatherFromShardsEqualsFull(t *testing.T) {
+	cfg := Config{
+		SCNs: 7, Capacity: 2, Alpha: 1, Beta: 4,
+		Cells: 9, KMax: 10, Horizon: 100,
+	}
+	encode := func(learners ...*LFSC) ([]byte, error) {
+		var buf bytes.Buffer
+		err := save(&buf, learners...)
+		return buf.Bytes(), err
+	}
+	for _, n := range []int{2, 4} {
+		full, shards, _, _ := shardFixture(t, cfg, 9, n)
+		for m := 0; m < cfg.SCNs; m++ {
+			for _, st := range []*scnState{full.scns[m], shards[m%n].scns[m]} {
+				for f := range st.logW {
+					st.logW[f] = float64(m*100+f) / 7
+				}
+				st.lambda1, st.lambda2 = float64(m)*0.25, float64(m)/3
+				for range m + 1 {
+					st.r.Float64()
+				}
+			}
+		}
+		full.slots = 42
+		for _, sh := range shards {
+			sh.slots = 42
+		}
+		want, err := encode(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := encode(append([]*LFSC{nil}, shards...)...)
+		if err != nil {
+			t.Fatalf("%d shards: %v", n, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d shards: gathered document differs from the full learner's:\n%s\nvs\n%s", n, got, want)
+		}
+
+		if _, err := encode(shards[1:]...); err == nil {
+			t.Errorf("%d shards: learners missing SCN 0 gathered", n)
+		}
+		if _, err := encode(append([]*LFSC{full}, shards...)...); err == nil {
+			t.Errorf("%d shards: learners holding every SCN twice gathered", n)
+		}
+		shards[n-1].slots = 41
+		if _, err := encode(shards...); err == nil {
+			t.Errorf("%d shards: learners disagreeing on the slot counter gathered", n)
+		}
+	}
+	if _, err := encode(nil); err == nil {
+		t.Error("a checkpoint of no learner gathered")
 	}
 }
 
@@ -365,7 +425,7 @@ func TestLoadStitchesShardDocuments(t *testing.T) {
 		}
 		sh.slots = 42
 		var buf bytes.Buffer
-		if err := sh.Save(&buf); err != nil {
+		if err := savePartial(&buf, sh); err != nil {
 			t.Fatal(err)
 		}
 		docs = append(docs, buf.Bytes())

@@ -9,43 +9,56 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+
+	"lfsc/internal/core"
 )
 
-// engineCheckpointVersion versions the manifest and shard-file formats
-// (and the legacy single-file checkpoints Restore still imports).
+// engineCheckpointVersion versions the checkpoint header (and the
+// manifest and shard-file formats of the generations Restore still
+// imports).
 const engineCheckpointVersion = 1
 
-// shardCheckpoint is one shard's on-disk state in a checkpoint
-// generation: the shard's identity within the layout plus its partial
-// learner document (which itself carries the owned SCN list).
+// checkpointHeader opens every checkpoint file. CumReward is the reward
+// accumulator, so a resumed daemon continues the exact same float addition
+// sequence (hex-float identity with an uninterrupted run). Scenario is the
+// digest of the active scenario timeline, when one is attached: a resumed
+// daemon must replay the identical dynamics for bit-identical
+// continuation, so Restore refuses a mismatch. Empty for static-topology
+// checkpoints.
+type checkpointHeader struct {
+	Version   int     `json:"version"`
+	Slot      int     `json:"slot"`
+	CumReward float64 `json:"cum_reward"`
+	Scenario  string  `json:"scenario,omitempty"`
+}
+
+// checkpointFile is the checkpoint at CheckpointPath: the header plus one
+// full learner document, the same bytes at every shard count.
+type checkpointFile struct {
+	checkpointHeader
+	Policy core.Checkpoint `json:"policy"`
+}
+
+// checkpointManifest is the header of a manifest generation, the layout
+// earlier builds wrote: a small file at the checkpoint path naming one
+// generation of per-shard files (<path>.g<gen>.s<k>), each a
+// shardCheckpoint. Restore still imports it; the first commit after such
+// an import removes the generation's files.
+type checkpointManifest struct {
+	checkpointHeader
+	Shards     int    `json:"shards"`
+	Generation uint64 `json:"generation"`
+}
+
+// shardCheckpoint is one shard's file in a manifest generation: the
+// shard's identity within the layout plus its partial learner document
+// (which itself carries the owned SCN list).
 type shardCheckpoint struct {
 	Version int             `json:"version"`
 	Shard   int             `json:"shard"`
 	Shards  int             `json:"shards"`
 	Slot    int             `json:"slot"`
 	Policy  json.RawMessage `json:"policy"`
-}
-
-// checkpointManifest sits at CheckpointPath and commits one generation
-// of shard files: the shard files are written first under the new
-// generation number and their directory is synced, then the manifest is
-// renamed into place — the atomic commit point — and synced, and only
-// then is the previous generation deleted. A crash anywhere leaves the
-// manifest pointing at a complete generation. CumReward is the reward
-// accumulator, so a resumed daemon continues the exact same float
-// addition sequence (hex-float identity with an uninterrupted run).
-type checkpointManifest struct {
-	Version    int     `json:"version"`
-	Shards     int     `json:"shards"`
-	Generation uint64  `json:"generation"`
-	Slot       int     `json:"slot"`
-	CumReward  float64 `json:"cum_reward"`
-	// Scenario is the digest of the active scenario timeline, when one
-	// is attached: a resumed daemon must replay the identical dynamics
-	// for bit-identical continuation, so Restore refuses a mismatch.
-	// Empty for static-topology checkpoints. The manifest is the commit
-	// point, so the digest lives here, not in the shard files.
-	Scenario string `json:"scenario,omitempty"`
 }
 
 // scenarioDigest is the engine's scenario identity for checkpoints
@@ -81,132 +94,141 @@ func shardFilePath(path string, gen uint64, k int) string {
 	return fmt.Sprintf("%s.g%d.s%d", path, gen, k)
 }
 
-// checkpointNow writes the engine's state to cfg.CheckpointPath as the
-// next generation: one file per non-empty shard, written atomically
-// (temp file, fsync, rename) and made durable by a directory sync before
-// the manifest rename commits them, which is synced in turn before the
-// previous generation is removed. A failure part-way leaves orphan files
-// of the uncommitted generation, overwritten on the next attempt.
-// Engine-goroutine only.
+// checkpointNow commits the engine's state to cfg.CheckpointPath and
+// counts the outcome. Engine-goroutine only.
 func (e *Engine) checkpointNow() error {
-	path := e.cfg.CheckpointPath
-	dir := filepath.Dir(path)
-	gen := e.ckptGen + 1
 	slot := e.slotsSeen()
+	if err := e.commitCheckpoint(slot); err != nil {
+		e.ckptFailed.Add(1)
+		return err
+	}
+	e.ckptSlot.Store(int64(slot))
+	e.ckptOK.Add(1)
+	return nil
+}
+
+// commitCheckpoint writes the checkpoint as one file. The header and the
+// full learner document — every SCN's row taken, aliased, from the shard
+// that owns it — are encoded in one pass into a buffer the engine keeps.
+// The bytes go to <path>.tmp, which is synced before the rename over
+// <path> publishes it, and the directory sync then makes the rename
+// durable: two fsyncs at any shard count. A fault before the rename leaves
+// the previous checkpoint at <path>, one after it the new one, and either
+// way at most <path>.tmp beside it (a fixed name, truncated by the next
+// commit).
+func (e *Engine) commitCheckpoint(slot int) error {
+	learners := make([]*core.LFSC, len(e.shards))
 	for k, sh := range e.shards {
-		if sh.pol == nil {
-			continue
-		}
-		var pol bytes.Buffer
-		if err := sh.pol.Save(&pol); err != nil {
-			return fmt.Errorf("serve: checkpoint shard %d: %w", k, err)
-		}
-		doc, err := json.Marshal(&shardCheckpoint{
-			Version: engineCheckpointVersion,
-			Shard:   k,
-			Shards:  len(e.shards),
-			Slot:    slot,
-			Policy:  json.RawMessage(bytes.TrimSpace(pol.Bytes())),
-		})
-		if err != nil {
-			return fmt.Errorf("serve: checkpoint shard %d: %w", k, err)
-		}
-		if err := atomicWrite(shardFilePath(path, gen, k), doc); err != nil {
-			return err
-		}
+		learners[k] = sh.pol
 	}
-	// The shard docs must be durable before the manifest names them.
-	if err := syncDir(dir); err != nil {
-		return err
+	cp := &e.ckpt
+	if err := cp.Policy.Gather(learners...); err != nil {
+		return fmt.Errorf("serve: checkpoint: %w", err)
 	}
-	data, err := json.Marshal(&checkpointManifest{
-		Version:    engineCheckpointVersion,
-		Shards:     len(e.shards),
-		Generation: gen,
-		Slot:       slot,
-		CumReward:  e.CumReward(),
-		Scenario:   e.scenarioDigest(),
-	})
+	cp.checkpointHeader = checkpointHeader{
+		Version:   engineCheckpointVersion,
+		Slot:      slot,
+		CumReward: e.CumReward(),
+		Scenario:  e.scenarioDigest(),
+	}
+	e.ckptBuf.Reset()
+	if err := json.NewEncoder(&e.ckptBuf).Encode(cp); err != nil {
+		return fmt.Errorf("serve: checkpoint: %w", err)
+	}
+	// Encode ends the document with a newline the file format never had.
+	data := bytes.TrimSuffix(e.ckptBuf.Bytes(), []byte("\n"))
+
+	path := e.cfg.CheckpointPath
+	tmp := path + ".tmp"
+	f, err := e.ckptFS.create(tmp)
 	if err != nil {
-		return fmt.Errorf("serve: checkpoint manifest: %w", err)
+		return fmt.Errorf("serve: checkpoint: %w", err)
 	}
-	if err := atomicWrite(path, data); err != nil {
-		return err
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
 	}
-	// The manifest names gen from here on, so no later attempt may
-	// rewrite gen's files; until the rename is durable, a crash can still
-	// bring back the previous manifest, so its generation stays.
-	prev, prevShards := e.ckptGen, e.ckptShards
-	e.ckptGen, e.ckptShards = gen, len(e.shards)
-	if err := syncDir(dir); err != nil {
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	// The superseded generation is removed by the shard count that wrote
-	// it, which differs from the live one after an any-count restore.
-	for k := 0; k < prevShards; k++ {
-		os.Remove(shardFilePath(path, prev, k)) //nolint:errcheck // best-effort GC of the superseded generation
+	if err == nil {
+		err = e.ckptFS.rename(tmp, path)
 	}
+	if err == nil {
+		err = e.ckptFS.syncDir(filepath.Dir(path))
+	}
+	if err != nil {
+		return fmt.Errorf("serve: checkpoint: %w", err)
+	}
+	// <path> durably no longer names the imported generation; nothing
+	// reads its files again, so a failed removal only leaves litter.
+	for _, name := range e.ckptStale {
+		_ = e.ckptFS.remove(name)
+	}
+	e.ckptStale = nil
 	return nil
 }
 
-// atomicWrite writes data via a temp file in path's directory plus a
-// rename, syncing the file before the swap.
-func atomicWrite(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("serve: checkpoint temp: %w", err)
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("serve: checkpoint write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("serve: checkpoint sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("serve: checkpoint close: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("serve: checkpoint rename: %w", err)
-	}
-	return nil
+// ckptFS is the file operations of a checkpoint commit, in commit order:
+// create <path>.tmp, write, sync and close it, rename it over <path>,
+// sync the directory, then remove the files of an imported manifest
+// generation. osFS is the one the engine runs; tests substitute one that
+// fails or crashes at any step.
+type ckptFS interface {
+	create(name string) (ckptFile, error)
+	rename(oldpath, newpath string) error
+	syncDir(dir string) error
+	remove(name string) error
 }
 
-// syncDir fsyncs directory dir. A rename is durable only once its
-// directory is, so each commit step syncs before the next relies on it.
-func syncDir(dir string) error {
+// ckptFile is a commit's open temporary file.
+type ckptFile interface {
+	io.Writer
+	Sync() error
+	Close() error
+}
+
+type osFS struct{}
+
+func (osFS) create(name string) (ckptFile, error) {
+	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+func (osFS) rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
+
+func (osFS) remove(name string) error { return os.Remove(name) }
+
+// syncDir fsyncs directory dir: a rename is durable only once its
+// directory is.
+func (osFS) syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
-		return fmt.Errorf("serve: checkpoint dir: %w", err)
+		return err
 	}
 	err = d.Sync()
 	if cerr := d.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		return fmt.Errorf("serve: checkpoint dir sync: %w", err)
-	}
-	return nil
+	return err
 }
 
 // Restore loads a checkpoint into the engine, whatever shard count
 // wrote it. Call before Start. Two inputs are understood:
 //
-//   - A manifest committing one generation of shard files. The writer's
+//   - The one-file checkpoint checkpointNow writes: the header plus one
+//     full learner document under "policy".
+//   - A manifest generation written by earlier builds: the header plus
+//     the shard count and generation of its shard files. The writer's
 //     layout is recomputed from (SCN, shard count) — the router is a pure
 //     function of both — and every non-empty shard's file must exist,
 //     identify itself as that shard of that generation, and carry exactly
-//     that layout's owned SCNs, so the files cover each SCN once.
-//   - A legacy single-file checkpoint: the manifest's header fields
-//     without shards or generation, plus one full learner document under
-//     "policy". Kept as the import path; nothing writes it any more.
+//     that layout's owned SCNs, so the files cover each SCN once. When
+//     path is also the engine's CheckpointPath, the first durable commit
+//     removes those files.
 //
 // Every document is read and validated — header, scenario digest, slot,
 // layout, and each learner row's values — before any learner state
@@ -219,7 +241,7 @@ func (e *Engine) Restore(path string) error {
 	}
 	var cp struct {
 		checkpointManifest
-		Policy json.RawMessage `json:"policy"` // legacy single-file checkpoints only
+		Policy json.RawMessage `json:"policy"` // one-file checkpoints only
 	}
 	if err := json.Unmarshal(data, &cp); err != nil {
 		return fmt.Errorf("serve: restore: %w", err)
@@ -238,8 +260,9 @@ func (e *Engine) Restore(path string) error {
 		return err
 	}
 	docs := [][]byte{cp.Policy}
+	var files []string
 	if man.Shards > 0 {
-		if docs, err = readGeneration(path, man, e.cfg.SCNs); err != nil {
+		if docs, files, err = readGeneration(path, man, e.cfg.SCNs); err != nil {
 			return err
 		}
 	} else if err := checkDoc(cp.Policy, man.Slot, nil); err != nil {
@@ -262,41 +285,45 @@ func (e *Engine) Restore(path string) error {
 	}
 	e.cumRewardBits.Store(math.Float64bits(man.CumReward))
 	e.slotAtomic.Store(int64(man.Slot))
-	e.ckptGen, e.ckptShards = man.Generation, man.Shards
+	e.ckptStale = nil
+	if filepath.Clean(path) == filepath.Clean(e.cfg.CheckpointPath) {
+		e.ckptStale = files
+	}
 	return nil
 }
 
 // readGeneration reads the shard files of the generation man commits and
 // returns their learner documents, each checked against the writer's
-// layout over scns SCNs.
-func readGeneration(path string, man *checkpointManifest, scns int) ([][]byte, error) {
+// layout over scns SCNs, and the files' names.
+func readGeneration(path string, man *checkpointManifest, scns int) (docs [][]byte, files []string, err error) {
 	_, ownedOf := NewRouter(man.Shards).OwnerMap(scns)
-	var docs [][]byte
 	for k, owned := range ownedOf {
 		if len(owned) == 0 {
 			continue
 		}
-		buf, err := os.ReadFile(shardFilePath(path, man.Generation, k))
+		name := shardFilePath(path, man.Generation, k)
+		buf, err := os.ReadFile(name)
 		if err != nil {
-			return nil, fmt.Errorf("serve: restore shard %d: %w", k, err)
+			return nil, nil, fmt.Errorf("serve: restore shard %d: %w", k, err)
 		}
 		var sc shardCheckpoint
 		if err := json.Unmarshal(buf, &sc); err != nil {
-			return nil, fmt.Errorf("serve: restore shard %d: %w", k, err)
+			return nil, nil, fmt.Errorf("serve: restore shard %d: %w", k, err)
 		}
 		if sc.Version != engineCheckpointVersion || sc.Shard != k || sc.Shards != man.Shards {
-			return nil, fmt.Errorf("serve: restore shard %d: file identity mismatch (version %d, shard %d/%d)",
+			return nil, nil, fmt.Errorf("serve: restore shard %d: file identity mismatch (version %d, shard %d/%d)",
 				k, sc.Version, sc.Shard, sc.Shards)
 		}
 		if sc.Slot != man.Slot {
-			return nil, fmt.Errorf("serve: restore shard %d: slot %d disagrees with manifest %d", k, sc.Slot, man.Slot)
+			return nil, nil, fmt.Errorf("serve: restore shard %d: slot %d disagrees with manifest %d", k, sc.Slot, man.Slot)
 		}
 		if err := checkDoc(sc.Policy, man.Slot, owned); err != nil {
-			return nil, fmt.Errorf("serve: restore shard %d: %w", k, err)
+			return nil, nil, fmt.Errorf("serve: restore shard %d: %w", k, err)
 		}
 		docs = append(docs, sc.Policy)
+		files = append(files, name)
 	}
-	return docs, nil
+	return docs, files, nil
 }
 
 // checkDoc checks a learner document's slot counter and owned-SCN list

@@ -1,0 +1,545 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"lfsc/internal/obs"
+)
+
+// faultFS runs a checkpoint commit's file operations on the real file
+// system and records each one, with at most one fault, at operation
+// number at (counted from 0 over the FS's life; -1 for none). Unless
+// crash is set the operation fails with an error, which the commit sees.
+// With crash set the process "dies" there: that operation and every later
+// one do nothing (a dead process's descriptors are still closed, as the
+// kernel would) and report success, so the commit runs on with no cleanup
+// and the disk keeps what the earlier operations left. writes keeps the
+// bytes of every write call, performed or not.
+type faultFS struct {
+	at     int
+	crash  bool
+	ops    []string
+	writes [][]byte
+}
+
+// do records op and reports whether it runs, or the error it fails with.
+func (f *faultFS) do(op string) (bool, error) {
+	n := len(f.ops)
+	f.ops = append(f.ops, op)
+	switch {
+	case f.at < 0 || n < f.at:
+		return true, nil
+	case f.crash:
+		return false, nil
+	case n == f.at:
+		return false, fmt.Errorf("injected %s fault", op)
+	}
+	return true, nil
+}
+
+func (f *faultFS) create(name string) (ckptFile, error) {
+	if ok, err := f.do("create"); !ok {
+		if err != nil {
+			return nil, err
+		}
+		return &faultFile{fs: f}, nil
+	}
+	file, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
+	if err != nil {
+		return nil, err
+	}
+	return &faultFile{fs: f, f: file}, nil
+}
+
+func (f *faultFS) rename(oldpath, newpath string) error {
+	if ok, err := f.do("rename"); !ok {
+		return err
+	}
+	return os.Rename(oldpath, newpath)
+}
+
+func (f *faultFS) syncDir(dir string) error {
+	if ok, err := f.do("syncdir"); !ok {
+		return err
+	}
+	return osFS{}.syncDir(dir)
+}
+
+func (f *faultFS) remove(name string) error {
+	if ok, err := f.do("remove"); !ok {
+		return err
+	}
+	return os.Remove(name)
+}
+
+// faultFile is the temporary file a faultFS created; f is nil when the
+// create itself came after the crash.
+type faultFile struct {
+	fs *faultFS
+	f  *os.File
+}
+
+func (w *faultFile) Write(p []byte) (int, error) {
+	w.fs.writes = append(w.fs.writes, bytes.Clone(p))
+	if ok, err := w.fs.do("write"); !ok {
+		if err != nil {
+			return 0, err
+		}
+		return len(p), nil
+	}
+	return w.f.Write(p)
+}
+
+func (w *faultFile) Sync() error {
+	if ok, err := w.fs.do("sync"); !ok {
+		return err
+	}
+	return w.f.Sync()
+}
+
+func (w *faultFile) Close() error {
+	ok, err := w.fs.do("close")
+	if w.f != nil {
+		if cerr := w.f.Close(); ok {
+			return cerr
+		}
+	}
+	return err
+}
+
+// awaitCommits waits until the engine has finished n checkpoint commits,
+// committed or failed. The counters move after each commit's last file
+// operation, so everything the commit did happens before this returns.
+func awaitCommits(t *testing.T, eng *Engine, n uint64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for eng.ckptOK.Load()+eng.ckptFailed.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("engine finished %d checkpoint commits, want %d",
+				eng.ckptOK.Load()+eng.ckptFailed.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// manifestFixture is a 4-shard manifest generation of reshardScenario at
+// slot 80, written by the build before one-file checkpoints: the manifest
+// plus one file per non-empty shard (<path>.g1.s0, .s1 and .s3).
+const manifestFixture = "testdata/manifest4-slot80.ckpt"
+
+// importFixture copies manifestFixture to path, its shard files beside
+// it, and returns the copied shard files' names in order.
+func importFixture(t *testing.T, path string) []string {
+	t.Helper()
+	srcs, err := filepath.Glob(manifestFixture + "*")
+	if err != nil || len(srcs) != 4 {
+		t.Fatalf("manifest fixture: %v files, err %v", srcs, err)
+	}
+	var shardFiles []string
+	for _, src := range srcs {
+		buf, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := path + strings.TrimPrefix(src, manifestFixture)
+		if err := os.WriteFile(dst, buf, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if dst != path {
+			shardFiles = append(shardFiles, dst)
+		}
+	}
+	return shardFiles
+}
+
+// dirNames lists the names in dir, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, de := range entries {
+		names = append(names, de.Name())
+	}
+	return names
+}
+
+// replayInProcess serves slots [from, to) of sc on a started engine
+// through the in-process Conn, continuing rep.
+func replayInProcess(t *testing.T, rep *Replayer, eng *Engine, from, to int) {
+	t.Helper()
+	if _, err := rep.Run(&engineConn{eng: eng}, from, to, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// finishInProcess restores path into a fresh engine at the given shard
+// count, serves the rest of sc in process and returns the restored slot
+// and the final cumulative reward.
+func finishInProcess(t *testing.T, sc ReplayScenario, path string, shards int) (int, float64) {
+	t.Helper()
+	eng := buildDaemon(t, sc, func(c *Config) { c.Shards = shards })
+	if err := eng.Restore(path); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	from := eng.Slot()
+	eng.Start()
+	rep, err := NewReplayer(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayInProcess(t, rep, eng, from, sc.T)
+	if err := eng.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	return from, eng.CumReward()
+}
+
+// commitOps is a commit's file operations in order, before the removals
+// that follow the first commit after a manifest import.
+var commitOps = []string{"create", "write", "sync", "close", "rename", "syncdir"}
+
+// TestCheckpointCommitFaults injects an error, and separately a crash, at
+// every file operation of a checkpoint commit, at Shards 1, 2 and 4: for
+// the second periodic commit of a fresh run (slot 80, the first at 40),
+// and for the first commit (slot 90) after restoring the 4-shard manifest
+// fixture, whose three shard files that commit removes. After each fault:
+//
+//   - the checkpoint is byte-identical to the previous one (fault at or
+//     before the rename) or to the new one, and the directory holds it,
+//     <path>.tmp exactly when a fault came between the create and the
+//     rename, and the imported shard files exactly when their removal
+//     was cut short;
+//   - restoring it and serving the rest of the run ends bit-identically
+//     to an uninterrupted run;
+//   - after an error the engine serves on, its next commit succeeds and
+//     cleans up, and the counters saw the failure (a failed removal of an
+//     imported file fails no commit, and its file stays).
+//
+// A fault-free case per layout pins the operation order.
+func TestCheckpointCommitFaults(t *testing.T) {
+	sc := reshardScenario()
+	uninterrupted := func() float64 {
+		eng := buildDaemon(t, sc, nil)
+		eng.Start()
+		rep, err := NewReplayer(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayInProcess(t, rep, eng, 0, sc.T)
+		eng.Stop()
+		return eng.CumReward()
+	}()
+	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy-slot80.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest, err := os.ReadFile(manifestFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const renameOp = 4 // commitOps index
+
+	for _, shards := range []int{1, 2, 4} {
+		for _, imported := range []bool{false, true} {
+			// A fresh run commits at 40 and then, faulted, at 80; an
+			// imported one commits first, faulted, at 90.
+			every, from, prevSlot, faultSlot, base := 40, 0, 40, 80, len(commitOps)
+			nops := len(commitOps)
+			if imported {
+				every, from, prevSlot, faultSlot, base = 10, 80, 80, 90, 0
+				nops += 3
+			}
+			for k := -1; k < nops; k++ {
+				for _, crash := range []bool{false, true} {
+					if k < 0 && crash {
+						continue
+					}
+					name := fmt.Sprintf("shards=%d/import=%v/op=%d/crash=%v", shards, imported, k, crash)
+					dir := t.TempDir()
+					path := filepath.Join(dir, "lfscd.ckpt")
+					var shardFiles []string
+					if imported {
+						shardFiles = importFixture(t, path)
+					}
+					fs := &faultFS{at: -1, crash: crash}
+					if k >= 0 {
+						fs.at = base + k
+					}
+					eng := buildDaemon(t, sc, func(c *Config) {
+						c.Shards = shards
+						c.CheckpointPath = path
+						c.CheckpointEvery = every
+					})
+					eng.ckptFS = fs
+					if imported {
+						if err := eng.Restore(path); err != nil {
+							t.Fatalf("%s: restore fixture: %v", name, err)
+						}
+					}
+					eng.Start()
+					rep, err := NewReplayer(sc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					commits := uint64(faultSlot-from) / uint64(every)
+					replayInProcess(t, rep, eng, from, faultSlot)
+					awaitCommits(t, eng, commits)
+
+					// Up to the rename the previous checkpoint stays; after it
+					// the new one is in place, and at slot 80 that is the
+					// committed legacy file, byte for byte.
+					published := k < 0 || k > renameOp
+					want := manifest
+					switch {
+					case published && imported:
+						want = fs.writes[len(fs.writes)-1]
+					case published:
+						want = legacy
+					case !imported:
+						want = fs.writes[0]
+					}
+					if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+						t.Fatalf("%s: checkpoint is not the expected commit (published=%v, err %v):\n%s", name, published, err, got)
+					}
+					var left []string // imported shard files the faulted commit leaves
+					switch {
+					case !imported || k < 0:
+					case k < len(commitOps):
+						left = shardFiles
+					case crash:
+						left = shardFiles[k-len(commitOps):]
+					default:
+						left = shardFiles[k-len(commitOps) : k-len(commitOps)+1]
+					}
+					files := []string{"lfscd.ckpt"}
+					if k > 0 && k <= renameOp {
+						files = append(files, "lfscd.ckpt.tmp")
+					}
+					for _, f := range left {
+						files = append(files, filepath.Base(f))
+					}
+					slices.Sort(files)
+					if names := dirNames(t, dir); !slices.Equal(names, files) {
+						t.Fatalf("%s: directory holds %v, want %v", name, names, files)
+					}
+					wantSlot := prevSlot
+					if published {
+						wantSlot = faultSlot
+					}
+					if slot, cum := finishInProcess(t, sc, path, shards); slot != wantSlot || cum != uninterrupted {
+						t.Fatalf("%s: restored at slot %d (want %d), finished at %x, uninterrupted %x",
+							name, slot, wantSlot, cum, uninterrupted)
+					}
+
+					if k < 0 {
+						wantOps := slices.Clone(commitOps)
+						for range shardFiles {
+							wantOps = append(wantOps, "remove")
+						}
+						if got := fs.ops[base:]; !slices.Equal(got, wantOps) {
+							t.Fatalf("%s: commit operations %v, want %v", name, got, wantOps)
+						}
+					}
+					if crash || k < 0 {
+						eng.Abort()
+						continue
+					}
+					// The engine serves on after the error, and its next
+					// commit succeeds and removes what it still can. A failed
+					// removal fails no commit: the checkpoint was durable.
+					replayInProcess(t, rep, eng, faultSlot, faultSlot+every)
+					awaitCommits(t, eng, commits+1)
+					eng.Abort()
+					failed := uint64(0)
+					if k < len(commitOps) {
+						failed = 1
+					}
+					st := eng.Stats()
+					if st.CheckpointFailures != failed || st.Checkpoints != commits+1-failed || st.CheckpointSlot != faultSlot+every {
+						t.Fatalf("%s: after the next commit: %d failed, %d committed, slot %d; want %d, %d, %d",
+							name, st.CheckpointFailures, st.Checkpoints, st.CheckpointSlot, failed, commits+1-failed, faultSlot+every)
+					}
+					if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, fs.writes[len(fs.writes)-1]) {
+						t.Fatalf("%s: next commit not at the checkpoint path (err %v)", name, err)
+					}
+					files = []string{"lfscd.ckpt"}
+					if imported && k >= len(commitOps) {
+						files = append(files, filepath.Base(left[0]))
+					}
+					slices.Sort(files)
+					if names := dirNames(t, dir); !slices.Equal(names, files) {
+						t.Fatalf("%s: after the next commit the directory holds %v, want %v", name, names, files)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCheckpointFailuresCounted drives a failed periodic commit and a
+// failed shutdown commit through the file-operation seam: /v1/stats,
+// /lfsc/status and /metrics count them, the last committed slot stays
+// where the last good commit put it, and Stop returns the shutdown
+// commit's error.
+func TestCheckpointFailuresCounted(t *testing.T) {
+	sc := testScenario(40, 3)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "lfscd.ckpt")
+	eng := buildDaemon(t, sc, func(c *Config) {
+		c.CheckpointPath = path
+		c.CheckpointEvery = 10
+		c.Metrics = obs.NewMetrics()
+	})
+	// The commit at 10 fails at its sync (operation 2), those at 20 and 30
+	// succeed, and the shutdown commit, also at 30, fails at its rename.
+	fs := &faultFS{at: 2}
+	eng.ckptFS = fs
+	srv, client := startDaemon(t, eng)
+	defer srv.Close()
+	rep, err := NewReplayer(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rep.Run(client, 0, 30, nil); err != nil {
+		t.Fatal(err)
+	}
+	awaitCommits(t, eng, 3)
+
+	var st Stats
+	resp, err := http.Get("http://" + srv.Addr() + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Checkpoints != 2 || st.CheckpointFailures != 1 || st.CheckpointSlot != 30 {
+		t.Fatalf("/v1/stats: %d committed, %d failed, slot %d; want 2, 1, 30",
+			st.Checkpoints, st.CheckpointFailures, st.CheckpointSlot)
+	}
+	get := func(route string) string {
+		t.Helper()
+		resp, err := http.Get("http://" + srv.Addr() + route)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	if status := get("/lfsc/status"); !strings.Contains(status, "checkpoint: slot 30  commits 2  failed 1\n") {
+		t.Fatalf("/lfsc/status lacks the checkpoint line:\n%s", status)
+	}
+	metrics := get("/metrics")
+	for _, line := range []string{
+		`lfsc_checkpoints_total{result="ok"} 2`,
+		`lfsc_checkpoints_total{result="failed"} 1`,
+		`lfsc_checkpoint_slot 30`,
+	} {
+		if !strings.Contains(metrics, line+"\n") {
+			t.Fatalf("/metrics lacks %q:\n%s", line, metrics)
+		}
+	}
+
+	fs.at = len(fs.ops) + 4 // the shutdown commit's rename
+	err = eng.Stop()
+	if err == nil || !strings.Contains(err.Error(), "injected rename fault") {
+		t.Fatalf("Stop returned %v, want the shutdown commit's rename fault", err)
+	}
+	if st := eng.Stats(); st.CheckpointFailures != 2 || st.CheckpointSlot != 30 {
+		t.Fatalf("after the failed shutdown commit: %d failed, slot %d; want 2, 30",
+			st.CheckpointFailures, st.CheckpointSlot)
+	}
+}
+
+// countFS is the os seam counting the fsyncs commits make: the temporary
+// file's and the directory's.
+type countFS struct {
+	osFS
+	fsyncs int
+}
+
+type countFile struct {
+	ckptFile
+	fs *countFS
+}
+
+func (c *countFS) create(name string) (ckptFile, error) {
+	f, err := c.osFS.create(name)
+	if err != nil {
+		return nil, err
+	}
+	return countFile{f, c}, nil
+}
+
+func (c *countFS) syncDir(dir string) error {
+	c.fsyncs++
+	return c.osFS.syncDir(dir)
+}
+
+func (f countFile) Sync() error {
+	f.fs.fsyncs++
+	return f.ckptFile.Sync()
+}
+
+// BenchmarkCheckpointCommit times one checkpoint commit of a paper-shape
+// learner (30 SCNs, c=20, ~2000 tasks per slot) warmed through 300
+// replayed slots, at Shards 1 and 2, on the real file system of the test's
+// temporary directory; fsyncs/op counts the fsyncs of one more commit,
+// made after the timed ones through a counting seam.
+func BenchmarkCheckpointCommit(b *testing.B) {
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			sc := paperScenario(1<<20, 42)
+			eng := buildDaemon(b, sc, func(c *Config) {
+				c.Shards = shards
+				c.CheckpointPath = filepath.Join(b.TempDir(), "lfscd.ckpt")
+			})
+			eng.Start()
+			rep, err := NewReplayer(sc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := rep.Run(&engineConn{eng: eng}, 0, 300, nil); err != nil {
+				b.Fatal(err)
+			}
+			// Stop's own commit warms the buffers; the engine goroutine has
+			// exited, so the loop below owns the engine.
+			if err := eng.Stop(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := eng.checkpointNow(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			fs := &countFS{}
+			eng.ckptFS = fs
+			if err := eng.checkpointNow(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(fs.fsyncs), "fsyncs/op")
+		})
+	}
+}

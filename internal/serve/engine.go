@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -49,9 +50,9 @@ type Config struct {
 	// SCN groups), run in parallel for the per-SCN stages of Decide and
 	// Observe and joined by a k-way-merged resolution stage; 0 means 1,
 	// whose lone shard runs on the goroutine closing the slot. Decisions
-	// are bit-identical at any shard count; checkpoints are one file per
-	// shard plus a manifest at CheckpointPath, and restore at any shard
-	// count (see DESIGN.md §11).
+	// are bit-identical at any shard count; a checkpoint is one file at
+	// CheckpointPath, the same bytes at every shard count, and restores at
+	// any shard count (see DESIGN.md §11).
 	Shards int
 
 	// Serving knobs.
@@ -185,13 +186,17 @@ type Engine struct {
 	router     *Router
 	decideLeg  func(int)
 	observeLeg func(int)
-	// ckptGen is the checkpoint generation counter and ckptShards the
-	// shard count that wrote it (engine goroutine only): shard files are
-	// written under the next generation and committed by the manifest
-	// rename, then the previous generation is deleted — a crash at any
-	// point leaves one complete generation.
-	ckptGen    uint64
-	ckptShards int
+	// Checkpoint commit state (engine goroutine only): the file and
+	// encode buffer every commit reuses, the file operations, and the
+	// files of an imported manifest generation that the first durable
+	// commit removes.
+	ckpt      checkpointFile
+	ckptBuf   bytes.Buffer
+	ckptFS    ckptFS
+	ckptStale []string
+	// stopErr is the final checkpoint's error, returned by Stop (written
+	// by the engine goroutine before it closes done).
+	stopErr error
 	// shape is what every request's tasks are validated against as they
 	// decode (immutable after NewEngine, shared by all handlers).
 	shape reqShape
@@ -224,6 +229,11 @@ type Engine struct {
 	lateReports    atomic.Uint64
 	cumRewardBits  atomic.Uint64
 	slotAtomic     atomic.Int64
+	// Checkpoint commits (ok and failed) and the slot of the last one
+	// committed, written only at commit time.
+	ckptOK     atomic.Uint64
+	ckptFailed atomic.Uint64
+	ckptSlot   atomic.Int64
 
 	// Request-latency histograms (the obs log₂-bucket machinery). Each
 	// endpoint histogram times every request it serves — accepted, shed,
@@ -365,6 +375,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		done:    make(chan struct{}),
 		kickCh:  make(chan struct{}, 1),
 		reqPool: make(chan *wireReq, 2*cfg.SubQueue+8),
+		ckptFS:  osFS{},
 	}
 	e.shards, e.merger, e.owner, e.router, err = buildShards(coreCfg, cfg.Seed, cfg.Shards)
 	if err != nil {
@@ -427,11 +438,13 @@ func (e *Engine) Start() {
 
 // Stop closes the engine gracefully: the loop finishes the slot in
 // flight, writes a final checkpoint (when configured), fails queued
-// submissions, and exits. Stop and Abort are idempotent between them.
-func (e *Engine) Stop() {
+// submissions, and exits. It returns the final checkpoint's error, if
+// that commit failed. Stop and Abort are idempotent between them.
+func (e *Engine) Stop() error {
 	e.stopOnce.Do(func() { close(e.stopCh) })
 	<-e.done
 	e.rs.Finish()
+	return e.stopErr
 }
 
 // Abort is the unclean shutdown used by kill-and-resume tests: the loop
@@ -505,6 +518,10 @@ func (e *Engine) statsCore() Stats {
 		ReportLatency:  e.reportLat.Stat("report"),
 		StepLatency:    e.stepLat.Stat("step"),
 		ShedLatency:    e.shedLat.Stat("shed"),
+
+		Checkpoints:        e.ckptOK.Load(),
+		CheckpointFailures: e.ckptFailed.Load(),
+		CheckpointSlot:     int(e.ckptSlot.Load()),
 	}
 }
 
@@ -1023,8 +1040,8 @@ func (e *Engine) shutdown() {
 	e.stopping = true
 	e.advance()
 	if !e.abort.Load() && e.cfg.CheckpointPath != "" {
-		// Best effort — the periodic checkpoint remains if this fails.
-		_ = e.checkpointNow()
+		// The periodic checkpoint remains if this fails; Stop reports it.
+		e.stopErr = e.checkpointNow()
 	}
 	e.failBatch(errStopped)
 	if q := e.deferred; q != nil {
@@ -1251,6 +1268,8 @@ func (e *Engine) finishSlot() {
 			span = time.Now()
 		}
 		trCkpt := span
+		// A failure leaves the previous checkpoint in place; it is
+		// counted (Stats, /metrics) and the next period tries again.
 		_ = e.checkpointNow()
 		if instr {
 			span = probe.LapAt(obs.PhaseSnapshot, span, time.Now())

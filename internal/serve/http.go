@@ -339,6 +339,10 @@ func (e *Engine) writeStatus(w http.ResponseWriter, up time.Duration) {
 		st.SubmittedTasks, st.DecidedTasks, st.AssignedTasks, st.ReportedTasks)
 	fmt.Fprintf(w, "shed: requests %d  tasks %d\n", st.ShedRequests, st.ShedTasks)
 	fmt.Fprintf(w, "late: slots %d  reports %d\n", st.LateSlots, st.LateReports)
+	if e.cfg.CheckpointPath != "" {
+		fmt.Fprintf(w, "checkpoint: slot %d  commits %d  failed %d\n",
+			st.CheckpointSlot, st.Checkpoints, st.CheckpointFailures)
+	}
 	if sn := st.Scenario; sn != nil {
 		fmt.Fprintf(w, "scenario %s: period %d  up %d  events: sleeps %d fails %d rejoins %d\n",
 			sn.Digest, sn.Slots, sn.UpSCNs, sn.Sleeps, sn.Fails, sn.Rejoins)

@@ -51,6 +51,14 @@ func (e *Engine) registerMetrics(m *obs.Metrics) {
 	m.Counter("lfsc_late_total", "Report-wait timeouts (slots) and reports arriving after their slot closed (reports).",
 		[]obs.Label{{Name: "kind", Value: "reports"}}, counterFn(&e.lateReports))
 
+	const ckptHelp = "Checkpoint commits by result; a failed commit leaves the previous checkpoint in place."
+	m.Counter("lfsc_checkpoints_total", ckptHelp,
+		[]obs.Label{{Name: "result", Value: "ok"}}, counterFn(&e.ckptOK))
+	m.Counter("lfsc_checkpoints_total", ckptHelp,
+		[]obs.Label{{Name: "result", Value: "failed"}}, counterFn(&e.ckptFailed))
+	m.Gauge("lfsc_checkpoint_slot", "Slot of the last committed checkpoint (0 before the first).",
+		nil, func() float64 { return float64(e.ckptSlot.Load()) })
+
 	const reqHelp = "Request latency by endpoint (shed = the 429 paths, also counted in their endpoint)."
 	m.Histogram("lfsc_request_duration_seconds", reqHelp,
 		[]obs.Label{{Name: "endpoint", Value: "submit"}}, &e.submitLat)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -155,12 +156,10 @@ func TestShardedLockstepThreeWayIdentity(t *testing.T) {
 
 // TestServeSmokeShards is the sharded kill-and-resume check behind `make
 // serve-smoke-shards`: a Shards=4 daemon serves 200 slots with periodic
-// sharded checkpoints, dies hard at slot 120, a fresh Shards=4 daemon
-// restores the slot-100 generation from the per-shard files + manifest,
-// replays the rest, and must land bit-identically on an uninterrupted
-// sharded run. Also pins the on-disk layout: a manifest at the checkpoint
-// path, per-shard generation files beside it, and the superseded
-// generation garbage-collected.
+// checkpoints, dies hard at slot 120, a fresh Shards=4 daemon restores the
+// slot-100 checkpoint, replays the rest, and must land bit-identically on
+// an uninterrupted sharded run. Also pins the on-disk layout: one file at
+// the checkpoint path and nothing beside it, at four shards as at one.
 func TestServeSmokeShards(t *testing.T) {
 	const T, seed, every, shards = 200, 7, 100, 4
 	sc := testScenario(T, seed)
@@ -184,30 +183,15 @@ func TestServeSmokeShards(t *testing.T) {
 	engA.Abort() // kill: slots 100..119 die with the process
 	srvA.Close()
 
-	// The slot-100 generation must be fully on disk: manifest + one file
-	// per non-empty shard (the 4-SCN scenario leaves two shards empty).
-	var man checkpointManifest
-	buf, err := os.ReadFile(ckpt)
-	if err != nil {
-		t.Fatalf("no manifest after kill: %v", err)
+	// The slot-100 checkpoint must be on disk as one file.
+	if hdr := readHeader(t, ckpt); hdr.Slot != every {
+		t.Fatalf("checkpoint header = %+v, want slot %d", hdr, every)
 	}
-	if err := json.Unmarshal(buf, &man); err != nil {
-		t.Fatal(err)
-	}
-	if man.Shards != shards || man.Slot != every {
-		t.Fatalf("manifest = %+v, want shards %d at slot %d", man, shards, every)
-	}
-	for k, owned := range func() [][]int { _, o := NewRouter(shards).OwnerMap(4); return o }() {
-		_, statErr := os.Stat(shardFilePath(ckpt, man.Generation, k))
-		if len(owned) > 0 && statErr != nil {
-			t.Fatalf("shard %d file missing: %v", k, statErr)
-		}
-		if len(owned) == 0 && statErr == nil {
-			t.Fatalf("empty shard %d wrote a file", k)
-		}
+	if names := dirNames(t, dir); !slices.Equal(names, []string{"lfscd.ckpt"}) {
+		t.Fatalf("checkpoint directory holds %v, want only lfscd.ckpt", names)
 	}
 
-	// Run B: boot fresh, restore the sharded checkpoint, replay the rest.
+	// Run B: boot fresh, restore the checkpoint, replay the rest.
 	engB, srvB, _, restored := resumeDaemon(t, sc, ckpt, mutate)
 	defer srvB.Close()
 	if !restored {
@@ -225,10 +209,12 @@ func TestServeSmokeShards(t *testing.T) {
 	}
 	engB.Stop()
 
-	// Run B's graceful stop wrote the next generation; the restored one
-	// must be garbage-collected.
-	if _, err := os.Stat(shardFilePath(ckpt, man.Generation, 0)); err == nil {
-		t.Errorf("superseded generation %d not garbage-collected", man.Generation)
+	// Run B's graceful stop replaced the file in place.
+	if hdr := readHeader(t, ckpt); hdr.Slot != T {
+		t.Errorf("checkpoint after Stop = %+v, want slot %d", hdr, T)
+	}
+	if names := dirNames(t, dir); !slices.Equal(names, []string{"lfscd.ckpt"}) {
+		t.Errorf("checkpoint directory holds %v after Stop, want only lfscd.ckpt", names)
 	}
 
 	// Run C: the uninterrupted sharded control.
@@ -255,8 +241,10 @@ func TestServeSmokeShards(t *testing.T) {
 
 // reshardScenario is the resharding tests' scenario: testScenario
 // widened to 8 SCNs, where the 1-, 2- and 4-shard layouts all differ (at
-// 4 SCNs the 2- and 4-shard layouts coincide). The committed legacy
-// checkpoint was taken on it at slot 80.
+// 4 SCNs the 2- and 4-shard layouts coincide). Both committed fixtures
+// were taken on it at slot 80: testdata/legacy-slot80.ckpt, which is what
+// a checkpoint at slot 80 writes at any shard count, and the 4-shard
+// manifest generation manifestFixture.
 func reshardScenario() ReplayScenario {
 	sc := testScenario(160, 13)
 	sc.Synthetic.SCNs = 8
@@ -281,7 +269,9 @@ func checkpointAt(t *testing.T, sc ReplayScenario, path string, shards, slot int
 	if _, err := rep.Run(shardPoolFor(srv, shards), 0, slot, nil); err != nil {
 		t.Fatal(err)
 	}
-	eng.Stop()
+	if err := eng.Stop(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // finishFrom serves slots [from, sc.T) on a started engine and returns
@@ -303,17 +293,26 @@ func finishFrom(t *testing.T, sc ReplayScenario, eng *Engine, srv *Server, shard
 }
 
 // TestCheckpointReshardMatrix restores slot-80 checkpoints written at
-// Shards 1, 2 and 4 — plus a legacy single-file checkpoint from the
-// pre-manifest writer (testdata) — into daemons at Shards 1, 2 and 4.
-// Every cell must finish the run bit-identically to an uninterrupted one.
-// A generation missing a shard file is still refused.
+// Shards 1, 2 and 4 — plus the two committed fixtures, the single file
+// and the 4-shard manifest generation earlier builds wrote — into daemons
+// at Shards 1, 2 and 4. Every cell must finish the run bit-identically to
+// an uninterrupted one, and the checkpoint written at every shard count
+// must be byte-identical to testdata/legacy-slot80.ckpt.
 func TestCheckpointReshardMatrix(t *testing.T) {
 	sc := reshardScenario()
 	dir := t.TempDir()
-	sources := map[string]string{"legacy": filepath.Join("testdata", "legacy-slot80.ckpt")}
+	legacyPath := filepath.Join("testdata", "legacy-slot80.ckpt")
+	legacy, err := os.ReadFile(legacyPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := map[string]string{"legacy": legacyPath, "manifest": manifestFixture}
 	for _, shards := range []int{1, 2, 4} {
 		path := filepath.Join(dir, fmt.Sprintf("s%d.ckpt", shards))
 		checkpointAt(t, sc, path, shards, 80)
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, legacy) {
+			t.Errorf("shards=%d: checkpoint at slot 80 differs from %s (err %v):\n%s", shards, legacyPath, err, got)
+		}
 		sources[fmt.Sprintf("shards=%d", shards)] = path
 	}
 	want, _ := runLockstep(t, sc, 1)
@@ -331,51 +330,28 @@ func TestCheckpointReshardMatrix(t *testing.T) {
 			}
 		}
 	}
-
-	// A generation missing a shard file must be refused, not half-restored.
-	sharded := sources["shards=4"]
-	man := readManifest(t, sharded)
-	if err := os.Remove(shardFilePath(sharded, man.Generation, 0)); err != nil {
-		t.Fatal(err)
-	}
-	eng := buildDaemon(t, sc, func(c *Config) { c.Shards = 4 })
-	if err := eng.Restore(sharded); err == nil {
-		t.Error("manifest with a missing shard file restored")
-	}
 }
 
-func readManifest(t *testing.T, path string) checkpointManifest {
+// readHeader reads the header of the checkpoint at path.
+func readHeader(t *testing.T, path string) checkpointHeader {
 	t.Helper()
-	var man checkpointManifest
+	var hdr checkpointHeader
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(buf, &man); err != nil {
+	if err := json.Unmarshal(buf, &hdr); err != nil {
 		t.Fatal(err)
 	}
-	return man
+	return hdr
 }
 
-// TestFailedRestoreLeavesEngineUntouched corrupts the last non-empty
-// shard file of a 4-shard slot-80 generation (a negative λ¹): Restore
-// must refuse it before any shard loads its rows, so the same engine
-// then serves a replay from slot 0 bit-identically to a never-restored
-// engine.
-func TestFailedRestoreLeavesEngineUntouched(t *testing.T) {
-	sc := reshardScenario()
-	path := filepath.Join(t.TempDir(), "lfscd.ckpt")
-	checkpointAt(t, sc, path, 4, 80)
-	man := readManifest(t, path)
-	_, ownedOf := NewRouter(4).OwnerMap(sc.Synthetic.SCNs)
-	last := -1
-	for k, owned := range ownedOf {
-		if len(owned) > 0 {
-			last = k
-		}
-	}
-	shardPath := shardFilePath(path, man.Generation, last)
-	buf, err := os.ReadFile(shardPath)
+// setLambda1 rewrites the checkpoint document at path with the first
+// λ¹ of its learner document (the "policy" object) set to -1, an
+// invalid multiplier.
+func setLambda1(t *testing.T, path string) {
+	t.Helper()
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,37 +363,72 @@ func TestFailedRestoreLeavesEngineUntouched(t *testing.T) {
 	if buf, err = json.Marshal(doc); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(shardPath, buf, 0o644); err != nil {
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestFailedRestoreLeavesEngineUntouched offers one 4-shard engine three
+// refusable checkpoints at slot 80: the manifest fixture with a shard
+// file missing, the manifest fixture with a negative λ¹ in its last shard
+// file, and a one-file checkpoint with a negative λ¹ in its first row.
+// Restore must refuse each before any shard loads its rows, so the same
+// engine then serves a replay from slot 0 bit-identically to a
+// never-restored engine.
+func TestFailedRestoreLeavesEngineUntouched(t *testing.T) {
+	sc := reshardScenario()
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing.ckpt")
+	if err := os.Remove(importFixture(t, missing)[0]); err != nil {
+		t.Fatal(err)
+	}
+	corruptShard := filepath.Join(dir, "shard.ckpt")
+	files := importFixture(t, corruptShard)
+	setLambda1(t, files[len(files)-1])
+	corruptRow := filepath.Join(dir, "row.ckpt")
+	checkpointAt(t, sc, corruptRow, 4, 80)
+	setLambda1(t, corruptRow)
 
 	eng := buildDaemon(t, sc, func(c *Config) { c.Shards = 4 })
-	if err := eng.Restore(path); err == nil {
-		t.Fatal("generation with a negative multiplier restored")
-	}
-	if eng.Slot() != 0 || eng.slotsSeen() != 0 {
-		t.Fatalf("refused restore moved the slot clock: Slot %d, learner %d", eng.Slot(), eng.slotsSeen())
+	for _, path := range []string{missing, corruptShard, corruptRow} {
+		if err := eng.Restore(path); err == nil {
+			t.Fatalf("%s restored", filepath.Base(path))
+		}
+		if eng.Slot() != 0 || eng.slotsSeen() != 0 {
+			t.Fatalf("refused restore of %s moved the slot clock: Slot %d, learner %d",
+				filepath.Base(path), eng.Slot(), eng.slotsSeen())
+		}
 	}
 	srv, _ := startDaemon(t, eng)
 	defer srv.Close()
 	got := finishFrom(t, sc, eng, srv, 4, 0)
 	if want, _ := runLockstep(t, sc, 4); got != want {
-		t.Fatalf("engine after a refused restore: cum reward %x != never-restored %x", got, want)
+		t.Fatalf("engine after refused restores: cum reward %x != never-restored %x", got, want)
 	}
 }
 
-// TestReshardRestoreCleansSupersededGeneration restores a 4-shard
-// generation into a 2-shard daemon and checkpoints twice: every file of
-// the 4-shard generation must go, not only the shards the live engine
-// has, leaving exactly the manifest and the live generation's files.
+// TestReshardRestoreCleansSupersededGeneration restores the 4-shard
+// manifest fixture into a 2-shard daemon checkpointing at the same path
+// and commits twice: the first commit must remove the generation's shard
+// files, leaving exactly the one-file checkpoint. A daemon that restores
+// the same generation but checkpoints elsewhere must leave it alone.
 func TestReshardRestoreCleansSupersededGeneration(t *testing.T) {
 	sc := reshardScenario()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "lfscd.ckpt")
-	checkpointAt(t, sc, path, 4, 80)
+	importFixture(t, path)
+	imported := dirNames(t, dir)
+
+	other := filepath.Join(t.TempDir(), "other.ckpt")
+	eng, srv, _, _ := resumeDaemon(t, sc, path, func(c *Config) { c.CheckpointPath = other })
+	finishFrom(t, sc, eng, srv, 1, 80)
+	srv.Close()
+	if names := dirNames(t, dir); !slices.Equal(names, imported) {
+		t.Fatalf("a daemon checkpointing elsewhere changed the imported generation: %v, was %v", names, imported)
+	}
 
 	const shards = 2
-	eng, srv, _, _ := resumeDaemon(t, sc, path, func(c *Config) {
+	eng, srv, _, _ = resumeDaemon(t, sc, path, func(c *Config) {
 		c.Shards = shards
 		c.CheckpointPath = path
 		c.CheckpointEvery = 10
@@ -431,30 +442,15 @@ func TestReshardRestoreCleansSupersededGeneration(t *testing.T) {
 	if _, err := rep.Run(shardPoolFor(srv, shards), 80, 95, nil); err != nil {
 		t.Fatal(err)
 	}
-	eng.Stop()
-
-	man := readManifest(t, path)
-	if man.Shards != shards || man.Slot != 95 {
-		t.Fatalf("manifest = %+v, want shards %d at slot 95", man, shards)
-	}
-	want := []string{filepath.Base(path)}
-	_, ownedOf := NewRouter(shards).OwnerMap(sc.Synthetic.SCNs)
-	for k, owned := range ownedOf {
-		if len(owned) > 0 {
-			want = append(want, filepath.Base(shardFilePath(path, man.Generation, k)))
-		}
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	if err := eng.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	var got []string
-	for _, de := range entries {
-		got = append(got, de.Name())
+
+	if hdr := readHeader(t, path); hdr.Slot != 95 {
+		t.Fatalf("checkpoint header = %+v, want slot 95", hdr)
 	}
-	slices.Sort(want)
-	if !slices.Equal(got, want) {
-		t.Fatalf("checkpoint directory holds %v, want %v", got, want)
+	if names := dirNames(t, dir); !slices.Equal(names, []string{"lfscd.ckpt"}) {
+		t.Fatalf("checkpoint directory holds %v, want only lfscd.ckpt", names)
 	}
 }
 

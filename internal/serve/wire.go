@@ -146,6 +146,12 @@ type Stats struct {
 	// after their slot had already closed.
 	LateSlots   uint64 `json:"late_slots"`
 	LateReports uint64 `json:"late_reports"`
+	// Checkpoints counts committed checkpoints and CheckpointFailures the
+	// commits that failed (each leaves the previous checkpoint in place);
+	// CheckpointSlot is the slot of the last committed one (0 before any).
+	Checkpoints        uint64 `json:"checkpoints"`
+	CheckpointFailures uint64 `json:"checkpoint_failures"`
+	CheckpointSlot     int    `json:"checkpoint_slot"`
 
 	SubmitLatency obs.PhaseStat `json:"submit_latency"`
 	ReportLatency obs.PhaseStat `json:"report_latency"`
