@@ -56,9 +56,10 @@ test-race:
 # DESIGN.md §10's decode figures) and the client round trip (one lockstep
 # /v1/step over loopback against an in-process daemon, 4-SCN and paper
 # shape), one checkpoint commit of a warmed paper-shape learner at
-# Shards 1 and 2 (it reports fsyncs/op, 2 at any shard count), plus one
+# Shards 1 and 2 (it reports fsyncs/op, 2 at any shard count), plus the
 # scenario timeline build (scenarios/churn.scn over the paper topology
-# at T=10⁴, what a -scenario daemon pays at boot). All
+# at T=10⁴, what a -scenario daemon pays at boot, and the same config
+# with its SCN sets scaled tenfold at 300 SCNs × T=4×10⁴). All
 # benchmarks report allocs/op; the steady-state kernels and the substrate
 # must show 0.
 bench-short:

@@ -9,9 +9,9 @@ import (
 // truncated files, duplicate keys, out-of-range slots and SCN ids must
 // come back as errors, never as panics or unbounded allocations. Inputs
 // that Parse+Validate accept must re-validate and build deterministically
-// (two Builds from the same accepted config are digest-identical), and
-// acceptance itself must be stable across the golden table that seeds
-// the corpus.
+// (two Builds from the same accepted config are digest-identical) and
+// exactly as buildReference does, and acceptance itself must be stable
+// across the golden table that seeds the corpus.
 func FuzzScenarioParse(f *testing.F) {
 	for _, g := range goldenConfigs {
 		f.Add(g.src)
@@ -45,6 +45,7 @@ func FuzzScenarioParse(f *testing.F) {
 		if a.Digest() != b.Digest() {
 			t.Fatalf("digest nondeterministic: %s vs %s", a.Digest(), b.Digest())
 		}
+		checkAgainstReference(t, "fuzzed config", cfg, 30, 64, 5, 17)
 		var v View
 		for _, slot := range []int{0, 31, 63, 64, 1000} {
 			a.ViewInto(slot, &v)

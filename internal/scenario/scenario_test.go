@@ -363,31 +363,22 @@ func timelineBytes(tl *Timeline) int {
 }
 
 // TestBuildCost pins what Build costs. On the paper topology (30 SCNs,
-// c = 20), scenarios/churn.scn at T = 10⁴ allocates under 2 MB, and its
-// allocation count does not grow with the horizon; the slot-by-SCN
-// layout allocated 8.4 MB in ~10⁴ allocations, one per slot. Scaled to
-// 300 SCNs over 4×10⁴ slots it keeps at most 15 MB, where that layout
-// kept 109 MB.
+// c = 20), scenarios/churn.scn at T = 10⁴ allocates under 2 MB; the
+// slot-by-SCN layout allocated 8.4 MB. Scaled to 300 SCNs over 4×10⁴
+// slots it keeps at most 15 MB, where that layout kept 109 MB.
 func TestBuildCost(t *testing.T) {
 	cfg, err := Parse([]byte(shippedScenario(t, "churn.scn")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost := func(slots int) (bytes, allocs uint64) {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		if _, err := Build(cfg, 30, slots, 20, 42); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&m1)
-		return m1.TotalAlloc - m0.TotalAlloc, m1.Mallocs - m0.Mallocs
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if _, err := Build(cfg, 30, 10000, 20, 42); err != nil {
+		t.Fatal(err)
 	}
-	bytes, allocs := cost(10000)
-	if bytes >= 2<<20 {
+	runtime.ReadMemStats(&m1)
+	if bytes := m1.TotalAlloc - m0.TotalAlloc; bytes >= 2<<20 {
 		t.Errorf("T=10⁴: Build allocated %d bytes, want < 2 MiB", bytes)
-	}
-	if _, long := cost(40000); long > allocs+5 {
-		t.Errorf("Build made %d allocations at T=4×10⁴ but %d at T=10⁴", long, allocs)
 	}
 	tl := mustBuild(t, churn300, 300, 40000, 20, 42)
 	if n := timelineBytes(tl); n > 15e6 {
@@ -395,20 +386,63 @@ func TestBuildCost(t *testing.T) {
 	}
 }
 
+// maxBuildAllocs is what Build allocated for scenarios/churn.scn over the
+// paper topology at T = 10⁴ when it stepped every member of every source
+// and multiplied every cycle into every entry on every slot.
+const maxBuildAllocs = 58
+
+// TestBuildAllocs pins Build's allocations on scenarios/churn.scn over
+// the paper topology. The entry groups, the per-SCN down counts and the
+// member states are allocated once per Build, never per slot, so the
+// count stays within maxBuildAllocs at T = 10⁴ and grows by no more than
+// the row stores' doublings at T = 4×10⁴.
+func TestBuildAllocs(t *testing.T) {
+	cfg, err := Parse([]byte(shippedScenario(t, "churn.scn")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(slots int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Build(cfg, 30, slots, 20, 42); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(10000), allocs(40000)
+	if short > maxBuildAllocs {
+		t.Errorf("T=10⁴: Build made %v allocations, want ≤ %d", short, maxBuildAllocs)
+	}
+	if long > short+5 {
+		t.Errorf("Build made %v allocations at T=4×10⁴ but %v at T=10⁴", long, short)
+	}
+}
+
 var buildSink *Timeline
 
-// BenchmarkBuild times Build on scenarios/churn.scn over the paper
-// topology at T = 10⁴: what lfscd, lfscsim and lfscload pay at start-up
-// under -scenario.
+// BenchmarkBuild times Build on scenarios/churn.scn. The paper case is the
+// paper topology at T = 10⁴, what lfscd, lfscsim and lfscload pay at
+// start-up under -scenario; the scale300 case scales its SCN sets tenfold
+// over 300 SCNs at T = 4×10⁴, the scale point of DESIGN.md §13's table.
 func BenchmarkBuild(b *testing.B) {
-	cfg, err := Parse([]byte(shippedScenario(b, "churn.scn")))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if buildSink, err = Build(cfg, 30, 10000, 20, 42); err != nil {
+	for _, c := range []struct {
+		name        string
+		src         string
+		scns, slots int
+	}{
+		{"paper", shippedScenario(b, "churn.scn"), 30, 10000},
+		{"scale300", churn300, 300, 40000},
+	} {
+		cfg, err := Parse([]byte(c.src))
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if buildSink, err = Build(cfg, c.scns, c.slots, 20, 42); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

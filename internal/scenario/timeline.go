@@ -41,11 +41,13 @@ type View struct {
 // only at events and capacity steps; a budget cycle's multipliers move
 // every slot, so budget rows are stored about once per slot. For
 // scenarios/churn.scn on the paper topology (30 SCNs × 10⁴ slots) Build
-// takes ~4 ms, allocates 0.63 MB in ~60 allocations and keeps 0.41 MB,
-// where one array entry per (slot, SCN) took ~16 ms, 8.4 MB in ~10⁴
-// allocations and kept 2.95 MB; at 300 SCNs × 4×10⁴ slots (the same
-// config, SCN sets scaled tenfold) it takes ~180 ms, allocates 26 MB and
-// keeps 9.4 MB, against ~470 ms, 337 MB and 109 MB (DESIGN.md §13).
+// takes ~1.2 ms, allocates 0.64 MB in 57 allocations and keeps 0.41 MB;
+// stepping every member and every row entry on every slot took ~3.3 ms,
+// and one array entry per (slot, SCN) took ~16 ms, 8.4 MB in ~10⁴
+// allocations and kept 2.95 MB. At 300 SCNs × 4×10⁴ slots (the same
+// config, SCN sets scaled tenfold) it takes ~25 ms, allocates 26 MB and
+// keeps 9.4 MB, against ~130 ms stepping every slot and ~470 ms, 337 MB
+// and 109 MB with per-(slot, SCN) arrays (DESIGN.md §13).
 // Slots beyond the horizon wrap (t mod slots), so a daemon outliving
 // the configured horizon sees the cycle repeat rather than a cliff.
 type Timeline struct {
@@ -76,11 +78,20 @@ type slotRec struct {
 // when the config has diurnal events; otherwise may be 0). seed is the
 // run's master seed — the same one handed to the simulator or daemon.
 //
-// Build walks the slots once. Each availability source keeps its own
-// per-SCN mask for the current slot (transitions are counted per
-// source, so overlapping sources each report their own events) and the
-// masks OR into the slot's up row; capacity and budget cycles multiply
-// into one-slot multiplier rows in event order.
+// Build walks the slots once and works only where the timeline changes.
+// Each availability source keeps its members' masks and the first slot
+// at which one of them can change (sleep: the next window edge; churn:
+// the earliest phase end; blockage: the earliest outage end, though it
+// still draws for a burst every slot), and touches its members only
+// then. Transitions are counted per source, so overlapping sources each
+// report their own events, and each moves a per-SCN count of the sources
+// holding that SCN down; the up row is stored again only in a slot where
+// a count crossed zero. Each capacity or budget cycle is evaluated once
+// per slot and multiplied once per group of row entries it covers (see
+// groupEntries), so every entry gets the product of the same factors in
+// the same order as multiplying each entry would give; capacity is
+// rounded once per group, and its row rebuilt only when a group's
+// rounded value steps.
 func Build(cfg Config, scns, slots, capacity int, seed uint64) (*Timeline, error) {
 	if err := cfg.Validate(scns); err != nil {
 		return nil, err
@@ -96,7 +107,7 @@ func Build(cfg Config, scns, slots, capacity int, seed uint64) (*Timeline, error
 	var (
 		srcs           []availability
 		cycles         []cycle
-		capMul, mulRow []float64 // this slot's capacity multipliers; α then β multipliers
+		hasCap, hasMul bool
 	)
 	for i := range cfg.Events {
 		ev := &cfg.Events[i]
@@ -108,19 +119,15 @@ func Build(cfg Config, scns, slots, capacity int, seed uint64) (*Timeline, error
 			if capacity <= 0 {
 				return nil, fmt.Errorf("scenario: diurnal event %d needs a positive nominal capacity", i)
 			}
-			if capMul == nil {
-				capMul = make([]float64, scns)
-			}
-			cycles = append(cycles, cycle{ev, ev.MinCap, members, capMul})
+			hasCap = true
+			cycles = append(cycles, cycle{ev: ev, min: ev.MinCap, members: members})
 		case KindBudget:
-			if mulRow == nil {
-				mulRow = make([]float64, 2*scns)
-			}
+			hasMul = true
 			if ev.AlphaMin < 1 {
-				cycles = append(cycles, cycle{ev, ev.AlphaMin, members, mulRow[:scns]})
+				cycles = append(cycles, cycle{ev: ev, min: ev.AlphaMin, members: members, base: scns})
 			}
 			if ev.BetaMin < 1 {
-				cycles = append(cycles, cycle{ev, ev.BetaMin, members, mulRow[scns:]})
+				cycles = append(cycles, cycle{ev: ev, min: ev.BetaMin, members: members, base: 2 * scns})
 			}
 		}
 	}
@@ -132,64 +139,75 @@ func Build(cfg Config, scns, slots, capacity int, seed uint64) (*Timeline, error
 		digest:   digest(&cfg, scns, slots, capacity, seed),
 		slot:     make([]slotRec, slots),
 	}
-	up := make([]bool, scns)
-	var capRow []int
-	if capMul != nil {
-		capRow = make([]int, scns)
+	r := upRow{held: make([]int32, scns), up: make([]bool, scns), n: int32(scns)}
+	for m := range r.up {
+		r.up[m] = true
 	}
-	if mulRow != nil {
+	var (
+		groupOf []int32 // per row entry: capacity, then α, then β, scns each
+		groups  []group
+		capRow  []int
+		mulRow  []float64 // α then β multipliers
+	)
+	if hasCap || hasMul {
+		groupOf = make([]int32, 3*scns)
+		groups = groupEntries(cycles, groupOf)
+	}
+	if hasCap {
+		capRow = make([]int, scns)
+		for _, g := range groupOf[:scns] {
+			groups[g].caps = true
+		}
+	}
+	if hasMul {
+		mulRow = make([]float64, 2*scns)
 		// A budget cycle moves its multipliers every slot, so nearly
 		// every slot stores a row of its own.
 		tl.mulRows = make([]float64, 0, slots*len(mulRow))
 	}
 	for t := 0; t < slots; t++ {
 		rec := &tl.slot[t]
-		changed := t == 0
 		if t > 0 {
 			*rec = tl.slot[t-1]
 		}
+		r.rec = rec
 		for i := range srcs {
-			if srcs[i].step(t, slots, rec) {
-				changed = true
-			}
+			srcs[i].step(t, slots, &r)
 		}
-		if changed {
-			for m := range up {
-				up[m] = true
-			}
-			for i := range srcs {
-				srcs[i].mask(up)
-			}
-			n := int32(0)
-			for _, u := range up {
-				if u {
-					n++
-				}
-			}
-			rec.upCount = n
-			rec.up = intern(&tl.upRows, up)
+		if t == 0 || r.moved {
+			rec.upCount = r.n
+			rec.up = intern(&tl.upRows, r.up)
+			r.moved = false
+		}
+		if groups == nil {
+			continue
 		}
 
-		for m := range capMul {
-			capMul[m] = 1
-		}
-		for m := range mulRow {
-			mulRow[m] = 1
-		}
 		for i := range cycles {
-			cycles[i].apply(t)
+			cycles[i].mul = cycles[i].at(t)
 		}
-		if capRow != nil {
-			c := 0
-			for m, mul := range capMul {
-				if m == 0 || mul != capMul[m-1] { // SCNs under the same cycles round once
-					c = min(max(int(math.Round(mul*float64(capacity))), 1), capacity)
-				}
-				capRow[m] = c
+		stepped := false
+		for g := range groups {
+			gr := &groups[g]
+			if g > 0 {
+				gr.prod = groups[gr.parent].prod * cycles[gr.cycle].mul
+			}
+			if gr.caps {
+				c := min(max(int(math.Round(gr.prod*float64(capacity))), 1), capacity)
+				stepped = stepped || c != gr.cap
+				gr.cap = c
+			}
+		}
+		if stepped {
+			for m := range capRow {
+				capRow[m] = groups[groupOf[m]].cap
 			}
 			rec.caps = intern(&tl.capRows, capRow)
 		}
 		if mulRow != nil {
+			for k := range mulRow {
+				mulRow[k] = groups[groupOf[scns+k]].prod
+			}
 			rec.mul = intern(&tl.mulRows, mulRow)
 		}
 	}
@@ -216,74 +234,111 @@ func intern[E comparable](rows *[]E, row []E) int32 {
 	return int32(last / n)
 }
 
+// upRow is the availability row while Build walks the slots: per SCN the
+// number of sources holding it down, the up row those counts give, and
+// the slot record transitions are counted into.
+type upRow struct {
+	held  []int32
+	up    []bool
+	n     int32 // up entries
+	moved bool  // an up entry flipped since the row was last stored
+	rec   *slotRec
+}
+
 // availability is one sleep, churn or blockage source's state while
 // Build walks the slots.
 type availability struct {
 	ev      *Event
-	members []int
-	down    []bool       // per member: the source's mask at the current slot
-	until   []int        // per member: churn's next phase start, blockage's outage end
-	streams []rng.Stream // churn: one stream per member
-	st      rng.Stream   // the event's stream: blockage draws from it, churn derives from it
-	starts  int          // blockage: burst placements within the set
+	members []member
+	next    int        // no member changes state before this slot
+	st      rng.Stream // the event's stream: blockage draws from it, churn derives from it
+	starts  int        // blockage: burst placements within the set
 }
 
-func newAvailability(ev *Event, members []int, root *rng.Stream, label uint64) availability {
-	a := availability{
-		ev:      ev,
-		members: members,
-		down:    make([]bool, len(members)),
-		until:   make([]int, len(members)),
-	}
+// member is one SCN's state in an availability source.
+type member struct {
+	scn   int
+	down  bool       // the source's mask at the current slot
+	until int        // churn's next phase start, blockage's outage end
+	st    rng.Stream // churn: the SCN's own stream
+}
+
+func newAvailability(ev *Event, scns []int, root *rng.Stream, label uint64) availability {
+	a := availability{ev: ev, members: make([]member, len(scns))}
 	root.DeriveInto(label, &a.st)
+	for k, m := range scns {
+		a.members[k].scn = m
+	}
 	switch ev.Kind {
 	case KindChurn:
 		// Each SCN walks its renewal process from its own derived
 		// stream, so the result is independent of SCN iteration order
 		// and of every other event source.
-		a.streams = make([]rng.Stream, len(members))
-		for k, m := range members {
-			a.st.DeriveInto(uint64(m), &a.streams[k])
+		for k, m := range scns {
+			a.st.DeriveInto(uint64(m), &a.members[k].st)
 		}
 	case KindBlockage:
-		a.starts = len(members) - ev.Width + 1
+		a.starts = len(scns) - ev.Width + 1
 		if a.starts < 1 {
 			a.starts = 1 // narrower set than the burst width: whole set goes down
 		}
+		a.next = math.MaxInt // no member is down
 	}
 	return a
 }
 
-// step advances the source to slot t, counts its transitions into rec
-// and reports whether any member changed state.
-func (a *availability) step(t, slots int, rec *slotRec) (changed bool) {
+// step advances the source to slot t, counting its transitions into r.
+// A slot before the source's next change costs a blockage source its
+// burst draw and the others nothing. next only ever errs early (an
+// overlapping burst extends an outage, a sum overflows), which costs a
+// pass over the members and changes no state.
+func (a *availability) step(t, slots int, r *upRow) {
 	ev := a.ev
 	switch ev.Kind {
 	case KindSleep:
-		// Down for Duration slots of every Period from Offset on.
+		// Down for Duration slots of every Period from Offset on: the
+		// members move together, at the window edges.
+		if t < a.next {
+			return
+		}
 		down := t >= ev.Offset && (t-ev.Offset)%ev.Period < ev.Duration
 		for k := range a.members {
-			changed = a.set(k, down, rec) || changed
+			a.set(&a.members[k], down, r)
+		}
+		switch start := t - (t-ev.Offset)%ev.Period; {
+		case t < ev.Offset:
+			a.next = ev.Offset
+		case down:
+			a.next = start + ev.Duration
+		default:
+			a.next = start + ev.Period
 		}
 	case KindChurn:
 		// Alternating up/down phases, each 1 + an exponential draw
-		// long; the first phase is up.
-		for k := range a.members {
-			if t < a.until[k] {
-				continue
-			}
-			down := t > 0 && !a.down[k]
-			mean := ev.MeanUp
-			if down {
-				mean = ev.MeanDown
-			}
-			draw := a.streams[k].Exponential(1 / mean)
-			if draw > float64(slots) {
-				draw = float64(slots) // a phase outliving the horizon is just "rest of horizon"
-			}
-			a.until[k] = t + 1 + int(draw)
-			changed = a.set(k, down, rec) || changed
+		// long; the first phase is up. A member draws when its phase
+		// ends.
+		if t < a.next {
+			return
 		}
+		next := math.MaxInt
+		for k := range a.members {
+			mb := &a.members[k]
+			if t >= mb.until {
+				down := t > 0 && !mb.down
+				mean := ev.MeanUp
+				if down {
+					mean = ev.MeanDown
+				}
+				draw := mb.st.Exponential(1 / mean)
+				if draw > float64(slots) {
+					draw = float64(slots) // a phase outliving the horizon is just "rest of horizon"
+				}
+				mb.until = t + 1 + int(draw)
+				a.set(mb, down, r)
+			}
+			next = min(next, mb.until)
+		}
+		a.next = next
 	case KindBlockage:
 		// One Bernoulli per slot, plus one placement draw per burst,
 		// from a single sequential stream: a burst takes out a
@@ -292,61 +347,119 @@ func (a *availability) step(t, slots int, rec *slotRec) (changed bool) {
 		if a.st.Bernoulli(ev.Rate) {
 			lo := a.st.Intn(a.starts)
 			for k := lo; k < lo+ev.Width && k < len(a.members); k++ {
-				a.until[k] = t + ev.Duration
+				mb := &a.members[k]
+				mb.until = t + ev.Duration
+				a.set(mb, t < mb.until, r)
+			}
+			a.next = min(a.next, t+ev.Duration)
+		}
+		if t < a.next {
+			return
+		}
+		next := math.MaxInt
+		for k := range a.members {
+			switch mb := &a.members[k]; {
+			case !mb.down:
+			case t >= mb.until:
+				a.set(mb, false, r)
+			default:
+				next = min(next, mb.until)
 			}
 		}
-		for k := range a.members {
-			changed = a.set(k, t < a.until[k], rec) || changed
-		}
-	}
-	return changed
-}
-
-// mask clears the up entries of the SCNs the source holds down.
-func (a *availability) mask(up []bool) {
-	for k, m := range a.members {
-		if a.down[k] {
-			up[m] = false
-		}
+		a.next = next
 	}
 }
 
-// set moves member k to down, counting a transition the way the
-// source's kind reports it, and reports whether the member changed.
-func (a *availability) set(k int, down bool, rec *slotRec) bool {
-	if down == a.down[k] {
-		return false
+// set moves a member to down, counting a transition the way the source's
+// kind reports it and moving the SCN's down count.
+func (a *availability) set(mb *member, down bool, r *upRow) {
+	if down == mb.down {
+		return
 	}
-	a.down[k] = down
+	mb.down = down
 	switch {
 	case down && a.ev.Kind == KindSleep:
-		rec.sleeps++
+		r.rec.sleeps++
 	case down:
-		rec.fails++
+		r.rec.fails++
 	case a.ev.Kind != KindSleep:
-		rec.rejoins++
+		r.rec.rejoins++
 	}
-	return true
+	m := mb.scn
+	if down {
+		r.held[m]++
+	} else {
+		r.held[m]--
+	}
+	if up := r.held[m] == 0; up != r.up[m] {
+		r.up[m] = up
+		r.moved = true
+		if up {
+			r.n++
+		} else {
+			r.n--
+		}
+	}
 }
 
 // cycle is one sinusoidal multiplier source — a diurnal capacity cycle
-// or one of a budget event's α/β cycles — and the slot row it
-// multiplies into.
+// or one of a budget event's α/β cycles — and the row entries it covers:
+// base + m for each member m.
 type cycle struct {
 	ev      *Event
 	min     float64
 	members []int
-	dst     []float64
+	base    int     // 0 for capacity, scns for α, 2·scns for β
+	mul     float64 // the value at the current slot
 }
 
-// apply multiplies the cycle's value at slot t — 1 at the crest (t =
-// Offset mod Period), min at the trough — into its members' entries.
-func (c *cycle) apply(t int) {
+// at is the cycle's value at slot t: 1 at the crest (t = Offset mod
+// Period), min at the trough.
+func (c *cycle) at(t int) float64 {
 	phase := 2 * math.Pi * float64(t-c.ev.Offset) / float64(c.ev.Period)
-	mul := c.min + (1-c.min)*0.5*(1+math.Cos(phase))
-	for _, m := range c.members {
-		c.dst[m] *= mul
+	return c.min + (1-c.min)*0.5*(1+math.Cos(phase))
+}
+
+// group is a set of row entries covered by the same cycles in the same
+// order. Its product is its parent's times the value of the cycle that
+// split it from the parent, so each entry's product multiplies its
+// cycles' values into 1 in event order, one factor at a time.
+type group struct {
+	parent, cycle int32   // group 0, the entries no cycle covers, has neither
+	split         int32   // while grouping: the group the latest cycle to touch this one moved its entries into
+	caps          bool    // the group holds capacity entries
+	prod          float64 // this slot's product; 1 for group 0
+	cap           int     // this slot's capacity, when caps
+}
+
+// groupEntries partitions the row entries by the cycles covering them,
+// records each entry's group in groupOf and returns the groups. Taking
+// the cycles in event order, each cycle moves its entries out of every
+// group it touches into one new group per touched group. A cycle makes
+// at most one group per member, so a slot's group products cost no more
+// multiplications than multiplying each member's entry would.
+func groupEntries(cycles []cycle, groupOf []int32) []group {
+	n := 1
+	for i := range cycles {
+		n += len(cycles[i].members)
 	}
+	groups := make([]group, 1, n)
+	groups[0].prod = 1
+	for ci := range cycles {
+		c := &cycles[ci]
+		for _, m := range c.members {
+			e := c.base + m
+			g := groupOf[e]
+			to := groups[g].split
+			if to == 0 || groups[to].cycle != int32(ci) {
+				to = int32(len(groups))
+				groups = append(groups, group{parent: g, cycle: int32(ci)})
+				groups[g].split = to
+			}
+			groupOf[e] = to
+		}
+	}
+	return groups
 }
 
 // wrap maps an arbitrary slot index onto the materialized horizon.

@@ -389,6 +389,36 @@ func TestCheckpointCommitFaults(t *testing.T) {
 	}
 }
 
+// TestNewEngineRefusesMissingCheckpointDir: a checkpoint path whose
+// directory is missing, or is a file, is refused at NewEngine, with the
+// directory in the error, instead of failing every commit of a daemon
+// that already serves.
+func TestNewEngineRefusesMissingCheckpointDir(t *testing.T) {
+	sc := testScenario(40, 3)
+	cfg, err := sc.EngineConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{filepath.Join(dir, "nodir"), file} {
+		cfg.CheckpointPath = filepath.Join(bad, "lfscd.ckpt")
+		if _, err := NewEngine(cfg); err == nil || !strings.Contains(err.Error(), bad) {
+			t.Errorf("checkpoint in %s: NewEngine error %v, want one naming the directory", bad, err)
+		}
+	}
+	cfg.CheckpointPath = filepath.Join(dir, "lfscd.ckpt")
+	if _, err := NewEngine(cfg); err != nil {
+		t.Fatalf("checkpoint in an existing directory: %v", err)
+	}
+	if names := dirNames(t, dir); !slices.Equal(names, []string{"file"}) {
+		t.Fatalf("NewEngine wrote into the checkpoint directory: %v", names)
+	}
+}
+
 // TestCheckpointFailuresCounted drives a failed periodic commit and a
 // failed shutdown commit through the file-operation seam: /v1/stats,
 // /lfsc/status and /metrics count them, the last committed slot stays

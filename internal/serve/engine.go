@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,6 +80,7 @@ type Config struct {
 
 	// CheckpointPath enables checkpointing: the engine atomically writes
 	// its state there every CheckpointEvery slots and on graceful Stop.
+	// Its directory must exist; NewEngine refuses the path otherwise.
 	CheckpointPath string
 	// CheckpointEvery is the periodic checkpoint interval in slots
 	// (0 = only on Stop).
@@ -352,6 +355,16 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Scenario != nil && cfg.Scenario.SCNs() != cfg.SCNs {
 		return nil, fmt.Errorf("serve: scenario timeline covers %d SCNs, engine has %d",
 			cfg.Scenario.SCNs(), cfg.SCNs)
+	}
+	if cfg.CheckpointPath != "" {
+		// Every commit writes beside the checkpoint, so a missing
+		// directory would fail them all; refuse it before serving.
+		dir := filepath.Dir(cfg.CheckpointPath)
+		if fi, err := os.Stat(dir); err != nil {
+			return nil, fmt.Errorf("serve: checkpoint directory: %w", err)
+		} else if !fi.IsDir() {
+			return nil, fmt.Errorf("serve: checkpoint directory %s is not a directory", dir)
+		}
 	}
 	part, err := hypercube.New(cfg.Dims, cfg.H)
 	if err != nil {
