@@ -161,16 +161,15 @@ serve-smoke:
 # (one checkpoint file, two empty shards at this scale), the
 # Shards=1/2/4-vs-offline three-way identity, the resharding matrix
 # (checkpoints from 1, 2 and 4 shards, each byte-identical to the
-# committed single file, plus that file and a committed 4-shard manifest
-# generation, each restored at 1, 2 and 4 shards), refused restores
-# (missing or corrupt shard file, corrupt row) that must leave the engine
-# untouched, the removal of an imported manifest generation by the first
-# commit, an error and a crash injected at every file operation of a
-# commit at Shards 1, 2 and 4 (each restored bit-identically), and the
-# failure counters — all under the race detector (the shard fan-out runs
-# Decide/Observe on parallel goroutines).
+# committed single file, plus that file, each restored at 1, 2 and 4
+# shards), refused restores (a manifest, a header slot that disagrees
+# with the learner's, a corrupt row) that must leave the engine
+# untouched, an error and a crash injected at every file operation of a
+# commit at Shards 1, 2 and 4, fresh and after a restore (each restored
+# bit-identically), and the failure counters — all under the race
+# detector (the shard fan-out runs Decide/Observe on parallel goroutines).
 serve-smoke-shards:
-	$(GO) test -race -count=1 -run 'TestServeSmokeShards|TestShardedLockstepThreeWayIdentity|TestCheckpointReshardMatrix|TestFailedRestoreLeavesEngineUntouched|TestReshardRestoreCleansSupersededGeneration|TestCheckpointCommitFaults|TestCheckpointFailuresCounted' ./internal/serve
+	$(GO) test -race -count=1 -run 'TestServeSmokeShards|TestShardedLockstepThreeWayIdentity|TestCheckpointReshardMatrix|TestFailedRestoreLeavesEngineUntouched|TestCheckpointCommitFaults|TestCheckpointFailuresCounted' ./internal/serve
 
 # The client's connection lifecycle: a pooled connection the daemon
 # closed while idle is redialed once (replay bit-identical), a reply cut
@@ -203,10 +202,11 @@ scenario-smoke:
 
 # Build and run every examples/ program with its default arguments; any
 # non-zero exit fails the target, and so does a file an example leaves in
-# its TMPDIR (a fresh, empty directory removed afterwards). Some packages
-# are reachable only from an example (internal/radio from
-# examples/mobility, internal/queueing from examples/latency), so this is
-# the one gate that runs them. Each example takes a few seconds at most.
+# its TMPDIR (a fresh, empty directory removed afterwards). internal/queueing
+# is reachable only from examples/latency, so this is the one gate that
+# runs it; that example also exits non-zero when its own verdict fails
+# (10% or more of the tasks over one slot). Each example takes a few
+# seconds at most.
 examples-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	for d in examples/*/; do \

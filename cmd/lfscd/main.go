@@ -44,10 +44,10 @@
 // before exiting, so a kill at any point loses at most the slots since
 // the last periodic write — never the file. The checkpoint is one file at
 // the -checkpoint path, the same bytes at every -shards count, and it
-// restores at any -shards count; a manifest generation (a manifest plus
-// per-shard files) written by earlier builds restores the same way, and
-// the first checkpoint after it removes its shard files. A failed
-// shutdown checkpoint is printed; periodic failures are counted in
+// restores at any -shards count. A manifest generation (a manifest plus
+// per-shard files) from builds before 4b743f5 is refused at boot; a build
+// from 4b743f5 through cd688e2 restores it and commits it as one file. A
+// failed shutdown checkpoint is printed; periodic failures are counted in
 // /v1/stats, /lfsc/status and /metrics.
 //
 // Observability: /lfsc/status (plain text), /v1/stats (JSON),

@@ -3,7 +3,9 @@
 // abstracts away ("we assume all tasks can be processed in one time slot").
 // The example compares FIFO vs processor-sharing service at the same load
 // and checks the single-slot abstraction: how often does a task's sojourn
-// actually exceed one slot at the paper's operating point?
+// actually exceed one slot at the paper's operating point? It exits 1
+// when, under either discipline, maxOverShare or more of the tasks take
+// longer than one slot.
 //
 //	go run ./examples/latency
 package main
@@ -11,6 +13,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"lfsc"
 
@@ -31,20 +34,34 @@ const (
 	// tasks bring work proportional to their input size; the rate is set
 	// so the server runs at ~80% utilisation at full beam usage.
 	serviceRate = 75.0
+	// maxOverShare is the verdict's bound: the one-slot abstraction holds
+	// for the bulk of tasks only while fewer than this share of them take
+	// longer than one slot.
+	maxOverShare = 0.10
 )
 
 func main() {
+	var failed []queueing.Discipline
 	for _, disc := range []queueing.Discipline{queueing.FIFO, queueing.PS} {
 		vals, over := run(disc)
 		fmt.Printf("%-5s service: mean sojourn %.2f slots, p95 %.2f, >1 slot: %.1f%%\n",
 			disc, vals.summary.Mean(), p95(vals), 100*over)
+		if over >= maxOverShare {
+			failed = append(failed, disc)
+		}
 	}
 	lam, mu := 0.8*serviceRate, serviceRate
 	fmt.Printf("\nM/M/1 reference at ρ=0.8 (work units): E[T] = %.2f slots\n",
 		queueing.MM1MeanSojourn(lam/12.5, mu/12.5)) // per-task units: mean work 12.5
-	fmt.Println("\nThe paper's one-slot-per-task abstraction holds for the bulk of")
-	fmt.Println("tasks at this operating point; the tail above one slot is what the")
-	fmt.Println("multi-slot extension (Config.MultiSlot) models explicitly.")
+	if len(failed) > 0 {
+		fmt.Fprintf(os.Stderr, "latency: %v put %.0f%% or more of the tasks over one slot; "+
+			"the one-slot abstraction does not hold at this operating point\n", failed, 100*maxOverShare)
+		os.Exit(1)
+	}
+	fmt.Printf("\nThe paper's one-slot-per-task abstraction holds for the bulk of\n")
+	fmt.Printf("tasks at this operating point (under %.0f%% over one slot with either\n", 100*maxOverShare)
+	fmt.Println("discipline); the tail above one slot is what the multi-slot")
+	fmt.Println("extension (Config.MultiSlot) models explicitly.")
 }
 
 type probeValues struct {

@@ -22,21 +22,6 @@ func save(w io.Writer, learners ...*LFSC) error {
 	return json.NewEncoder(w).Encode(&cp)
 }
 
-// savePartial encodes a partial learner's rows as one shard document of a
-// manifest generation, the layout earlier builds wrote and Load still
-// imports.
-func savePartial(w io.Writer, l *LFSC) error {
-	cp := Checkpoint{Version: checkpointVersion, SCNs: l.cfg.SCNs, Cells: l.cfg.Cells, T: l.slots, Owned: l.owned}
-	for _, m := range l.owned {
-		st := l.scns[m]
-		cp.LogW = append(cp.LogW, st.logW)
-		cp.Lambda1 = append(cp.Lambda1, st.lambda1)
-		cp.Lambda2 = append(cp.Lambda2, st.lambda2)
-		cp.Rng = append(cp.Rng, st.r.State())
-	}
-	return json.NewEncoder(w).Encode(&cp)
-}
-
 func trainedLFSC(t *testing.T, seed uint64) *LFSC {
 	t.Helper()
 	cfg := testConfig()
@@ -117,18 +102,22 @@ func TestCheckpointShapeMismatch(t *testing.T) {
 	}
 }
 
+// TestCheckpointRejectsCorrupt offers an untrained learner documents that
+// fail the decode, version, array-length, weight-count and multiplier
+// checks; each must be refused with the error of the check it targets,
+// and none may touch the weights.
 func TestCheckpointRejectsCorrupt(t *testing.T) {
 	l := MustNew(testConfig(), rng.New(34))
-	cases := []string{
-		"not json",
-		`{"version":99}`,
-		`{"version":1,"scns":2,"cells":4,"log_weights":[[1,2,3,4]],"lambda1":[0,0],"lambda2":[0,0]}`,
-		`{"version":1,"scns":2,"cells":4,"log_weights":[[1,2,3],[1,2,3,4]],"lambda1":[0,0],"lambda2":[0,0]}`,
-		`{"version":1,"scns":2,"cells":4,"log_weights":[[1,2,3,4],[1,2,3,4]],"lambda1":[-1,0],"lambda2":[0,0]}`,
+	cases := []struct{ doc, err string }{
+		{"not json", "decode"},
+		{`{"version":99}`, "version 99"},
+		{`{"version":2,"scns":2,"cells":4,"t":5,"log_weights":[[1,2,3,4]],"lambda1":[0,0],"lambda2":[0,0],"rng":[[1,3,5],[1,3,5]]}`, "arrays inconsistent"},
+		{`{"version":2,"scns":2,"cells":4,"t":5,"log_weights":[[1,2,3],[1,2,3,4]],"lambda1":[0,0],"lambda2":[0,0],"rng":[[1,3,5],[1,3,5]]}`, "has 3 weights"},
+		{`{"version":2,"scns":2,"cells":4,"t":5,"log_weights":[[1,2,3,4],[1,2,3,4]],"lambda1":[-1,0],"lambda2":[0,0],"rng":[[1,3,5],[1,3,5]]}`, "invalid multipliers"},
 	}
 	for i, c := range cases {
-		if err := l.Load(strings.NewReader(c)); err == nil {
-			t.Fatalf("corrupt checkpoint %d accepted", i)
+		if err := l.Load(strings.NewReader(c.doc)); err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Fatalf("corrupt checkpoint %d: error %v, want one containing %q", i, err, c.err)
 		}
 	}
 	// Failed loads must not partially mutate state.
@@ -140,31 +129,37 @@ func TestCheckpointRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// TestCheckpointRejectsCorruptV2 offers a trained learner v2 documents
+// that fail the slot-counter, RNG and decode checks; each must be refused
+// with the error of the check it targets and leave the learner as it was.
 func TestCheckpointRejectsCorruptV2(t *testing.T) {
 	l := trainedLFSC(t, 35)
 	before := snapshotState(l)
-	cases := []string{
-		// negative slot counter
-		`{"version":2,"scns":2,"cells":4,"t":-1,"log_weights":[[0,0,0,0],[0,0,0,0]],"lambda1":[0,0],"lambda2":[0,0],"rng":[[1,3,5],[1,3,5]]}`,
-		// missing RNG states
-		`{"version":2,"scns":2,"cells":4,"t":5,"log_weights":[[0,0,0,0],[0,0,0,0]],"lambda1":[0,0],"lambda2":[0,0]}`,
-		// wrong RNG state count
-		`{"version":2,"scns":2,"cells":4,"t":5,"log_weights":[[0,0,0,0],[0,0,0,0]],"lambda1":[0,0],"lambda2":[0,0],"rng":[[1,3,5]]}`,
-		// even PCG increment — structurally impossible stream state
-		`{"version":2,"scns":2,"cells":4,"t":5,"log_weights":[[0,0,0,0],[0,0,0,0]],"lambda1":[0,0],"lambda2":[0,0],"rng":[[1,3,5],[1,2,5]]}`,
-		// v1 checkpoints must not smuggle RNG states
-		`{"version":1,"scns":2,"cells":4,"log_weights":[[0,0,0,0],[0,0,0,0]],"lambda1":[0,0],"lambda2":[0,0],"rng":[[1,3,5],[1,3,5]]}`,
-		// out-of-range float literal
-		`{"version":1,"scns":2,"cells":4,"log_weights":[[1e999,0,0,0],[0,0,0,0]],"lambda1":[0,0],"lambda2":[0,0]}`,
-		// truncated mid-object
-		`{"version":2,"scns":2,`,
+	cases := []struct{ name, doc, err string }{
+		{"negative slot counter",
+			`{"version":2,"scns":2,"cells":4,"t":-1,"log_weights":[[0,0,0,0],[0,0,0,0]],"lambda1":[0,0],"lambda2":[0,0],"rng":[[1,3,5],[1,3,5]]}`,
+			"negative slot counter"},
+		{"missing RNG states",
+			`{"version":2,"scns":2,"cells":4,"t":5,"log_weights":[[0,0,0,0],[0,0,0,0]],"lambda1":[0,0],"lambda2":[0,0]}`,
+			"0 RNG states"},
+		{"wrong RNG state count",
+			`{"version":2,"scns":2,"cells":4,"t":5,"log_weights":[[0,0,0,0],[0,0,0,0]],"lambda1":[0,0],"lambda2":[0,0],"rng":[[1,3,5]]}`,
+			"1 RNG states"},
+		// A structurally impossible stream state.
+		{"even PCG increment",
+			`{"version":2,"scns":2,"cells":4,"t":5,"log_weights":[[0,0,0,0],[0,0,0,0]],"lambda1":[0,0],"lambda2":[0,0],"rng":[[1,3,5],[1,2,5]]}`,
+			"even increment"},
+		{"out-of-range float literal",
+			`{"version":2,"scns":2,"cells":4,"t":5,"log_weights":[[1e999,0,0,0],[0,0,0,0]],"lambda1":[0,0],"lambda2":[0,0],"rng":[[1,3,5],[1,3,5]]}`,
+			"decode"},
+		{"truncated mid-object", `{"version":2,"scns":2,`, "decode"},
 	}
-	for i, c := range cases {
-		if err := l.Load(strings.NewReader(c)); err == nil {
-			t.Fatalf("corrupt v2 checkpoint %d accepted", i)
+	for _, c := range cases {
+		if err := l.Load(strings.NewReader(c.doc)); err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Fatalf("%s: error %v, want one containing %q", c.name, err, c.err)
 		}
 		if !statesEqual(before, snapshotState(l)) {
-			t.Fatalf("corrupt checkpoint %d partially mutated policy state", i)
+			t.Fatalf("%s: refused checkpoint partially mutated policy state", c.name)
 		}
 	}
 }
@@ -225,14 +220,15 @@ func TestCheckpointCarriesSlotCounter(t *testing.T) {
 	}
 }
 
-func TestCheckpointV1BackwardCompatible(t *testing.T) {
-	l := trainedLFSC(t, 37)
+// TestCheckpointRefusesV1 offers a trained learner the v1 shape of a
+// genuine checkpoint — the same learned state without the slot counter
+// and the RNG streams, which a resumed run cannot do without. Load must
+// refuse it on its version and leave the learner exactly as it was.
+func TestCheckpointRefusesV1(t *testing.T) {
 	var buf bytes.Buffer
-	if err := save(&buf, l); err != nil {
+	if err := save(&buf, trainedLFSC(t, 37)); err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite the v2 checkpoint as the v1 format: same learned state, no
-	// slot counter, no RNG streams.
 	var m map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
 		t.Fatal(err)
@@ -244,20 +240,13 @@ func TestCheckpointV1BackwardCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := MustNew(testConfig(), rng.New(38))
-	if err := fresh.Load(bytes.NewReader(v1)); err != nil {
-		t.Fatalf("v1 checkpoint rejected: %v", err)
+	target := trainedLFSC(t, 38)
+	before := snapshotState(target)
+	if err := target.Load(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("v1 checkpoint: error %v, want a version refusal", err)
 	}
-	for scn := 0; scn < testConfig().SCNs; scn++ {
-		wa, wb := l.Weights(scn), fresh.Weights(scn)
-		for f := range wa {
-			if wa[f] != wb[f] {
-				t.Fatalf("weight [%d][%d] differs after v1 restore", scn, f)
-			}
-		}
-	}
-	if got := fresh.SlotsSeen(); got != 0 {
-		t.Fatalf("v1 restore set slot counter to %d, want 0", got)
+	if !statesEqual(before, snapshotState(target)) {
+		t.Fatal("refused v1 checkpoint mutated the learner")
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"lfsc/internal/rng"
 )
 
-// FuzzCheckpointLoad feeds arbitrary bytes (seeded with valid v1/v2
-// checkpoints and near-miss corruptions) into LFSC.Load and checks the
+// FuzzCheckpointLoad feeds arbitrary bytes (seeded with a valid
+// checkpoint, a v1 one Load refuses, and near-miss corruptions) into LFSC.Load and checks the
 // hardening contract: Load never panics, and a Load that returns an error
 // leaves the learner's observable state — weights, multipliers, slot
 // counter — exactly as it was.
@@ -24,8 +24,8 @@ func FuzzCheckpointLoad(f *testing.F) {
 		runSlot(l, view, truth, r)
 	}
 
-	// Seed corpus: a genuine v2 checkpoint, its v1 shape, and corruptions
-	// exercising every validation branch.
+	// Seed corpus: a genuine v2 checkpoint, a v1 document (refused on its
+	// version), and v2 corruptions exercising every validation branch.
 	var valid bytes.Buffer
 	if err := save(&valid, l); err != nil {
 		f.Fatal(err)
@@ -36,9 +36,9 @@ func FuzzCheckpointLoad(f *testing.F) {
 	f.Add([]byte(`{"version":99}`))
 	f.Add([]byte(`{"version":2,"scns":2,"cells":4,"t":-3,"log_weights":[[0,0,0,0],[0,0,0,0]],"lambda1":[0,0],"lambda2":[0,0],"rng":[[1,3,5],[1,3,5]]}`))
 	f.Add([]byte(`{"version":2,"scns":2,"cells":4,"t":7,"log_weights":[[0,0,0,0],[0,0,0,0]],"lambda1":[0,0],"lambda2":[0,0],"rng":[[1,2,5],[1,3,5]]}`))
-	f.Add([]byte(`{"version":1,"scns":3,"cells":4,"log_weights":[[0,0,0,0],[0,0,0,0],[0,0,0,0]],"lambda1":[0,0,0],"lambda2":[0,0,0]}`))
-	f.Add([]byte(`{"version":1,"scns":2,"cells":4,"log_weights":[[0,0,0],[0,0,0,0]],"lambda1":[0,0],"lambda2":[0,0]}`))
-	f.Add([]byte(`{"version":1,"scns":2,"cells":4,"log_weights":[[0,0,0,0],[0,0,0,0]],"lambda1":[-1,0],"lambda2":[0,0]}`))
+	f.Add([]byte(`{"version":2,"scns":3,"cells":4,"t":7,"log_weights":[[0,0,0,0],[0,0,0,0],[0,0,0,0]],"lambda1":[0,0,0],"lambda2":[0,0,0],"rng":[[1,3,5],[1,3,5],[1,3,5]]}`))
+	f.Add([]byte(`{"version":2,"scns":2,"cells":4,"t":7,"log_weights":[[0,0,0],[0,0,0,0]],"lambda1":[0,0],"lambda2":[0,0],"rng":[[1,3,5],[1,3,5]]}`))
+	f.Add([]byte(`{"version":2,"scns":2,"cells":4,"t":7,"log_weights":[[0,0,0,0],[0,0,0,0]],"lambda1":[-1,0],"lambda2":[0,0],"rng":[[1,3,5],[1,3,5]]}`))
 	f.Add([]byte(`not a checkpoint`))
 	f.Add([]byte(`{"version":2,"scns":2,`))
 	f.Add([]byte(``))

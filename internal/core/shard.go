@@ -42,15 +42,6 @@ func NewPartial(cfg Config, r *rng.Stream, owned []int) (*LFSC, error) {
 	return l, nil
 }
 
-// Owned returns the SCN indices this learner materializes (a copy), or nil
-// for a full learner.
-func (l *LFSC) Owned() []int {
-	if l.owned == nil {
-		return nil
-	}
-	return append([]int(nil), l.owned...)
-}
-
 // Merger runs the cross-SCN resolution stage (Alg. 4) over the combined
 // per-SCN states of a set of partial learners. It holds its own resolver —
 // the identical code a full learner's Decide runs — plus a stitched states

@@ -2,9 +2,7 @@ package core
 
 import (
 	"bytes"
-	"io"
 	"math"
-	"strings"
 	"testing"
 
 	"lfsc/internal/assign"
@@ -237,86 +235,22 @@ func TestMergerLockstepTwins(t *testing.T) {
 	}
 }
 
-// TestPartialCheckpointRoundTrip saves each shard of a trained sharded
-// deployment, restores the files into fresh partial learners, and checks
-// the restored state (weights, multipliers, RNG streams, slot clock)
-// matches bit-for-bit. It also pins the rejection rules: a partial
-// checkpoint cannot load into a full learner or into a shard with a
-// different owned set, and a full (pre-sharding) checkpoint loads into a
-// partial learner, committing only the owned rows.
+// TestPartialCheckpointRoundTrip pins how a sharded deployment restores:
+// the full document Gather writes loads into a partial learner, which
+// commits exactly the rows it owns, RNG streams and slot clock included.
 func TestPartialCheckpointRoundTrip(t *testing.T) {
 	cfg := Config{
 		SCNs: 5, Capacity: 2, Alpha: 1, Beta: 4,
 		Cells: 9, KMax: 10, Horizon: 100,
 	}
-	_, shards, _, _ := shardFixture(t, cfg, 9, 2)
-	// Perturb shard state so the round trip carries non-default values.
-	for _, sh := range shards {
-		for _, m := range sh.owned {
-			st := sh.scns[m]
-			for f := range st.logW {
-				st.logW[f] = float64(m*100+f) / 7
-			}
-			st.lambda1 = float64(m) * 0.25
-			st.lambda2 = float64(m) * 0.5
-			st.r.Float64() // advance so stream state is non-initial
-		}
-		sh.slots = 42
-	}
-
-	for k, sh := range shards {
-		var buf bytes.Buffer
-		if err := savePartial(&buf, sh); err != nil {
-			t.Fatalf("shard %d save: %v", k, err)
-		}
-		doc := buf.Bytes()
-
-		restored, err := NewPartial(cfg, rng.New(1), sh.Owned())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := restored.Load(bytes.NewReader(doc)); err != nil {
-			t.Fatalf("shard %d load: %v", k, err)
-		}
-		if restored.slots != 42 {
-			t.Fatalf("shard %d restored slot clock %d, want 42", k, restored.slots)
-		}
-		for _, m := range sh.owned {
-			a, b := sh.scns[m], restored.scns[m]
-			for f := range a.logW {
-				if math.Float64bits(a.logW[f]) != math.Float64bits(b.logW[f]) {
-					t.Fatalf("shard %d SCN %d cell %d weight mismatch", k, m, f)
-				}
-			}
-			if a.lambda1 != b.lambda1 || a.lambda2 != b.lambda2 {
-				t.Fatalf("shard %d SCN %d multiplier mismatch", k, m)
-			}
-			if a.r.State() != b.r.State() {
-				t.Fatalf("shard %d SCN %d RNG state mismatch", k, m)
-			}
-		}
-
-		// A partial document must not load into a full learner...
-		full := MustNew(cfg, rng.New(1))
-		if err := full.Load(bytes.NewReader(doc)); err == nil ||
-			!strings.Contains(err.Error(), "partial checkpoint") {
-			t.Fatalf("partial doc into full learner: got %v, want owned-set mismatch", err)
-		}
-		// ...nor into a shard owning a different SCN set.
-		other, err := NewPartial(cfg, rng.New(1), shards[1-k].Owned())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := other.Load(bytes.NewReader(doc)); err == nil {
-			t.Fatal("partial doc loaded into mismatched shard")
-		}
-	}
-
-	// Compat: a full checkpoint (the only format before sharding existed)
-	// loads into a partial learner, committing exactly the owned rows.
 	full := MustNew(cfg, rng.New(77))
-	for _, st := range full.scns {
+	for m, st := range full.scns {
+		for f := range st.logW {
+			st.logW[f] = float64(m*100+f) / 7
+		}
 		st.lambda1 = 0.125
+		st.lambda2 = float64(m) * 0.5
+		st.r.Float64() // advance so stream state is non-initial
 	}
 	full.slots = 17
 	var buf bytes.Buffer
@@ -333,11 +267,23 @@ func TestPartialCheckpointRoundTrip(t *testing.T) {
 	if partial.slots != 17 {
 		t.Fatalf("slot clock %d, want 17", partial.slots)
 	}
-	for _, m := range []int{1, 3} {
-		if partial.scns[m].lambda1 != 0.125 {
-			t.Fatalf("SCN %d lambda1 not restored", m)
+	for m, st := range partial.scns {
+		if m != 1 && m != 3 {
+			if st != nil {
+				t.Fatalf("SCN %d materialized by a learner that does not own it", m)
+			}
+			continue
 		}
-		if partial.scns[m].r.State() != full.scns[m].r.State() {
+		src := full.scns[m]
+		for f := range src.logW {
+			if math.Float64bits(st.logW[f]) != math.Float64bits(src.logW[f]) {
+				t.Fatalf("SCN %d cell %d weight not restored", m, f)
+			}
+		}
+		if st.lambda1 != src.lambda1 || st.lambda2 != src.lambda2 {
+			t.Fatalf("SCN %d multipliers not restored", m)
+		}
+		if st.r.State() != src.r.State() {
 			t.Fatalf("SCN %d RNG state not restored", m)
 		}
 	}
@@ -400,94 +346,6 @@ func TestGatherFromShardsEqualsFull(t *testing.T) {
 	}
 	if _, err := encode(nil); err == nil {
 		t.Error("a checkpoint of no learner gathered")
-	}
-}
-
-// TestLoadStitchesShardDocuments restores the shard documents of a
-// 3-shard deployment, all at once, into learners of other layouts — a
-// full learner and a 2-shard split — row for row; and it pins the
-// multi-document refusals (a row covered twice, documents disagreeing on
-// the slot counter, a corrupt row in the last document), each of which
-// must leave the target exactly as it was.
-func TestLoadStitchesShardDocuments(t *testing.T) {
-	cfg := Config{
-		SCNs: 5, Capacity: 2, Alpha: 1, Beta: 4,
-		Cells: 9, KMax: 10, Horizon: 100,
-	}
-	_, shards, _, _ := shardFixture(t, cfg, 9, 3)
-	var docs [][]byte
-	for _, sh := range shards {
-		for _, m := range sh.owned {
-			st := sh.scns[m]
-			st.logW[m] = float64(m) / 3
-			st.lambda1 = float64(m) * 0.25
-			st.r.Float64()
-		}
-		sh.slots = 42
-		var buf bytes.Buffer
-		if err := savePartial(&buf, sh); err != nil {
-			t.Fatal(err)
-		}
-		docs = append(docs, buf.Bytes())
-	}
-	readers := func(ds ...[]byte) []io.Reader {
-		rs := make([]io.Reader, len(ds))
-		for i, d := range ds {
-			rs[i] = bytes.NewReader(d)
-		}
-		return rs
-	}
-	matches := func(l *LFSC) {
-		t.Helper()
-		if l.slots != 42 {
-			t.Fatalf("slot clock %d, want 42", l.slots)
-		}
-		for m, st := range l.scns {
-			if st == nil {
-				continue
-			}
-			src := shards[m%3].scns[m]
-			if st.logW[m] != src.logW[m] || st.lambda1 != src.lambda1 || st.r.State() != src.r.State() {
-				t.Fatalf("SCN %d not restored from its shard document", m)
-			}
-		}
-	}
-
-	full := MustNew(cfg, rng.New(1))
-	if err := full.Load(readers(docs...)...); err != nil {
-		t.Fatalf("3 shard documents into a full learner: %v", err)
-	}
-	matches(full)
-	for _, owned := range [][]int{{0, 1, 4}, {2, 3}} {
-		l, err := NewPartial(cfg, rng.New(1), owned)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Load(readers(docs...)...); err != nil {
-			t.Fatalf("3 shard documents into partial %v: %v", owned, err)
-		}
-		matches(l)
-	}
-
-	skewed := bytes.Replace(docs[1], []byte(`"t":42`), []byte(`"t":41`), 1)
-	corrupt := bytes.Replace(docs[2], []byte(`"lambda1":[0.5`), []byte(`"lambda1":[-0.5`), 1)
-	if bytes.Equal(skewed, docs[1]) || bytes.Equal(corrupt, docs[2]) {
-		t.Fatal("fixture edits did not apply")
-	}
-	for name, set := range map[string][][]byte{
-		"row covered twice": {docs[0], docs[1], docs[2], docs[0]},
-		"slot disagreement": {docs[0], skewed, docs[2]},
-		"corrupt last doc":  {docs[0], docs[1], corrupt},
-		"SCNs uncovered":    {docs[0], docs[1]},
-	} {
-		target := MustNew(cfg, rng.New(2))
-		before := snapshotState(target)
-		if err := target.Load(readers(set...)...); err == nil {
-			t.Fatalf("%s: documents accepted", name)
-		}
-		if !statesEqual(before, snapshotState(target)) {
-			t.Fatalf("%s: refused load mutated the learner", name)
-		}
 	}
 }
 

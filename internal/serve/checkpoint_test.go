@@ -75,13 +75,6 @@ func (f *faultFS) syncDir(dir string) error {
 	return osFS{}.syncDir(dir)
 }
 
-func (f *faultFS) remove(name string) error {
-	if ok, err := f.do("remove"); !ok {
-		return err
-	}
-	return os.Remove(name)
-}
-
 // faultFile is the temporary file a faultFS created; f is nil when the
 // create itself came after the crash.
 type faultFile struct {
@@ -132,36 +125,6 @@ func awaitCommits(t *testing.T, eng *Engine, n uint64) {
 	}
 }
 
-// manifestFixture is a 4-shard manifest generation of reshardScenario at
-// slot 80, written by the build before one-file checkpoints: the manifest
-// plus one file per non-empty shard (<path>.g1.s0, .s1 and .s3).
-const manifestFixture = "testdata/manifest4-slot80.ckpt"
-
-// importFixture copies manifestFixture to path, its shard files beside
-// it, and returns the copied shard files' names in order.
-func importFixture(t *testing.T, path string) []string {
-	t.Helper()
-	srcs, err := filepath.Glob(manifestFixture + "*")
-	if err != nil || len(srcs) != 4 {
-		t.Fatalf("manifest fixture: %v files, err %v", srcs, err)
-	}
-	var shardFiles []string
-	for _, src := range srcs {
-		buf, err := os.ReadFile(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dst := path + strings.TrimPrefix(src, manifestFixture)
-		if err := os.WriteFile(dst, buf, 0o600); err != nil {
-			t.Fatal(err)
-		}
-		if dst != path {
-			shardFiles = append(shardFiles, dst)
-		}
-	}
-	return shardFiles
-}
-
 // dirNames lists the names in dir, sorted.
 func dirNames(t *testing.T, dir string) []string {
 	t.Helper()
@@ -207,26 +170,23 @@ func finishInProcess(t *testing.T, sc ReplayScenario, path string, shards int) (
 	return from, eng.CumReward()
 }
 
-// commitOps is a commit's file operations in order, before the removals
-// that follow the first commit after a manifest import.
+// commitOps is a commit's file operations in order.
 var commitOps = []string{"create", "write", "sync", "close", "rename", "syncdir"}
 
 // TestCheckpointCommitFaults injects an error, and separately a crash, at
 // every file operation of a checkpoint commit, at Shards 1, 2 and 4: for
 // the second periodic commit of a fresh run (slot 80, the first at 40),
-// and for the first commit (slot 90) after restoring the 4-shard manifest
-// fixture, whose three shard files that commit removes. After each fault:
+// and for the first commit (slot 90) after restoring the committed slot-80
+// checkpoint testdata/legacy-slot80.ckpt. After each fault:
 //
 //   - the checkpoint is byte-identical to the previous one (fault at or
-//     before the rename) or to the new one, and the directory holds it,
+//     before the rename) or to the new one, and the directory holds it and
 //     <path>.tmp exactly when a fault came between the create and the
-//     rename, and the imported shard files exactly when their removal
-//     was cut short;
+//     rename;
 //   - restoring it and serving the rest of the run ends bit-identically
 //     to an uninterrupted run;
-//   - after an error the engine serves on, its next commit succeeds and
-//     cleans up, and the counters saw the failure (a failed removal of an
-//     imported file fails no commit, and its file stays).
+//   - after an error the engine serves on, its next commit succeeds, and
+//     the counters saw the failure.
 //
 // A fault-free case per layout pins the operation order.
 func TestCheckpointCommitFaults(t *testing.T) {
@@ -246,33 +206,28 @@ func TestCheckpointCommitFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	manifest, err := os.ReadFile(manifestFixture)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const renameOp = 4 // commitOps index
 
 	for _, shards := range []int{1, 2, 4} {
-		for _, imported := range []bool{false, true} {
-			// A fresh run commits at 40 and then, faulted, at 80; an
-			// imported one commits first, faulted, at 90.
+		for _, restored := range []bool{false, true} {
+			// A fresh run commits at 40 and then, faulted, at 80; a
+			// restored one commits first, faulted, at 90.
 			every, from, prevSlot, faultSlot, base := 40, 0, 40, 80, len(commitOps)
-			nops := len(commitOps)
-			if imported {
+			if restored {
 				every, from, prevSlot, faultSlot, base = 10, 80, 80, 90, 0
-				nops += 3
 			}
-			for k := -1; k < nops; k++ {
+			for k := -1; k < len(commitOps); k++ {
 				for _, crash := range []bool{false, true} {
 					if k < 0 && crash {
 						continue
 					}
-					name := fmt.Sprintf("shards=%d/import=%v/op=%d/crash=%v", shards, imported, k, crash)
+					name := fmt.Sprintf("shards=%d/restored=%v/op=%d/crash=%v", shards, restored, k, crash)
 					dir := t.TempDir()
 					path := filepath.Join(dir, "lfscd.ckpt")
-					var shardFiles []string
-					if imported {
-						shardFiles = importFixture(t, path)
+					if restored {
+						if err := os.WriteFile(path, legacy, 0o600); err != nil {
+							t.Fatal(err)
+						}
 					}
 					fs := &faultFS{at: -1, crash: crash}
 					if k >= 0 {
@@ -284,9 +239,9 @@ func TestCheckpointCommitFaults(t *testing.T) {
 						c.CheckpointEvery = every
 					})
 					eng.ckptFS = fs
-					if imported {
+					if restored {
 						if err := eng.Restore(path); err != nil {
-							t.Fatalf("%s: restore fixture: %v", name, err)
+							t.Fatalf("%s: restore: %v", name, err)
 						}
 					}
 					eng.Start()
@@ -299,39 +254,23 @@ func TestCheckpointCommitFaults(t *testing.T) {
 					awaitCommits(t, eng, commits)
 
 					// Up to the rename the previous checkpoint stays; after it
-					// the new one is in place, and at slot 80 that is the
+					// the new one is in place. At slot 80 either is the
 					// committed legacy file, byte for byte.
 					published := k < 0 || k > renameOp
-					want := manifest
+					want := legacy
 					switch {
-					case published && imported:
+					case published && restored:
 						want = fs.writes[len(fs.writes)-1]
-					case published:
-						want = legacy
-					case !imported:
+					case !published && !restored:
 						want = fs.writes[0]
 					}
 					if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
 						t.Fatalf("%s: checkpoint is not the expected commit (published=%v, err %v):\n%s", name, published, err, got)
 					}
-					var left []string // imported shard files the faulted commit leaves
-					switch {
-					case !imported || k < 0:
-					case k < len(commitOps):
-						left = shardFiles
-					case crash:
-						left = shardFiles[k-len(commitOps):]
-					default:
-						left = shardFiles[k-len(commitOps) : k-len(commitOps)+1]
-					}
 					files := []string{"lfscd.ckpt"}
 					if k > 0 && k <= renameOp {
 						files = append(files, "lfscd.ckpt.tmp")
 					}
-					for _, f := range left {
-						files = append(files, filepath.Base(f))
-					}
-					slices.Sort(files)
 					if names := dirNames(t, dir); !slices.Equal(names, files) {
 						t.Fatalf("%s: directory holds %v, want %v", name, names, files)
 					}
@@ -345,12 +284,8 @@ func TestCheckpointCommitFaults(t *testing.T) {
 					}
 
 					if k < 0 {
-						wantOps := slices.Clone(commitOps)
-						for range shardFiles {
-							wantOps = append(wantOps, "remove")
-						}
-						if got := fs.ops[base:]; !slices.Equal(got, wantOps) {
-							t.Fatalf("%s: commit operations %v, want %v", name, got, wantOps)
+						if got := fs.ops[base:]; !slices.Equal(got, commitOps) {
+							t.Fatalf("%s: commit operations %v, want %v", name, got, commitOps)
 						}
 					}
 					if crash || k < 0 {
@@ -358,30 +293,20 @@ func TestCheckpointCommitFaults(t *testing.T) {
 						continue
 					}
 					// The engine serves on after the error, and its next
-					// commit succeeds and removes what it still can. A failed
-					// removal fails no commit: the checkpoint was durable.
+					// commit succeeds.
 					replayInProcess(t, rep, eng, faultSlot, faultSlot+every)
 					awaitCommits(t, eng, commits+1)
 					eng.Abort()
-					failed := uint64(0)
-					if k < len(commitOps) {
-						failed = 1
-					}
 					st := eng.Stats()
-					if st.CheckpointFailures != failed || st.Checkpoints != commits+1-failed || st.CheckpointSlot != faultSlot+every {
-						t.Fatalf("%s: after the next commit: %d failed, %d committed, slot %d; want %d, %d, %d",
-							name, st.CheckpointFailures, st.Checkpoints, st.CheckpointSlot, failed, commits+1-failed, faultSlot+every)
+					if st.CheckpointFailures != 1 || st.Checkpoints != commits || st.CheckpointSlot != faultSlot+every {
+						t.Fatalf("%s: after the next commit: %d failed, %d committed, slot %d; want 1, %d, %d",
+							name, st.CheckpointFailures, st.Checkpoints, st.CheckpointSlot, commits, faultSlot+every)
 					}
 					if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, fs.writes[len(fs.writes)-1]) {
 						t.Fatalf("%s: next commit not at the checkpoint path (err %v)", name, err)
 					}
-					files = []string{"lfscd.ckpt"}
-					if imported && k >= len(commitOps) {
-						files = append(files, filepath.Base(left[0]))
-					}
-					slices.Sort(files)
-					if names := dirNames(t, dir); !slices.Equal(names, files) {
-						t.Fatalf("%s: after the next commit the directory holds %v, want %v", name, names, files)
+					if names := dirNames(t, dir); !slices.Equal(names, []string{"lfscd.ckpt"}) {
+						t.Fatalf("%s: after the next commit the directory holds %v, want [lfscd.ckpt]", name, names)
 					}
 				}
 			}

@@ -190,13 +190,10 @@ type Engine struct {
 	decideLeg  func(int)
 	observeLeg func(int)
 	// Checkpoint commit state (engine goroutine only): the file and
-	// encode buffer every commit reuses, the file operations, and the
-	// files of an imported manifest generation that the first durable
-	// commit removes.
-	ckpt      checkpointFile
-	ckptBuf   bytes.Buffer
-	ckptFS    ckptFS
-	ckptStale []string
+	// encode buffer every commit reuses, and the file operations.
+	ckpt    checkpointFile
+	ckptBuf bytes.Buffer
+	ckptFS  ckptFS
 	// stopErr is the final checkpoint's error, returned by Stop (written
 	// by the engine goroutine before it closes done).
 	stopErr error

@@ -42,13 +42,23 @@ type Server struct {
 }
 
 // Connection limits against slow or idle clients. A client must finish
-// its request headers within readHeaderTimeout, and a kept-alive
-// connection may sit idle between requests for idleTimeout. There is no
-// write timeout: /debug/pprof/profile streams for 30 s.
+// its request headers within readHeaderTimeout and, on the data plane,
+// its body within bodyReadTimeout of the handler starting to read it; a
+// kept-alive connection may sit idle between requests for idleTimeout.
+// There is no write timeout: /debug/pprof/profile streams for 30 s.
 var (
 	readHeaderTimeout = 10 * time.Second
+	bodyReadTimeout   = 10 * time.Second
 	idleTimeout       = 2 * time.Minute
 )
+
+// readDeadliner is the net/http ResponseWriter's hook to its
+// connection's read deadline. Asserted on the writer directly:
+// http.ResponseController would allocate a fresh ErrNotSupported for
+// every request on a writer without it.
+type readDeadliner interface {
+	SetReadDeadline(time.Time) error
+}
 
 // serveExpvar mirrors the obs expvar pattern: Publish is forever, so the
 // "lfsc_serve" var registers once and re-points at the latest engine.
@@ -142,12 +152,28 @@ func isFrame(h http.Header) bool {
 // in the encoding r's Content-Type selects; decoding validates the tasks
 // against the engine's shape. On failure it has already answered 400 and
 // recycled the request, and returns nil.
+//
+// The body must arrive within bodyReadTimeout. The deadline is cleared
+// once it has, before the handler waits on the engine, where neither a
+// long report wait nor net/http's background read of the idle connection
+// may trip it. A body that fails keeps its deadline, so once it has
+// expired net/http's drain of the unread rest fails at once and the
+// connection closes after the 400 instead of waiting on the client.
 func (e *Engine) readReq(w http.ResponseWriter, r *http.Request) *wireReq {
 	q := e.getReq()
 	q.frame = isFrame(r.Header)
+	// SetReadDeadline fails only on a closed connection, whose next read
+	// or write fails anyway.
+	rd, _ := w.(readDeadliner)
+	if rd != nil {
+		rd.SetReadDeadline(time.Now().Add(bodyReadTimeout)) //nolint:errcheck // see above
+	}
 	if err := q.readBody(r.Body); err != nil {
 		e.writeErrReq(w, q, http.StatusBadRequest, err.Error(), 0)
 		return nil
+	}
+	if rd != nil {
+		rd.SetReadDeadline(time.Time{}) //nolint:errcheck // see above
 	}
 	var err error
 	if q.frame {

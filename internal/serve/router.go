@@ -11,18 +11,18 @@ import (
 // building and searching it is negligible.
 const routerVNodes = 128
 
-// maxShards bounds the shard count, far past any useful fan-out, so a
-// corrupt checkpoint manifest cannot make Restore build a huge ring.
+// maxShards bounds Config.Shards, far past any useful fan-out, so a
+// mistyped shard count cannot make NewEngine build a huge ring.
 const maxShards = 1 << 10
 
 // Router maps SCN indices to shards by consistent hashing: each shard
 // contributes routerVNodes points on a 64-bit ring, and an SCN belongs to
 // the first point at or clockwise of its own hash. The mapping depends
 // only on (scn, shard count) — never on boot order, time, or map
-// iteration — so a restarted daemon reproduces it exactly, which the
-// checkpoint layout relies on. Consistency is the seam for the
-// ROADMAP's multi-process router mode: moving from N to N+1 shards
-// relocates only ~1/(N+1) of the SCNs.
+// iteration — so a restarted daemon reproduces it exactly and a
+// ShardPool computes the daemon's layout on its own. Consistency is the
+// seam for the ROADMAP's multi-process router mode: moving from N to N+1
+// shards relocates only ~1/(N+1) of the SCNs.
 type Router struct {
 	shards int
 	hashes []uint64 // ring point hashes, ascending

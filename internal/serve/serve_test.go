@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -10,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -676,5 +678,93 @@ func TestServerClosesStalledHeader(t *testing.T) {
 	}
 	if el := time.Since(start); el < readHeaderTimeout/2 {
 		t.Fatalf("connection closed after %v, before the header timeout", el)
+	}
+}
+
+// TestServerBoundsSlowBody is the slow-body limit: a client that sends a
+// /v1/step's headers and then drips its body, one byte every 50 ms, is
+// answered 400 and disconnected once bodyReadTimeout passes instead of
+// holding its handler for as long as it likes, while a second client
+// keeps stepping on the same daemon.
+func TestServerBoundsSlowBody(t *testing.T) {
+	defer func(d time.Duration) { bodyReadTimeout = d }(bodyReadTimeout)
+	bodyReadTimeout = 300 * time.Millisecond
+	sc := testScenario(1<<20, 1)
+	eng, srv, client := bootDaemon(t, sc, nil)
+	defer srv.Close()
+	defer eng.Stop()
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/step HTTP/1.1\r\nHost: lfscd\r\n"+
+		"Content-Type: application/json\r\nContent-Length: 4096\r\n\r\n{"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	answered := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // the drip
+		defer wg.Done()
+		tick := time.NewTicker(50 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-answered:
+				return
+			case <-tick.C:
+			}
+			if _, err := conn.Write([]byte{' '}); err != nil {
+				return
+			}
+		}
+	}()
+	steps := 0
+	var stepErr error
+	go func() { // the second client
+		defer wg.Done()
+		rep, err := NewReplayer(sc)
+		if err != nil {
+			stepErr = err
+			return
+		}
+		for {
+			select {
+			case <-answered:
+				return
+			case <-time.After(5 * time.Millisecond):
+			}
+			if _, err := rep.Step(client); err != nil {
+				stepErr = err
+				return
+			}
+			steps++
+		}
+	}()
+
+	// The server closes the connection after its 400 with drip bytes still
+	// unread, so the close may arrive as a reset rather than an EOF.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	reply, err := io.ReadAll(conn)
+	elapsed := time.Since(start)
+	close(answered)
+	wg.Wait()
+	if err != nil && !errors.Is(err, syscall.ECONNRESET) {
+		t.Fatalf("dripping connection neither answered nor closed after %v: %v", elapsed.Round(time.Millisecond), err)
+	}
+	if elapsed < bodyReadTimeout/2 {
+		t.Fatalf("dripping connection answered after %v, before the body timeout", elapsed)
+	}
+	if !bytes.HasPrefix(reply, []byte("HTTP/1.1 400")) || !bytes.Contains(reply, []byte("timeout")) {
+		t.Fatalf("dripping connection got %q, want a 400 naming the timeout", reply)
+	}
+	if stepErr != nil {
+		t.Fatalf("second client: %v", stepErr)
+	}
+	if steps == 0 {
+		t.Fatal("the second client made no step while the body dripped")
 	}
 }

@@ -23,8 +23,8 @@ import (
 // TestRouterDeterministicAcrossRestarts pins the consistent-hash mapping:
 // it is a pure function of (scn, shard count) — two independently built
 // rings agree everywhere, OwnerMap agrees with Shard, and a handful of
-// golden values freeze the concrete mapping the sharded checkpoint layout
-// depends on (a silent ring change would strand every shard file).
+// golden values freeze the concrete mapping, which a ShardPool built by
+// one release computes for a daemon of another.
 func TestRouterDeterministicAcrossRestarts(t *testing.T) {
 	a, b := NewRouter(4), NewRouter(4)
 	for scn := 0; scn < 2000; scn++ {
@@ -241,10 +241,9 @@ func TestServeSmokeShards(t *testing.T) {
 
 // reshardScenario is the resharding tests' scenario: testScenario
 // widened to 8 SCNs, where the 1-, 2- and 4-shard layouts all differ (at
-// 4 SCNs the 2- and 4-shard layouts coincide). Both committed fixtures
-// were taken on it at slot 80: testdata/legacy-slot80.ckpt, which is what
-// a checkpoint at slot 80 writes at any shard count, and the 4-shard
-// manifest generation manifestFixture.
+// 4 SCNs the 2- and 4-shard layouts coincide). The committed fixture
+// testdata/legacy-slot80.ckpt was taken on it: it is what a checkpoint at
+// slot 80 writes at any shard count.
 func reshardScenario() ReplayScenario {
 	sc := testScenario(160, 13)
 	sc.Synthetic.SCNs = 8
@@ -293,9 +292,8 @@ func finishFrom(t *testing.T, sc ReplayScenario, eng *Engine, srv *Server, shard
 }
 
 // TestCheckpointReshardMatrix restores slot-80 checkpoints written at
-// Shards 1, 2 and 4 — plus the two committed fixtures, the single file
-// and the 4-shard manifest generation earlier builds wrote — into daemons
-// at Shards 1, 2 and 4. Every cell must finish the run bit-identically to
+// Shards 1, 2 and 4 — plus the committed fixture — into daemons at
+// Shards 1, 2 and 4. Every cell must finish the run bit-identically to
 // an uninterrupted one, and the checkpoint written at every shard count
 // must be byte-identical to testdata/legacy-slot80.ckpt.
 func TestCheckpointReshardMatrix(t *testing.T) {
@@ -306,7 +304,7 @@ func TestCheckpointReshardMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sources := map[string]string{"legacy": legacyPath, "manifest": manifestFixture}
+	sources := map[string]string{"legacy": legacyPath}
 	for _, shards := range []int{1, 2, 4} {
 		path := filepath.Join(dir, fmt.Sprintf("s%d.ckpt", shards))
 		checkpointAt(t, sc, path, shards, 80)
@@ -346,20 +344,23 @@ func readHeader(t *testing.T, path string) checkpointHeader {
 	return hdr
 }
 
-// setLambda1 rewrites the checkpoint document at path with the first
-// λ¹ of its learner document (the "policy" object) set to -1, an
-// invalid multiplier.
-func setLambda1(t *testing.T, path string) {
+// editCheckpoint rewrites the checkpoint at path through edit, which
+// gets the decoded document. Numbers decode as json.Number, so every
+// value edit leaves alone (the 64-bit RNG states above all) is written
+// back exactly.
+func editCheckpoint(t *testing.T, path string, edit func(doc map[string]any)) {
 	t.Helper()
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var doc map[string]any
-	if err := json.Unmarshal(buf, &doc); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(buf))
+	dec.UseNumber()
+	if err := dec.Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	doc["policy"].(map[string]any)["lambda1"].([]any)[0] = -1.0
+	edit(doc)
 	if buf, err = json.Marshal(doc); err != nil {
 		t.Fatal(err)
 	}
@@ -368,35 +369,62 @@ func setLambda1(t *testing.T, path string) {
 	}
 }
 
-// TestFailedRestoreLeavesEngineUntouched offers one 4-shard engine three
-// refusable checkpoints at slot 80: the manifest fixture with a shard
-// file missing, the manifest fixture with a negative λ¹ in its last shard
-// file, and a one-file checkpoint with a negative λ¹ in its first row.
+// TestFailedRestoreLeavesEngineUntouched offers one 4-shard engine four
+// refusable checkpoints: a manifest header (the multi-file layout older
+// builds wrote, with no learner document), whose refusal must name the
+// builds that can still convert it; testdata/legacy-slot80.ckpt with its
+// header slot set to 79, one off the learner's slot counter; the same
+// file with its learner document cut back to v1 (no slot counter, no RNG
+// streams) under a slot-0 header; and a one-file checkpoint at slot 80
+// with a negative λ¹ in its first row.
 // Restore must refuse each before any shard loads its rows, so the same
 // engine then serves a replay from slot 0 bit-identically to a
 // never-restored engine.
 func TestFailedRestoreLeavesEngineUntouched(t *testing.T) {
 	sc := reshardScenario()
 	dir := t.TempDir()
-	missing := filepath.Join(dir, "missing.ckpt")
-	if err := os.Remove(importFixture(t, missing)[0]); err != nil {
+	manifest := filepath.Join(dir, "manifest.ckpt")
+	if err := os.WriteFile(manifest, []byte(`{"version":1,"slot":80,"cum_reward":1,"shards":4,"generation":1}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	corruptShard := filepath.Join(dir, "shard.ckpt")
-	files := importFixture(t, corruptShard)
-	setLambda1(t, files[len(files)-1])
+	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy-slot80.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	skewed := filepath.Join(dir, "skewed.ckpt")
+	v1 := filepath.Join(dir, "v1.ckpt")
+	for _, path := range []string{skewed, v1} {
+		if err := os.WriteFile(path, legacy, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	editCheckpoint(t, skewed, func(doc map[string]any) { doc["slot"] = 79 })
+	editCheckpoint(t, v1, func(doc map[string]any) {
+		doc["slot"] = 0
+		pol := doc["policy"].(map[string]any)
+		pol["version"] = 1
+		delete(pol, "t")
+		delete(pol, "rng")
+	})
 	corruptRow := filepath.Join(dir, "row.ckpt")
 	checkpointAt(t, sc, corruptRow, 4, 80)
-	setLambda1(t, corruptRow)
+	editCheckpoint(t, corruptRow, func(doc map[string]any) {
+		doc["policy"].(map[string]any)["lambda1"].([]any)[0] = -1.0
+	})
 
 	eng := buildDaemon(t, sc, func(c *Config) { c.Shards = 4 })
-	for _, path := range []string{missing, corruptShard, corruptRow} {
-		if err := eng.Restore(path); err == nil {
-			t.Fatalf("%s restored", filepath.Base(path))
+	for path, want := range map[string]string{
+		manifest:   "4b743f5",
+		skewed:     "disagrees with checkpoint slot 79",
+		v1:         "checkpoint version 1",
+		corruptRow: "invalid multipliers",
+	} {
+		if err := eng.Restore(path); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: restore error %v, want one containing %q", filepath.Base(path), err, want)
 		}
-		if eng.Slot() != 0 || eng.slotsSeen() != 0 {
-			t.Fatalf("refused restore of %s moved the slot clock: Slot %d, learner %d",
-				filepath.Base(path), eng.Slot(), eng.slotsSeen())
+		if eng.Slot() != 0 || eng.slotsSeen() != 0 || eng.CumReward() != 0 {
+			t.Fatalf("refused restore of %s moved the engine: Slot %d, learner %d, cum reward %v",
+				filepath.Base(path), eng.Slot(), eng.slotsSeen(), eng.CumReward())
 		}
 	}
 	srv, _ := startDaemon(t, eng)
@@ -404,53 +432,6 @@ func TestFailedRestoreLeavesEngineUntouched(t *testing.T) {
 	got := finishFrom(t, sc, eng, srv, 4, 0)
 	if want, _ := runLockstep(t, sc, 4); got != want {
 		t.Fatalf("engine after refused restores: cum reward %x != never-restored %x", got, want)
-	}
-}
-
-// TestReshardRestoreCleansSupersededGeneration restores the 4-shard
-// manifest fixture into a 2-shard daemon checkpointing at the same path
-// and commits twice: the first commit must remove the generation's shard
-// files, leaving exactly the one-file checkpoint. A daemon that restores
-// the same generation but checkpoints elsewhere must leave it alone.
-func TestReshardRestoreCleansSupersededGeneration(t *testing.T) {
-	sc := reshardScenario()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "lfscd.ckpt")
-	importFixture(t, path)
-	imported := dirNames(t, dir)
-
-	other := filepath.Join(t.TempDir(), "other.ckpt")
-	eng, srv, _, _ := resumeDaemon(t, sc, path, func(c *Config) { c.CheckpointPath = other })
-	finishFrom(t, sc, eng, srv, 1, 80)
-	srv.Close()
-	if names := dirNames(t, dir); !slices.Equal(names, imported) {
-		t.Fatalf("a daemon checkpointing elsewhere changed the imported generation: %v, was %v", names, imported)
-	}
-
-	const shards = 2
-	eng, srv, _, _ = resumeDaemon(t, sc, path, func(c *Config) {
-		c.Shards = shards
-		c.CheckpointPath = path
-		c.CheckpointEvery = 10
-	})
-	defer srv.Close()
-	rep, err := NewReplayer(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One periodic checkpoint at slot 90, one on Stop at slot 95.
-	if _, err := rep.Run(shardPoolFor(srv, shards), 80, 95, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Stop(); err != nil {
-		t.Fatal(err)
-	}
-
-	if hdr := readHeader(t, path); hdr.Slot != 95 {
-		t.Fatalf("checkpoint header = %+v, want slot 95", hdr)
-	}
-	if names := dirNames(t, dir); !slices.Equal(names, []string{"lfscd.ckpt"}) {
-		t.Fatalf("checkpoint directory holds %v, want only lfscd.ckpt", names)
 	}
 }
 
