@@ -10,8 +10,9 @@ GO ?= go
 # included because its probe/registry/ring types are shared across
 # RunAll goroutines, and internal/metrics because RunAll aggregates its
 # Series concurrently. internal/serve is the serving daemon: HTTP
-# handlers, the engine goroutine, the shard legs and the shedding gates
-# are all concurrent by construction.
+# handlers run the slot machine on their own goroutines under one mutex,
+# beside the slot clock, the report-wait timer's callback, the shard legs
+# and the shedding gates, so it is concurrent by construction.
 RACE_PKGS = ./internal/core ./internal/parallel ./internal/assign ./internal/sim ./internal/trace ./internal/obs ./internal/metrics ./internal/serve
 
 .PHONY: all build vet deps-check test test-race bench-short bench json results-check bench-serve bench-serve-shards bench-diff fuzz-short serve-smoke serve-smoke-shards client-smoke obs-smoke scenario-smoke examples-smoke perfbench-test perfbench-smoke ci clean
@@ -151,11 +152,12 @@ fuzz-short:
 # kill the daemon hard mid-run, resume a fresh one from the checkpoint,
 # and verify the resumed run's cumulative reward is bit-identical to an
 # uninterrupted run (plus the graceful-stop variant); then drive 2 and
-# 4 clients on disjoint SCN sets through submit + report, with no late
-# slot, late report or shed request allowed — all under the race
-# detector.
+# 4 clients on disjoint SCN sets through submit + report, and 2, 4 and
+# 30 (one per SCN of a 30-SCN scenario) through lockstep steps that
+# carry their reports, with no late slot, late report or shed request
+# allowed — all under the race detector.
 serve-smoke:
-	$(GO) test -race -count=1 -run 'TestServeSmoke$$|TestRestoreAfterGracefulStopResumesExactly|TestMultiClientSubmitReport' ./internal/serve
+	$(GO) test -race -count=1 -run 'TestServeSmoke$$|TestRestoreAfterGracefulStopResumesExactly|TestMultiClientSubmitReport|TestMultiClientStep' ./internal/serve
 
 # The sharded variant: the same 200-slot kill-and-resume at Shards=4
 # (one checkpoint file, two empty shards at this scale), the

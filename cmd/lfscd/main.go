@@ -95,7 +95,7 @@ func main() {
 		slotEvery  = flag.Duration("slot-every", 100*time.Millisecond, "slot clock (0 = close only at KMax/MaxBatch/explicit close)")
 		maxBatch   = flag.Int("max-batch", 0, "close the slot at this many tasks (0 = SCNs*KMax)")
 		queueCap   = flag.Int("queue-cap", 0, "pending-task budget before shedding (0 = 4*MaxBatch)")
-		subQueue   = flag.Int("sub-queue", 0, "submission channel depth (0 = 64)")
+		subQueue   = flag.Int("sub-queue", 0, "bound on submissions not yet admitted to a batch; more are shed with 429 (0 = 64)")
 		reportWait = flag.Duration("report-wait", 2*time.Second, "how long a decided slot waits for outcome reports")
 
 		ckptPath  = flag.String("checkpoint", "", "checkpoint file (restore on boot, write periodically and on shutdown)")

@@ -22,16 +22,18 @@ import (
 //
 // The server runs on its own goroutine and its own mux, so it never
 // interferes with the simulation loop beyond the atomic counter reads the
-// handlers perform.
+// handlers perform. Every route but /debug/pprof/symbol, which reads a
+// POST body, is wrapped in CloseOnBody.
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
 }
 
 // Connection limits against slow or idle clients. A client must finish
-// its request headers within readHeaderTimeout, and a kept-alive
-// connection may sit idle between requests for idleTimeout. There is no
-// write timeout: /debug/pprof/profile streams for 30 s.
+// its request headers within readHeaderTimeout, a body it sends is not
+// waited for (CloseOnBody), and a kept-alive connection may sit idle
+// between requests for idleTimeout. There is no write timeout:
+// /debug/pprof/profile streams for 30 s.
 var (
 	readHeaderTimeout = 10 * time.Second
 	idleTimeout       = 2 * time.Minute
@@ -80,18 +82,20 @@ func StartServer(addr string, probe *Probe, reg *Registry, metrics *Metrics) (*S
 	}
 
 	start := time.Now()
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", metrics.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/lfsc/status", func(w http.ResponseWriter, r *http.Request) {
+	noBody := http.NewServeMux()
+	noBody.Handle("/metrics", metrics.Handler())
+	noBody.Handle("/debug/vars", expvar.Handler())
+	noBody.HandleFunc("/debug/pprof/", pprof.Index)
+	noBody.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	noBody.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	noBody.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	noBody.HandleFunc("/lfsc/status", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		WriteStatus(w, probe, reg, time.Since(start))
 	})
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.Handle("/", CloseOnBody(noBody))
 
 	s := &Server{ln: ln, srv: &http.Server{
 		Handler:           mux,
@@ -100,6 +104,28 @@ func StartServer(addr string, probe *Probe, reg *Registry, metrics *Metrics) (*S
 	}}
 	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
 	return s, nil
+}
+
+// CloseOnBody wraps a handler that reads no request body. net/http
+// drains an unread body with no deadline, before the reply when the body
+// is small and after the handler in any case, so a client that declares
+// a body and drips it gets no reply and holds the connection for as long
+// as it keeps dripping. For a request that declares a body (ContentLength
+// != 0, which includes chunked) CloseOnBody sets Connection: close on the
+// reply, which skips the pre-reply discard, and an already-expired read
+// deadline, which ends the post-handler drain at once; the connection
+// closes after the reply. Requests without a body, the 30 s
+// /debug/pprof/profile stream among them, are served untouched.
+func CloseOnBody(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.ContentLength != 0 {
+			w.Header().Set("Connection", "close")
+			// This fails only on a writer with no connection, which has no
+			// drain to bound.
+			http.NewResponseController(w).SetReadDeadline(time.Unix(1, 0)) //nolint:errcheck // see above
+		}
+		h.ServeHTTP(w, r)
+	})
 }
 
 // Addr returns the bound listen address (useful with ":0").

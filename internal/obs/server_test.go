@@ -1,12 +1,16 @@
 package obs
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -164,5 +168,80 @@ func TestServerClosesStalledHeader(t *testing.T) {
 	}
 	if el := time.Since(start); el < readHeaderTimeout/2 {
 		t.Fatalf("connection closed after %v, before the header timeout", el)
+	}
+}
+
+// TestServerClosesOnIgnoredBody bounds the drain of a body no route reads:
+// a GET /metrics that declares a 4096-byte body and drips it, one byte
+// every 50 ms, gets its 200 at once and then a closed connection, instead
+// of no reply for as long as the client drips. A GET without a body keeps
+// its connection alive.
+func TestServerClosesOnIgnoredBody(t *testing.T) {
+	srv, err := StartServer("127.0.0.1:0", NewProbe(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /metrics HTTP/1.1\r\nHost: lfsc\r\nContent-Length: 4096\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	answered := make(chan struct{})
+	dripped := make(chan struct{})
+	go func() {
+		defer close(dripped)
+		tick := time.NewTicker(50 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-answered:
+				return
+			case <-tick.C:
+			}
+			if _, err := conn.Write([]byte{' '}); err != nil {
+				return
+			}
+		}
+	}()
+	// The server closes the connection with drip bytes still unread, so
+	// the close may arrive as a reset rather than an EOF.
+	conn.SetReadDeadline(time.Now().Add(3 * time.Second)) //nolint:errcheck
+	start := time.Now()
+	reply, err := io.ReadAll(conn)
+	elapsed := time.Since(start)
+	close(answered)
+	<-dripped
+	if err != nil && !errors.Is(err, syscall.ECONNRESET) {
+		t.Fatalf("dripping connection neither answered nor closed after %v: %v (read %q)", elapsed.Round(time.Millisecond), err, reply)
+	}
+	if !bytes.HasPrefix(reply, []byte("HTTP/1.1 200")) {
+		t.Fatalf("dripping connection got %q, want a 200", reply)
+	}
+
+	ka, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ka.Close()
+	br := bufio.NewReader(ka)
+	for i := 0; i < 2; i++ {
+		if _, err := io.WriteString(ka, "GET /metrics HTTP/1.1\r\nHost: lfsc\r\n\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		ka.SetReadDeadline(time.Now().Add(3 * time.Second)) //nolint:errcheck
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("request %d on a kept-alive connection: %v", i, err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Close {
+			t.Fatalf("request %d without a body: status %d, close %v; want 200 on a kept-alive connection", i, resp.StatusCode, resp.Close)
+		}
 	}
 }

@@ -33,7 +33,7 @@ type BenchResult struct {
 	// NsPerSlot is wall time per full slot on the in-process public API
 	// loop: workload generation + one batched Engine.StepInto round trip
 	// (previous slot's reports + this slot's tasks, Decide and Observe on
-	// the engine goroutine). This is the successor of the pre-batching
+	// the caller's stack). This is the successor of the pre-batching
 	// BenchmarkEngineSlot figure (Submit + Report, two dispatches per
 	// slot) and is directly comparable to it.
 	NsPerSlot float64

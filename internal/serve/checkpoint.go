@@ -64,7 +64,7 @@ func (e *Engine) checkScenario(digest string) error {
 }
 
 // checkpointNow commits the engine's state to cfg.CheckpointPath and
-// counts the outcome. Engine-goroutine only.
+// counts the outcome. Call under mu.
 func (e *Engine) checkpointNow() error {
 	slot := e.slotsSeen()
 	if err := e.commitCheckpoint(slot); err != nil {

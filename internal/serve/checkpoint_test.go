@@ -476,8 +476,8 @@ func BenchmarkCheckpointCommit(b *testing.B) {
 			if _, err := rep.Run(&engineConn{eng: eng}, 0, 300, nil); err != nil {
 				b.Fatal(err)
 			}
-			// Stop's own commit warms the buffers; the engine goroutine has
-			// exited, so the loop below owns the engine.
+			// Stop's own commit warms the buffers; the engine is stopped and
+			// takes no more events, so the loop below owns it.
 			if err := eng.Stop(); err != nil {
 				b.Fatal(err)
 			}

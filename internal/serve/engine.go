@@ -42,7 +42,7 @@ type Config struct {
 	// its own slot index, masking down SCNs out of the view (their
 	// learner state freezes) and attaching per-SCN capacity and budget
 	// vectors. The timeline must cover exactly SCNs cells; it is
-	// immutable and read from the engine goroutine only. Checkpoints
+	// immutable and read only under the engine's mutex. Checkpoints
 	// record the scenario digest and Restore refuses a mismatch, so a
 	// resumed daemon replays the identical dynamics. Nil keeps the
 	// static topology.
@@ -70,8 +70,9 @@ type Config struct {
 	// QueueCap bounds tasks accepted but not yet decided; submissions
 	// that would exceed it are shed with 429. Zero defaults to 4*MaxBatch.
 	QueueCap int
-	// SubQueue is the submission channel depth (whole submissions).
-	// Zero defaults to 64.
+	// SubQueue bounds the submissions not yet admitted to a batch (whole
+	// submissions waiting for the slot machine or queued behind a closed
+	// batch); a submission past it is shed with 429. Zero defaults to 64.
 	SubQueue int
 	// ReportWait bounds how long a decided slot stays open for outcome
 	// reports before Observe runs with whatever arrived. Zero defaults
@@ -138,11 +139,11 @@ func (c *Config) withDefaults() Config {
 	return cp
 }
 
-// stepReply is the engine's answer to a queued wireReq: the slot decision
-// for its submission part (slot/base/assigned, with assigned aliasing the
-// request's own assignedBuf), the absorption result of its report part
-// (accepted/repErr — step requests only), and err for terminal failures
-// (engine stopped, late pure report).
+// stepReply is the engine's one answer to an entered submission: the slot
+// decision (slot/base/assigned, with assigned aliasing the request's own
+// assignedBuf), the absorption result of its report part (accepted/repErr
+// — step requests only), or err = errStopped when the engine stopped
+// before deciding it.
 type stepReply struct {
 	slot     int
 	base     int
@@ -154,29 +155,29 @@ type stepReply struct {
 
 var errStopped = errors.New("serve: engine stopped")
 
-// Engine is the serving core: one logical owner walks the strict slot
+// Engine is the serving core: one slot machine walks the strict slot
 // protocol (batch → Decide → reply → collect reports → Observe → maybe
-// checkpoint), so the policy never sees concurrent calls. Handlers
-// communicate over bounded channels carrying pooled wireReq objects;
-// when a queue is full the submission is shed, never blocked on.
+// checkpoint) under mu, so the policy never sees concurrent calls.
 //
-// The slot protocol is an explicit state machine guarded by mu rather
-// than code positions in a goroutine: ingest* feeds events in, advance
-// drives decide/finish transitions until the machine parks. The engine
-// goroutine runs that machine for channel traffic, ticks, and the
-// report-wait timer — but a lockstep caller whose step request closes
-// the open slot and the next batch runs the whole transition inline on
-// its own stack (tryStepInline), with no channel handoff or context
-// switch. Decide/Observe still run strictly in slot order under mu —
-// inlining changes which stack does the work, never the order the
-// learner sees it, which is why the bit-identity tests pass unchanged.
+// The machine has no goroutine of its own. Every event runs it under mu
+// on the goroutine that delivers the event: a request on its caller's
+// stack (enter, report), a slot-clock tick on the clock goroutine, which
+// exists only when SlotEvery > 0, and a report-wait expiry in the
+// timer's callback (expire). Each event feeds the machine, then advance
+// drives decide/finish transitions until the machine waits on an event
+// again. In lockstep the step that completes the open slot and closes
+// the next batch runs absorb → Observe → Decide on its own stack, and its
+// reply is ready when it leaves the machine. Decide and Observe run
+// strictly in slot order under mu whichever stack runs them, so the
+// learner sees the same sequence as the offline simulator.
 //
-// The loop keeps accepting channel traffic while slot t sits open
-// collecting outcome reports: the engine drains the submission channel,
-// so slot t+1's batch accumulates during slot t's report wait (its wire
-// decoding proceeds on handler goroutines meanwhile). Observe, like every
-// other transition, runs under mu, so the learner is never touched by
-// two stacks at once.
+// A step's report part is absorbed into the open slot the moment it
+// arrives. Its tasks join the accumulating batch, so slot t+1's batch
+// fills during slot t's report wait; while that batch is already bound to
+// close, or the first waiting submission would push a coverage row past
+// KMax, they wait in queue in arrival order until advance admits them.
+// A step that finishes slot t therefore never waits behind the batch it
+// cannot join yet.
 type Engine struct {
 	cfg Config
 	// The learner plane (shard.go): one partial learner per non-empty
@@ -189,33 +190,33 @@ type Engine struct {
 	router     *Router
 	decideLeg  func(int)
 	observeLeg func(int)
-	// Checkpoint commit state (engine goroutine only): the file and
-	// encode buffer every commit reuses, and the file operations.
+	// Checkpoint commit state (guarded by mu): the file and encode buffer
+	// every commit reuses, and the file operations.
 	ckpt    checkpointFile
 	ckptBuf bytes.Buffer
 	ckptFS  ckptFS
 	// stopErr is the final checkpoint's error, returned by Stop (written
-	// by the engine goroutine before it closes done).
+	// by halt under mu).
 	stopErr error
 	// shape is what every request's tasks are validated against as they
 	// decode (immutable after NewEngine, shared by all handlers).
 	shape reqShape
 
-	subCh    chan *wireReq
-	repCh    chan *wireReq
-	stopCh   chan struct{}
-	done     chan struct{}
-	stopOnce sync.Once
-	abort    atomic.Bool
+	// done is closed when the engine stops; the slot clock exits on it,
+	// and Stop and Abort wait for that on clockExit.
+	done      chan struct{}
+	clockExit sync.WaitGroup
 
 	// reqPool recycles wireReq objects across requests. A plain buffered
 	// channel, not a sync.Pool: the GC never drains it, which is what
 	// lets steady-state handling stay at 0 allocs/request.
 	reqPool chan *wireReq
 
-	// pending counts tasks accepted into the queue but not yet decided —
-	// the backpressure gauge the submit handler sheds against.
+	// The two backpressure gauges enter sheds against: pending counts
+	// tasks accepted but not yet decided, waiting counts submissions not
+	// yet admitted to a batch (waiting for mu or in queue).
 	pending atomic.Int64
+	waiting atomic.Int64
 
 	// Counters (atomics: handlers and status readers are concurrent).
 	submittedTasks atomic.Uint64
@@ -246,27 +247,22 @@ type Engine struct {
 
 	rs *obs.RunStatus
 
-	// mu guards all slot-machine state below: the engine goroutine holds
-	// it while processing events, and releases it only while parked in
-	// select — which is the window the inline step fast path uses
-	// (TryLock) to run transitions on a caller's stack.
-	mu       sync.Mutex
-	running  bool
-	stopping bool
-	// kickCh wakes the parked engine goroutine so it re-evaluates its
-	// select gating after an inline caller changed machine state the
-	// current park doesn't cover (e.g. opened a slot while the park has
-	// no timer case armed).
-	kickCh chan struct{}
-	// parkedTimer records whether the engine's current (or imminent)
-	// park includes the report-wait timer case.
-	parkedTimer bool
+	// mu guards all slot-machine state below. Whoever delivers an event
+	// holds it while the machine runs.
+	mu sync.Mutex
+	// stopped is set by halt; the machine takes no event after it.
+	stopped bool
+	// tickDue is a slot-clock tick not yet acted on: a tick that lands
+	// while a slot is open waits for the slot to finish, as a tick
+	// buffered in a ticker's channel would.
+	tickDue bool
 
-	// Slot-loop state (guarded by mu). deferred holds a drained
-	// submission that would overflow the accumulating batch past KMax;
-	// it opens the next slot as soon as the current batch is served.
-	batch    slotBatch
-	deferred *wireReq
+	// Slot-loop state (guarded by mu). queue holds, in arrival order, the
+	// submissions that cannot join the batch yet: it is bound to close,
+	// or the head would push a coverage row past KMax, which forces the
+	// batch out first.
+	batch slotBatch
+	queue []*wireReq
 	// Ingest staging (guarded by mu): each admitted submission is routed
 	// into per-SCN coverage rows at admission time, so closing a slot
 	// publishes already-built buffers instead of re-scanning and copying
@@ -329,17 +325,12 @@ type Engine struct {
 	trStageNS   uint64
 	openStageNS uint64
 
-	// Report-wait timer, reused across slots. Armed and drained only by
-	// the engine goroutine (inline callers never touch it — they kick the
-	// loop instead), so the classic Stop/drain/Reset dance stays
-	// single-goroutine. timerFired tracks whether the last arm was
-	// consumed from timer.C. The timer is armed lazily: an already-armed
-	// timer whose deadline is not after the slot's is left alone and its
-	// (early) fire handled as spurious, so the steady fast-slot path
-	// never touches timer state at all.
-	timer         *time.Timer
-	timerFired    bool
-	timerDeadline time.Time
+	// Report-wait timer, reused across slots; its callback is expire.
+	// timerArmed says a fire is pending. Arming is lazy (see armTimer): an
+	// armed timer is left alone when a later slot opens, so the steady
+	// fast-slot path never touches timer state at all.
+	timer      *time.Timer
+	timerArmed bool
 }
 
 // NewEngine builds the engine (learner, partition, queues) without
@@ -379,11 +370,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:     cfg,
 		shape:   newReqShape(cfg.Dims, cfg.SCNs, cfg.KMax, part),
-		subCh:   make(chan *wireReq, cfg.SubQueue),
-		repCh:   make(chan *wireReq, cfg.SubQueue),
-		stopCh:  make(chan struct{}),
 		done:    make(chan struct{}),
-		kickCh:  make(chan struct{}, 1),
 		reqPool: make(chan *wireReq, 2*cfg.SubQueue+8),
 		ckptFS:  osFS{},
 	}
@@ -414,19 +401,15 @@ func (e *Engine) getReq() *wireReq {
 }
 
 // putReq resets and recycles a wireReq. Only call once the engine can no
-// longer reference it: after its reply was received, or before it was
-// ever enqueued. A body buffer grown past the shape's maxBody is dropped,
-// so a burst of large bodies cannot pin maxWireBody per pooled request.
+// longer reference it: after its reply was received, or when it never
+// entered the slot machine (refused, shed, or a pure report, which the
+// machine handles before report returns). A body buffer grown past the
+// shape's maxBody is dropped, so a burst of large bodies cannot pin
+// maxWireBody per pooled request.
 func (e *Engine) putReq(q *wireReq) {
 	q.reset()
 	if cap(q.body) > e.shape.maxBody {
 		q.body = nil
-	}
-	// Drain a reply that raced with an engine-stopped exit so the pooled
-	// object never resurfaces with a stale message buffered.
-	select {
-	case <-q.resp:
-	default:
 	}
 	select {
 	case e.reqPool <- q:
@@ -434,8 +417,13 @@ func (e *Engine) putReq(q *wireReq) {
 	}
 }
 
-// Start launches the engine loop. The engine serves until Stop or Abort.
+// Start registers the serving run with cfg.Registry and, when SlotEvery
+// > 0, starts the slot clock. Requests need no goroutine of the engine's:
+// each runs the slot machine on its own. The engine serves until Stop or
+// Abort.
 func (e *Engine) Start() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.cfg.Registry != nil {
 		e.rs = e.cfg.Registry.NewRun("lfscd", e.cfg.Horizon)
 		// A restored engine re-registers with its history visible.
@@ -443,28 +431,61 @@ func (e *Engine) Start() {
 			e.rs.RecordSlot(cum)
 		}
 	}
-	go e.loop()
+	if e.cfg.SlotEvery > 0 {
+		e.clockExit.Add(1)
+		go e.clock(time.NewTicker(e.cfg.SlotEvery))
+	}
 }
 
-// Stop closes the engine gracefully: the loop finishes the slot in
-// flight, writes a final checkpoint (when configured), fails queued
-// submissions, and exits. It returns the final checkpoint's error, if
-// that commit failed. Stop and Abort are idempotent between them.
+// Stop closes the engine gracefully: it finishes the slot in flight,
+// writes a final checkpoint (when configured) and fails queued
+// submissions. It returns the final checkpoint's error, if that commit
+// failed, once the slot clock has exited. Stop and Abort are idempotent
+// between them.
 func (e *Engine) Stop() error {
-	e.stopOnce.Do(func() { close(e.stopCh) })
-	<-e.done
+	err := e.halt(true)
+	e.clockExit.Wait()
+	return err
+}
+
+// Abort is the unclean shutdown used by kill-and-resume tests: the
+// engine stops without writing a final checkpoint, as if the process had
+// been killed. Only checkpoints already on disk survive.
+func (e *Engine) Abort() {
+	e.halt(false)
+	e.clockExit.Wait()
+}
+
+// halt stops the engine, once, for Stop and Abort alike: it finishes the
+// open slot and any batch already bound to close with whatever reports
+// arrived, writes the final checkpoint when asked, then fails every
+// submission still in the batch or the queue with errStopped, so no
+// caller waits forever. Every later event finds the engine stopped.
+func (e *Engine) halt(checkpoint bool) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.stopped {
+		return e.stopErr
+	}
+	e.stopped = true
+	close(e.done)
+	if e.timer != nil {
+		e.timer.Stop()
+	}
+	e.advance()
+	if checkpoint && e.cfg.CheckpointPath != "" {
+		// The periodic checkpoint remains if this fails; Stop reports it.
+		e.stopErr = e.checkpointNow()
+	}
+	e.failBatch(errStopped)
+	for _, q := range e.queue {
+		e.pending.Add(-int64(len(q.cells)))
+		q.resp <- stepReply{err: errStopped}
+	}
+	e.waiting.Add(-int64(len(e.queue)))
+	e.queue = nil
 	e.rs.Finish()
 	return e.stopErr
-}
-
-// Abort is the unclean shutdown used by kill-and-resume tests: the loop
-// exits without writing a final checkpoint, as if the process had been
-// killed. Only checkpoints already on disk survive.
-func (e *Engine) Abort() {
-	e.abort.Store(true)
-	e.stopOnce.Do(func() { close(e.stopCh) })
-	<-e.done
-	e.rs.Finish()
 }
 
 // Slot returns the next slot index to be decided.
@@ -564,134 +585,78 @@ func IsLateReport(err error) bool {
 	return ok
 }
 
-// dispatchSubmit pushes a validated wireReq through the two backpressure
-// gates and waits for the slot decision. On shed the request never
-// enters the queue and the caller still owns it.
-func (e *Engine) dispatchSubmit(q *wireReq) (stepReply, error) {
+// enter runs a validated submission through the two backpressure gates
+// and into the slot machine without waiting for its decision: the report
+// part is absorbed into the open slot at once, and the tasks join the
+// batch or the queue. On nil the engine owns q until it sends q's one
+// reply on q.resp, the slot decision or errStopped. On shed or errStopped
+// the caller still owns q and no reply comes.
+func (e *Engine) enter(q *wireReq) error {
 	n := int64(len(q.cells))
 	// Gate 1: the pending-task budget. Reserve optimistically and roll
 	// back on shed so concurrent submitters cannot stampede past the cap.
 	if e.pending.Add(n) > int64(e.cfg.QueueCap) {
 		e.pending.Add(-n)
-		e.shedRequests.Add(1)
-		e.shedTasks.Add(uint64(n))
-		e.accountShed(q)
-		return stepReply{}, shedTaskQueue
+		return e.shed(q, shedTaskQueue)
 	}
-	// Gate 2: the submission channel. Never block the handler — a full
-	// channel means the batcher is behind; shed.
-	select {
-	case e.subCh <- q:
-	default:
+	// Gate 2: the submissions not yet admitted to a batch. Never block
+	// the handler behind a backlog — a full count means the batcher is
+	// behind; shed.
+	if e.waiting.Add(1) > int64(e.cfg.SubQueue) {
+		e.waiting.Add(-1)
 		e.pending.Add(-n)
-		e.shedRequests.Add(1)
-		e.shedTasks.Add(uint64(n))
-		e.accountShed(q)
-		return stepReply{}, shedSubQueue
+		return e.shed(q, shedSubQueue)
+	}
+	e.mu.Lock()
+	if e.stopped {
+		e.mu.Unlock()
+		e.waiting.Add(-1)
+		e.pending.Add(-n)
+		return errStopped
 	}
 	e.submittedTasks.Add(uint64(n))
-	select {
-	case rep := <-q.resp:
-		return rep, rep.err
-	case <-e.done:
-		return stepReply{}, errStopped
+	if len(q.reports) > 0 {
+		q.repAccepted, q.repErr = e.absorb(q)
 	}
-}
-
-// kick wakes the parked engine loop so it recomputes its select gating.
-func (e *Engine) kick() {
-	select {
-	case e.kickCh <- struct{}{}:
-	default:
-	}
-}
-
-// kickIfStale wakes the loop when the machine parked in a state the
-// engine's current select doesn't cover: a slot opened without a timer
-// case armed, or a batch closed (or overflow deferred) while subCh is
-// still being drained. Call under mu after inline transitions.
-func (e *Engine) kickIfStale() {
-	if (e.openActive && e.openRemaining > 0 && !e.parkedTimer) ||
-		e.deferred != nil || e.batch.shouldClose(e.cfg.MaxBatch, e.cfg.KMax) {
-		e.kick()
-	}
-}
-
-// tryStepInline runs a validated submission through the slot machine on
-// the caller's own stack when the engine is parked and the channels are
-// idle: absorb the report part, admit the tasks, advance — which in
-// lockstep operation decides the next slot before the call returns,
-// with no channel handoff or context switch. Returns ok=false when the
-// fast path's preconditions don't hold; the caller must then dispatch
-// through the channels. When ok, the semantics (shed accounting, reply,
-// error surface) are exactly those of dispatchSubmit. A closed batch or
-// a deferred overflow refuses the fast path, just as the loop's park
-// stops draining subCh, so a submission joins the batch the channel path
-// would have put it in.
-func (e *Engine) tryStepInline(q *wireReq) (stepReply, error, bool) {
-	if !e.mu.TryLock() {
-		return stepReply{}, nil, false
-	}
-	if !e.running || e.stopping || e.deferred != nil || len(e.subCh) > 0 || len(e.repCh) > 0 ||
-		e.batch.shouldClose(e.cfg.MaxBatch, e.cfg.KMax) {
-		e.mu.Unlock()
-		return stepReply{}, nil, false
-	}
-	// The pending-task gate, exactly as dispatchSubmit applies it. The
-	// subCh gate has no inline analogue: the request never queues.
-	n := int64(len(q.cells))
-	if e.pending.Add(n) > int64(e.cfg.QueueCap) {
-		e.pending.Add(-n)
-		e.mu.Unlock()
-		e.shedRequests.Add(1)
-		e.shedTasks.Add(uint64(n))
-		e.accountShed(q)
-		return stepReply{}, shedTaskQueue, true
-	}
-	e.submittedTasks.Add(uint64(n))
-	e.ingestStep(q)
+	e.accountRouting(q)
+	e.queue = append(e.queue, q)
 	e.advance()
-	e.kickIfStale()
 	e.mu.Unlock()
-	// In lockstep the reply is already buffered and the select returns
-	// without parking; otherwise wait like the channel path does (the
-	// batch is still accumulating, or the open slot still needs other
-	// clients' reports).
-	select {
-	case rep := <-q.resp:
-		return rep, rep.err, true
-	case <-e.done:
-		return stepReply{}, errStopped, true
-	}
+	return nil
 }
 
-// dispatchReport delivers a pure report (no tasks) to the engine
-// goroutine and waits for the absorb result. That goroutine replies as
-// soon as the reports are absorbed and only then finishes the slot, so
-// the reply is not held behind Observe, a checkpoint or the next decide.
-func (e *Engine) dispatchReport(q *wireReq) (stepReply, error) {
-	select {
-	case e.repCh <- q:
-	case <-e.done:
-		return stepReply{}, errStopped
-	}
-	select {
-	case rep := <-q.resp:
-		return rep, rep.err
-	case <-e.done:
-		return stepReply{}, errStopped
-	}
+// shed counts a shed submission and returns its error.
+func (e *Engine) shed(q *wireReq, err *shedError) error {
+	e.shedRequests.Add(1)
+	e.shedTasks.Add(uint64(len(q.cells)))
+	e.accountShed(q)
+	return err
 }
 
-// submit runs a validated submission through the slot machine: inline on
-// the caller's stack when the engine is parked with idle channels, through
-// the channels otherwise. Every caller — the HTTP handlers and the
-// in-process API — goes through here.
+// submit enters a validated submission and waits for its reply. Every
+// submitter — the HTTP handlers and the in-process API — goes through
+// here; in lockstep the reply is already buffered when enter returns.
 func (e *Engine) submit(q *wireReq) (stepReply, error) {
-	if rep, err, ok := e.tryStepInline(q); ok {
-		return rep, err
+	if err := e.enter(q); err != nil {
+		return stepReply{}, err
 	}
-	return e.dispatchSubmit(q)
+	rep := <-q.resp
+	return rep, rep.err
+}
+
+// report delivers a pure report to the open slot and runs the machine
+// on, so a report that completes the slot returns after the slot's
+// Observe, any checkpoint and the next decide. It returns the accepted
+// count, or the rejection.
+func (e *Engine) report(q *wireReq) (int, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.stopped {
+		return 0, errStopped
+	}
+	acc, err := e.absorb(q)
+	e.advance()
+	return acc, err
 }
 
 // sloOutcome tags how a request ended for reqDone: validation and
@@ -742,10 +707,8 @@ func (e *Engine) Submit(req *SubmitRequest) (*SubmitResponse, error) {
 		if IsShed(err) {
 			out = sloShed
 			e.shedLat.Observe(start)
-			e.putReq(q)
 		}
-		// Engine stopped: the reply may still arrive; leak q to the GC
-		// rather than recycle an object the engine could touch.
+		e.putReq(q)
 		return nil, err
 	}
 	out = sloOK
@@ -755,9 +718,9 @@ func (e *Engine) Submit(req *SubmitRequest) (*SubmitResponse, error) {
 }
 
 // Report delivers realised outcomes for the open slot, blocking until
-// absorbed or rejected. Like /v1/report it returns before the slot's
-// Observe runs: a caller that reads Slot or CumReward next must wait for
-// the slot to finish.
+// absorbed or rejected. Like /v1/report, a report that completes the
+// open slot returns after that slot has finished: its Observe, any
+// checkpoint and the next decide.
 func (e *Engine) Report(req *ReportRequest) (*ReportResponse, error) {
 	start := time.Now()
 	out := sloSkip
@@ -770,18 +733,16 @@ func (e *Engine) Report(req *ReportRequest) (*ReportResponse, error) {
 	q.hasSlot = true
 	q.reports = append(q.reports[:0], req.Reports...)
 	q.hasReps = true
-	rep, err := e.dispatchReport(q)
+	acc, err := e.report(q)
+	e.putReq(q)
 	if err != nil {
 		if !errors.Is(err, errStopped) {
 			out = sloOK
-			e.putReq(q)
 		}
 		return nil, err
 	}
 	out = sloOK
-	resp := &ReportResponse{Accepted: rep.accepted}
-	e.putReq(q)
-	return resp, nil
+	return &ReportResponse{Accepted: acc}, nil
 }
 
 // StepInto is the batched round-trip: deliver the previous slot's
@@ -816,15 +777,12 @@ func (e *Engine) StepInto(req *StepRequest, resp *StepResponse) error {
 			out = sloShed
 			e.shedLat.Observe(start)
 			if len(q.reports) > 0 {
-				if rrep, rerr := e.dispatchReport(q); rerr == nil {
-					resp.Accepted = rrep.accepted
-				} else if errors.Is(rerr, errStopped) {
-					// The engine may still touch q; leak it to the GC.
-					return err
+				if acc, rerr := e.report(q); rerr == nil {
+					resp.Accepted = acc
 				}
 			}
-			e.putReq(q)
 		}
+		e.putReq(q)
 		return err
 	}
 	out = sloOK
@@ -852,143 +810,102 @@ func (e *Engine) Step(req *StepRequest) (*StepResponse, error) {
 	return resp, nil
 }
 
-// loop is the engine goroutine: it parks in select and feeds events into
-// the slot state machine. All machine transitions run under mu, whether
-// on this goroutine or inlined on a lockstep caller's stack.
-func (e *Engine) loop() {
-	defer close(e.done)
-	var tickCh <-chan time.Time
-	if e.cfg.SlotEvery > 0 {
-		t := time.NewTicker(e.cfg.SlotEvery)
-		defer t.Stop()
-		tickCh = t.C
-	}
-	e.mu.Lock()
-	e.running = true
-	e.slotAtomic.Store(int64(e.slotsSeen()))
-	e.mu.Unlock()
+// clock is the slot-clock goroutine, started only when SlotEvery > 0.
+func (e *Engine) clock(t *time.Ticker) {
+	defer e.clockExit.Done()
+	defer t.Stop()
 	for {
-		// Compute the park's gating under mu, then wait unlocked — the
-		// window inline callers use. Draining subCh pauses once the next
-		// batch is closed or an overflow submission is deferred; the slot
-		// clock only matters between slots (a tick landing during a report
-		// wait stays buffered in the ticker, as before the flattening);
-		// the timer case exists only while a slot is open.
-		e.mu.Lock()
-		subCh := e.subCh
-		if e.deferred != nil || e.batch.shouldClose(e.cfg.MaxBatch, e.cfg.KMax) {
-			subCh = nil
-		}
-		ticks := tickCh
-		var timerC <-chan time.Time
-		if e.openActive {
-			ticks = nil
-			e.armTimerBy(e.openDeadline)
-			timerC = e.timer.C
-			e.parkedTimer = true
-		} else {
-			e.parkedTimer = false
-		}
-		e.mu.Unlock()
-
 		select {
-		case q := <-subCh:
-			e.mu.Lock()
-			e.ingestStep(q)
-			e.advance()
-			e.mu.Unlock()
-		case q := <-e.repCh:
-			e.mu.Lock()
-			e.ingestReport(q)
-			e.advance()
-			e.mu.Unlock()
-		case <-ticks:
-			// Slot clock: a non-empty batch closes on each tick (decideSlot
-			// is a no-op on an empty one — no arrivals, no slot).
-			e.mu.Lock()
-			e.decideSlot()
-			e.advance()
-			e.mu.Unlock()
-		case <-timerC:
-			e.mu.Lock()
-			e.timerFired = true
-			if e.openActive && !time.Now().Before(e.openDeadline) {
-				// Report wait expired: Observe with whatever arrived.
-				e.lateSlots.Add(1)
-				e.openTimedOut = true
-				e.openRemaining = 0
-				e.advance()
-			}
-			// Otherwise the fire was armed for an earlier slot's deadline
-			// (or the slot closed inline before the fire landed): spurious;
-			// the next park re-arms.
-			e.mu.Unlock()
-		case <-e.kickCh:
-			// An inline caller changed machine state this park's gating
-			// doesn't reflect; just re-park.
-		case <-e.stopCh:
-			e.mu.Lock()
-			e.shutdown()
-			e.mu.Unlock()
+		case <-t.C:
+			e.tick()
+		case <-e.done:
 			return
 		}
 	}
 }
 
-// ingestStep feeds a drained step/submit request into the machine: its
-// report part is absorbed into the open slot (or rejected as late when
-// no slot is open), its tasks join the accumulating batch. Call under mu.
-func (e *Engine) ingestStep(q *wireReq) {
-	if len(q.reports) > 0 {
-		if e.openActive {
-			q.repAccepted, q.repErr = e.absorbReports(e.openSlot, e.openN, e.openAssigned, q.slot, q.reports)
-			e.openRemaining -= q.repAccepted
-		} else {
-			// A step's report part arriving between slots: the slot it
-			// reports on has already closed.
-			e.lateReports.Add(1)
-			q.repErr = &lateReportError{slot: q.slot, open: int(e.slotAtomic.Load())}
-		}
+// tick is a slot-clock event: a non-empty batch closes on it (advance
+// decides nothing on an empty one — no arrivals, no slot). A tick that
+// lands while a slot is open waits for the slot to finish.
+func (e *Engine) tick() {
+	e.mu.Lock()
+	if !e.stopped {
+		e.tickDue = true
+		e.advance()
 	}
-	e.accountRouting(q)
-	e.admit(q)
+	e.mu.Unlock()
 }
 
-// ingestReport feeds a pure report into the machine and replies with the
-// absorb result immediately (its resp channel is buffered). Call under mu.
-func (e *Engine) ingestReport(q *wireReq) {
-	if e.openActive {
-		acc, err := e.absorbReports(e.openSlot, e.openN, e.openAssigned, q.slot, q.reports)
-		e.openRemaining -= acc
-		q.resp <- stepReply{accepted: acc, err: err}
+// expire is the report-wait timer's callback. A slot still open past its
+// deadline is counted late and finished with whatever reports arrived. A
+// fire armed for an earlier slot finds the open slot's deadline still
+// ahead, and advance re-arms the timer for it.
+func (e *Engine) expire() {
+	e.mu.Lock()
+	e.timerArmed = false
+	if e.openActive && !time.Now().Before(e.openDeadline) {
+		e.lateSlots.Add(1)
+		e.openTimedOut = true
+		e.openRemaining = 0
+	}
+	e.advance()
+	e.mu.Unlock()
+}
+
+// armTimer readies the report-wait timer for the open slot unless a fire
+// is already pending. A pending fire armed for an earlier slot's deadline
+// is left alone (expire treats it as early and re-arms), which keeps the
+// steady fast-slot path free of timer traffic. Call under mu.
+func (e *Engine) armTimer() {
+	if e.timerArmed {
 		return
 	}
-	e.lateReports.Add(1)
-	q.resp <- stepReply{err: &lateReportError{slot: q.slot, open: int(e.slotAtomic.Load())}}
+	e.timerArmed = true
+	d := time.Until(e.openDeadline)
+	if e.timer == nil {
+		e.timer = time.AfterFunc(d, e.expire)
+		return
+	}
+	e.timer.Reset(d)
 }
 
-// advance drives the machine until it parks: finish the open slot once
-// every expected report is in (or the engine is stopping), serve the
-// batch a deferred overflow submission forced out and then re-admit it,
-// and decide a batch that is bound to close (explicit close, MaxBatch,
-// KMax). Call under mu.
+// absorb delivers q's reports to the open slot; reports that arrive
+// between slots are late. It returns the accepted count or the
+// rejection. Call under mu.
+func (e *Engine) absorb(q *wireReq) (int, error) {
+	if !e.openActive {
+		// The slot the reports are for has already closed.
+		e.lateReports.Add(1)
+		return 0, &lateReportError{slot: q.slot, open: int(e.slotAtomic.Load())}
+	}
+	acc, err := e.absorbReports(e.openSlot, e.openN, e.openAssigned, q.slot, q.reports)
+	e.openRemaining -= acc
+	return acc, err
+}
+
+// advance drives the machine until it waits on an event: admit queued
+// submissions while the batch is open, finish the open slot once every
+// expected report is in (or the engine is stopping), and between slots
+// decide a batch that is bound to close (explicit close, MaxBatch, KMax),
+// that the queue's head would overflow, or that a clock tick closes. An
+// open slot still waiting for reports arms the report-wait timer. Call
+// under mu.
 func (e *Engine) advance() {
 	for {
+		if !e.stopped {
+			e.admitQueued()
+		}
 		if e.openActive {
-			if e.openRemaining > 0 && !e.stopping {
+			if e.openRemaining > 0 && !e.stopped {
+				e.armTimer()
 				return
 			}
 			e.finishSlot()
 			continue
 		}
-		if e.deferred != nil {
-			e.decideSlot()
-			q := e.deferred
-			e.deferred = nil
-			e.admit(q)
-			continue
-		}
-		if e.batch.shouldClose(e.cfg.MaxBatch, e.cfg.KMax) {
+		due := e.tickDue
+		e.tickDue = false
+		if e.batch.n > 0 && (due || len(e.queue) > 0 || e.batch.shouldClose(e.cfg.MaxBatch, e.cfg.KMax)) {
 			e.decideSlot()
 			continue
 		}
@@ -996,17 +913,31 @@ func (e *Engine) advance() {
 	}
 }
 
-// admit adds a drained submission to the accumulating batch, or parks it
-// in deferred when it would push a coverage list past KMax (the batch
-// must be served first). The park gating stops draining subCh while
-// deferred is set. Admitted tasks are staged into the current arena
-// immediately — admission order is slot order — so the close has
-// nothing left to partition. Call under mu.
-func (e *Engine) admit(q *wireReq) {
-	if e.batch.wouldOverflow(q, e.cfg.KMax) {
-		e.deferred = q
+// admitQueued admits queued submissions in arrival order until the batch
+// is bound to close or the head would push a coverage row past KMax; the
+// rest stay queued for the batch after. Call under mu.
+func (e *Engine) admitQueued() {
+	i := 0
+	for ; i < len(e.queue); i++ {
+		q := e.queue[i]
+		if e.batch.shouldClose(e.cfg.MaxBatch, e.cfg.KMax) || e.batch.wouldOverflow(q, e.cfg.KMax) {
+			break
+		}
+		e.admit(q)
+	}
+	if i == 0 {
 		return
 	}
+	e.waiting.Add(-int64(i))
+	n := copy(e.queue, e.queue[i:])
+	clear(e.queue[n:])
+	e.queue = e.queue[:n]
+}
+
+// admit adds a submission to the accumulating batch and stages its tasks
+// into the current arena at once — admission order is slot order — so
+// the close has nothing left to partition. Call under mu.
+func (e *Engine) admit(q *wireReq) {
 	e.batch.add(q, e.stages[e.cur].n)
 	// Stage timing attributes ingest cost across shards; it costs two
 	// clock reads per admission, so only traced engines pay it.
@@ -1040,37 +971,6 @@ func (e *Engine) stageSub(q *wireReq) {
 		idx++
 	}
 	st.n = idx
-}
-
-// shutdown finishes the engine: flush the slot in flight (and any batch
-// already bound to close) with whatever reports arrived, write a final
-// checkpoint (unless aborted), then fail everything still queued so no
-// handler blocks forever. Call under mu.
-func (e *Engine) shutdown() {
-	e.stopping = true
-	e.advance()
-	if !e.abort.Load() && e.cfg.CheckpointPath != "" {
-		// The periodic checkpoint remains if this fails; Stop reports it.
-		e.stopErr = e.checkpointNow()
-	}
-	e.failBatch(errStopped)
-	if q := e.deferred; q != nil {
-		e.deferred = nil
-		e.pending.Add(-int64(len(q.cells)))
-		q.resp <- stepReply{err: errStopped}
-	}
-	e.running = false
-	for {
-		select {
-		case q := <-e.subCh:
-			e.pending.Add(-int64(len(q.cells)))
-			q.resp <- stepReply{err: errStopped}
-		case q := <-e.repCh:
-			q.resp <- stepReply{err: errStopped}
-		default:
-			return
-		}
-	}
 }
 
 func (e *Engine) failBatch(err error) {
@@ -1209,9 +1109,8 @@ func (e *Engine) decideSlot() {
 
 // finishSlot closes the open slot: build the feedback from whatever
 // reports arrived, Observe, account, maybe checkpoint. Call under mu,
-// which stays held throughout — Observe is a transition like any other.
-// An inline lockstep step that closes the slot runs the whole sequence
-// on the caller's stack.
+// which stays held throughout — Observe is a transition like any other
+// — on whichever goroutine delivered the event that completed the slot.
 func (e *Engine) finishSlot() {
 	probe := e.cfg.Probe
 	traced := e.cfg.SlotRing != nil
@@ -1252,13 +1151,6 @@ func (e *Engine) finishSlot() {
 		}
 	}
 	probe.EndSlot()
-	if e.cfg.SlotEvery > 0 {
-		// The loop may be parked with the ticker gated, because the slot
-		// was open when it parked, while this slot finished on an inline
-		// caller's stack. kickIfStale does not cover that park; without
-		// the kick a buffered tick would wait for the report-wait timer.
-		e.kick()
-	}
 
 	cum := e.CumReward() + slotReward
 	e.cumRewardBits.Store(math.Float64bits(cum))
@@ -1310,32 +1202,6 @@ func (e *Engine) finishSlot() {
 		}
 		e.cfg.SlotRing.Publish()
 	}
-}
-
-// armTimerBy readies the reused report-wait timer to fire no later than
-// deadline. If the timer is already armed for an earlier (or equal)
-// deadline it is left untouched — the loop treats a fire before the
-// open slot's true deadline as spurious and re-parks — which keeps the
-// steady fast-slot path free of Stop/Reset timer traffic entirely.
-// Otherwise: classic pre-1.23 semantics — Stop, drain the channel if an
-// old fire is still buffered, then Reset. Called only from the engine
-// goroutine (inline callers kick the loop rather than arm the timer),
-// so the drain never races a concurrent receive.
-func (e *Engine) armTimerBy(deadline time.Time) {
-	if e.timer == nil {
-		e.timer = time.NewTimer(time.Until(deadline))
-		e.timerDeadline = deadline
-		return
-	}
-	if !e.timerFired && !e.timerDeadline.After(deadline) {
-		return
-	}
-	if !e.timer.Stop() && !e.timerFired {
-		<-e.timer.C
-	}
-	e.timerFired = false
-	e.timer.Reset(time.Until(deadline))
-	e.timerDeadline = deadline
 }
 
 // absorbReports validates a whole report batch against the open slot and

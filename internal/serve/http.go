@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"expvar"
 	"fmt"
 	"net"
@@ -32,10 +31,9 @@ import (
 // decode in place into pooled request objects, validated against the
 // engine's shape as they parse, and replies encode into pooled scratch
 // (see wire.go); steady-state handling allocates nothing. Each takes JSON
-// or a binary frame, selected by the request's Content-Type. A step or
-// submit runs the slot machine on the handler's own stack when the engine
-// is idle (Engine.submit), like the in-process API; a pure report goes
-// through the engine goroutine.
+// or a binary frame, selected by the request's Content-Type. Every
+// request runs the slot machine on the handler's own stack, like the
+// in-process API.
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
@@ -44,8 +42,10 @@ type Server struct {
 // Connection limits against slow or idle clients. A client must finish
 // its request headers within readHeaderTimeout and, on the data plane,
 // its body within bodyReadTimeout of the handler starting to read it; a
-// kept-alive connection may sit idle between requests for idleTimeout.
-// There is no write timeout: /debug/pprof/profile streams for 30 s.
+// body sent to a route that reads none is not waited for at all
+// (obs.CloseOnBody). A kept-alive connection may sit idle between
+// requests for idleTimeout. There is no write timeout:
+// /debug/pprof/profile streams for 30 s.
 var (
 	readHeaderTimeout = 10 * time.Second
 	bodyReadTimeout   = 10 * time.Second
@@ -92,27 +92,33 @@ func StartServer(addr string, eng *Engine) (*Server, error) {
 	})
 
 	start := time.Now()
+	// The routes that read no body answer a request that declares one and
+	// close its connection instead of draining it (obs.CloseOnBody). The
+	// data plane reads its bodies under bodyReadTimeout, and pprof's symbol
+	// lookup reads its POST body.
+	noBody := http.NewServeMux()
+	noBody.HandleFunc("/v1/stats", eng.handleStats)
+	if eng.cfg.Metrics != nil {
+		noBody.Handle("/metrics", eng.cfg.Metrics.Handler())
+	}
+	if eng.cfg.SlotRing != nil {
+		noBody.HandleFunc("/lfsc/slots", eng.handleSlots)
+	}
+	noBody.Handle("/debug/vars", expvar.Handler())
+	noBody.HandleFunc("/debug/pprof/", pprof.Index)
+	noBody.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	noBody.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	noBody.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	noBody.HandleFunc("/lfsc/status", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		eng.writeStatus(w, time.Since(start))
+	})
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/submit", eng.handleSubmit)
 	mux.HandleFunc("/v1/report", eng.handleReport)
 	mux.HandleFunc("/v1/step", eng.handleStep)
-	mux.HandleFunc("/v1/stats", eng.handleStats)
-	if eng.cfg.Metrics != nil {
-		mux.Handle("/metrics", eng.cfg.Metrics.Handler())
-	}
-	if eng.cfg.SlotRing != nil {
-		mux.HandleFunc("/lfsc/slots", eng.handleSlots)
-	}
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/lfsc/status", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		eng.writeStatus(w, time.Since(start))
-	})
+	mux.Handle("/", obs.CloseOnBody(noBody))
 
 	s := &Server{ln: ln, srv: &http.Server{
 		Handler:           mux,
@@ -251,10 +257,6 @@ func (e *Engine) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		out = sloShed
 		e.shedLat.Observe(start)
 		e.writeErrReq(w, q, http.StatusTooManyRequests, err.Error(), 0)
-	case errors.Is(err, errStopped):
-		// The engine may still hold (or race a reply into) q — do not
-		// recycle it.
-		writeErrAlloc(w, http.StatusBadRequest, err.Error())
 	default:
 		e.writeErrReq(w, q, http.StatusBadRequest, err.Error(), 0)
 	}
@@ -276,22 +278,17 @@ func (e *Engine) handleReport(w http.ResponseWriter, r *http.Request) {
 		e.writeErrReq(w, q, http.StatusBadRequest, "serve: empty report", 0)
 		return
 	}
-	// Through the engine goroutine, not inline: that goroutine replies as
-	// soon as the reports are absorbed and only then finishes the slot, so
-	// the 200 is not held behind Observe, a checkpoint or the next decide.
-	// The client's next request decodes on its handler meanwhile and
-	// enters the slot machine once the slot is finished.
-	rep, err := e.dispatchReport(q)
+	// A report that completes the open slot is answered once the slot has
+	// finished: its Observe, any checkpoint and the next decide.
+	acc, err := e.report(q)
 	switch {
 	case err == nil:
 		out = sloOK
-		q.replyReport(rep.accepted)
+		q.replyReport(acc)
 		e.writeOK(w, q)
 	case IsLateReport(err):
 		out = sloOK
 		e.writeErrReq(w, q, http.StatusGone, err.Error(), 0)
-	case errors.Is(err, errStopped):
-		writeErrAlloc(w, http.StatusBadRequest, err.Error())
 	default:
 		e.writeErrReq(w, q, http.StatusBadRequest, err.Error(), 0)
 	}
@@ -333,17 +330,11 @@ func (e *Engine) handleStep(w http.ResponseWriter, r *http.Request) {
 		e.shedLat.Observe(start)
 		accepted := 0
 		if len(q.reports) > 0 {
-			rrep, rerr := e.dispatchReport(q)
-			if rerr == nil {
-				accepted = rrep.accepted
-			} else if errors.Is(rerr, errStopped) {
-				writeErrAlloc(w, http.StatusTooManyRequests, err.Error())
-				return
+			if acc, rerr := e.report(q); rerr == nil {
+				accepted = acc
 			}
 		}
 		e.writeErrReq(w, q, http.StatusTooManyRequests, err.Error(), accepted)
-	case errors.Is(err, errStopped):
-		writeErrAlloc(w, http.StatusBadRequest, err.Error())
 	default:
 		e.writeErrReq(w, q, http.StatusBadRequest, err.Error(), 0)
 	}
@@ -387,7 +378,7 @@ func (e *Engine) writeStatus(w http.ResponseWriter, up time.Duration) {
 			100*s.ShedRate, 100*s.ShedBudget, budget)
 	}
 	// Per-shard lines read only the shard atomics — the learner state
-	// itself belongs to the engine goroutine.
+	// itself is the slot machine's, under the engine's mutex.
 	for _, sh := range st.Shards {
 		fmt.Fprintf(w, "shard %d: scns %d  routed subs %d  tasks %d  shed %d  last decide %v observe %v\n",
 			sh.Shard, sh.SCNs, sh.RoutedSubs, sh.RoutedTasks, sh.ShedTasks,

@@ -248,10 +248,9 @@ func get(t *testing.T, url string) string {
 }
 
 // awaitSlots waits until the engine has finished its first T slots. A
-// replay's last request is a report (/v1/report or Engine.Report),
-// answered as soon as its reports are absorbed and before the engine
-// runs the slot's Observe and records it, so a read right after the
-// replay could see the last slot open.
+// replay's last request is a report (/v1/report or Engine.Report), which
+// returns once the slot it completes has finished, so after a replay it
+// returns at once; it still fails an engine that fell short.
 func awaitSlots(t testing.TB, eng *Engine, T int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -491,27 +492,44 @@ func TestReportValidation(t *testing.T) {
 	}
 }
 
-// TestClosedBatchQueuesSubmission pins the inline path's admission rule:
-// a submission that arrives while the next batch is already closed (the
-// open slot still waits for its reports) goes into the batch after it,
-// as on the channel path, instead of joining the closed one.
+// TestClosedBatchQueuesSubmission pins the admission rule for a request
+// that arrives while the next batch is already closed (the open slot
+// still waits for its reports): its tasks go into the batch after it
+// instead of joining the closed one. A step's report part is absorbed on
+// arrival all the same, so a step that carries the open slot's last
+// report finishes that slot at once instead of after the report wait.
 func TestClosedBatchQueuesSubmission(t *testing.T) {
-	eng := buildDaemon(t, testScenario(100, 9), nil)
+	t.Run("submit", func(t *testing.T) { testClosedBatchQueues(t, false) })
+	t.Run("step", func(t *testing.T) { testClosedBatchQueues(t, true) })
+}
+
+func testClosedBatchQueues(t *testing.T, step bool) {
+	eng := buildDaemon(t, testScenario(100, 9), func(c *Config) {
+		if step {
+			// Long enough that only the step's report part can finish
+			// slot a within the test's waits.
+			c.ReportWait = time.Minute
+		}
+	})
 	eng.Start()
 	defer eng.Stop()
 	ctx := make([]float64, eng.shape.dims)
 	for i := range ctx {
 		ctx[i] = 0.5
 	}
+	tasks := func(scn int) []TaskSpec { return []TaskSpec{{Ctx: ctx, SCNs: []int{scn}}} }
 	submit := func(scn int) (*SubmitResponse, error) {
-		return eng.Submit(&SubmitRequest{Tasks: []TaskSpec{{Ctx: ctx, SCNs: []int{scn}}}, Close: true})
+		return eng.Submit(&SubmitRequest{Tasks: tasks(scn), Close: true})
+	}
+	outcome := func(r *SubmitResponse) []TaskReport {
+		return []TaskReport{{Task: r.Base, U: 0.5, V: 1, Q: 1}}
 	}
 	report := func(r *SubmitResponse) {
 		t.Helper()
 		if r.Assigned[0] < 0 {
 			return // nothing to report: the slot closed at decide
 		}
-		if _, err := eng.Report(&ReportRequest{Slot: r.Slot, Reports: []TaskReport{{Task: r.Base, U: 0.5, V: 1, Q: 1}}}); err != nil {
+		if _, err := eng.Report(&ReportRequest{Slot: r.Slot, Reports: outcome(r)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -533,10 +551,10 @@ func TestClosedBatchQueuesSubmission(t *testing.T) {
 		r   *SubmitResponse
 		err error
 	}
-	async := func(scn int) chan result {
+	async := func(call func() (*SubmitResponse, error)) chan result {
 		ch := make(chan result, 1)
 		go func() {
-			r, err := submit(scn)
+			r, err := call()
 			ch <- result{r, err}
 		}()
 		return ch
@@ -549,11 +567,27 @@ func TestClosedBatchQueuesSubmission(t *testing.T) {
 	if a.Assigned[0] < 0 {
 		t.Skip("slot 0's task was not assigned, so no slot stays open")
 	}
-	bCh := async(1)
+	bCh := async(func() (*SubmitResponse, error) { return submit(1) })
 	waitFor("b to close the next batch", func() bool { return eng.batch.n == 1 })
-	cCh := async(2)
-	waitFor("c to queue", func() bool { return len(eng.subCh) == 1 || eng.batch.n > 1 })
-	report(a)
+	var cCh chan result
+	var cStep *StepResponse
+	if step {
+		// c carries a's report: it must finish slot a on arrival, so b's
+		// batch is decided while c's tasks wait for the batch after it.
+		cCh = async(func() (*SubmitResponse, error) {
+			r, err := eng.Step(&StepRequest{Slot: a.Slot, Reports: outcome(a), Tasks: tasks(2), Close: true})
+			if err != nil {
+				return nil, err
+			}
+			cStep = r
+			return &SubmitResponse{Slot: r.Slot, Base: r.Base, Assigned: r.Assigned}, nil
+		})
+		waitFor("c's report part to finish slot a", func() bool { return eng.Slot() > a.Slot })
+	} else {
+		cCh = async(func() (*SubmitResponse, error) { return submit(2) })
+		waitFor("c to queue", func() bool { return len(eng.queue) == 1 || eng.batch.n > 1 })
+		report(a)
+	}
 	b := <-bCh
 	if b.err != nil {
 		t.Fatal(b.err)
@@ -566,7 +600,13 @@ func TestClosedBatchQueuesSubmission(t *testing.T) {
 	if b.r.Slot != a.Slot+1 || c.r.Slot != b.r.Slot+1 {
 		t.Fatalf("slots a=%d b=%d c=%d, want consecutive: c joined b's closed batch", a.Slot, b.r.Slot, c.r.Slot)
 	}
+	if step && (cStep.Accepted != 1 || cStep.ReportError != "") {
+		t.Fatalf("c's report part: accepted %d, error %q; want 1 and none", cStep.Accepted, cStep.ReportError)
+	}
 	report(c.r)
+	if st := eng.Stats(); st.LateSlots != 0 || st.LateReports != 0 {
+		t.Fatalf("late slots %d, late reports %d; want 0", st.LateSlots, st.LateReports)
+	}
 }
 
 // TestRestoreRejectsCorruptCheckpoint covers the daemon-level restore
@@ -678,6 +718,79 @@ func TestServerClosesStalledHeader(t *testing.T) {
 	}
 	if el := time.Since(start); el < readHeaderTimeout/2 {
 		t.Fatalf("connection closed after %v, before the header timeout", el)
+	}
+}
+
+// TestServerClosesOnIgnoredBody bounds the drain of a body a route never
+// reads: a GET /v1/stats that declares a 4096-byte body and drips it, one
+// byte every 50 ms, gets its 200 at once and then a closed connection,
+// instead of no reply for as long as the client drips. A GET without a
+// body keeps its connection alive.
+func TestServerClosesOnIgnoredBody(t *testing.T) {
+	eng, srv, _ := bootDaemon(t, testScenario(10, 1), nil)
+	defer srv.Close()
+	defer eng.Stop()
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /v1/stats HTTP/1.1\r\nHost: lfscd\r\nContent-Length: 4096\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	answered := make(chan struct{})
+	dripped := make(chan struct{})
+	go func() {
+		defer close(dripped)
+		tick := time.NewTicker(50 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-answered:
+				return
+			case <-tick.C:
+			}
+			if _, err := conn.Write([]byte{' '}); err != nil {
+				return
+			}
+		}
+	}()
+	// The server closes the connection with drip bytes still unread, so
+	// the close may arrive as a reset rather than an EOF.
+	conn.SetReadDeadline(time.Now().Add(3 * time.Second)) //nolint:errcheck
+	start := time.Now()
+	reply, err := io.ReadAll(conn)
+	elapsed := time.Since(start)
+	close(answered)
+	<-dripped
+	if err != nil && !errors.Is(err, syscall.ECONNRESET) {
+		t.Fatalf("dripping connection neither answered nor closed after %v: %v (read %q)", elapsed.Round(time.Millisecond), err, reply)
+	}
+	if !bytes.HasPrefix(reply, []byte("HTTP/1.1 200")) {
+		t.Fatalf("dripping connection got %q, want a 200", reply)
+	}
+
+	ka, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ka.Close()
+	br := bufio.NewReader(ka)
+	for i := 0; i < 2; i++ {
+		if _, err := io.WriteString(ka, "GET /v1/stats HTTP/1.1\r\nHost: lfscd\r\n\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		ka.SetReadDeadline(time.Now().Add(3 * time.Second)) //nolint:errcheck
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("request %d on a kept-alive connection: %v", i, err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Close {
+			t.Fatalf("request %d without a body: status %d, close %v; want 200 on a kept-alive connection", i, resp.StatusCode, resp.Close)
+		}
 	}
 }
 
