@@ -4,15 +4,17 @@
 GO ?= go
 
 # Packages that carry the concurrency contract (bit-identical results
-# under parallel.ForDynamic and under concurrent shared-trace replay) and
+# under parallel.ForDynamic, the fan-out of sim.RunAll and
+# sim.RunReplicas, and under concurrent shared-trace replay) and
 # therefore must stay clean under the race detector, including the
 # RunAll workers and replay tests in internal/sim. internal/obs is
 # included because its probe/registry/ring types are shared across
 # RunAll goroutines, and internal/metrics because RunAll aggregates its
 # Series concurrently. internal/serve is the serving daemon: HTTP
-# handlers run the slot machine on their own goroutines under one mutex,
-# beside the slot clock, the report-wait timer's callback, the shard legs
-# and the shedding gates, so it is concurrent by construction.
+# handlers run the slot machine, every shard's legs included, on their
+# own goroutines under one mutex, beside the slot clock, the report-wait
+# timer's callback, the status and metrics readers and the shedding
+# gates, so it is concurrent by construction.
 RACE_PKGS = ./internal/core ./internal/parallel ./internal/assign ./internal/sim ./internal/trace ./internal/obs ./internal/metrics ./internal/serve
 
 .PHONY: all build vet deps-check test test-race bench-short bench json results-check bench-serve bench-serve-shards bench-diff fuzz-short serve-smoke serve-smoke-shards client-smoke obs-smoke scenario-smoke examples-smoke perfbench-test perfbench-smoke ci clean
@@ -56,7 +58,9 @@ test-race:
 # of a paper-scale /v1/step body, JSON and binary frame — the source of
 # DESIGN.md §10's decode figures) and the client round trip (one lockstep
 # /v1/step over loopback against an in-process daemon, 4-SCN and paper
-# shape), one checkpoint commit of a warmed paper-shape learner at
+# shape), the shard plane's figure (one paper-scale lockstep slot through
+# Engine.StepInto at Shards 1, 2 and 4, reporting cpu-ns/op from
+# getrusage beside ns/op; 0 allocs/op at every count), one checkpoint commit of a warmed paper-shape learner at
 # Shards 1 and 2 (it reports fsyncs/op, 2 at any shard count), plus the
 # scenario timeline build (scenarios/churn.scn over the paper topology
 # at T=10⁴, what a -scenario daemon pays at boot, and the same config
@@ -71,6 +75,7 @@ bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkDraw$$' -benchtime 100000x ./internal/env
 	$(GO) test -run '^$$' -bench 'BenchmarkWireCodec' -benchtime 10x ./internal/serve
 	$(GO) test -run '^$$' -bench 'BenchmarkClientStep' -benchtime 500x ./internal/serve
+	$(GO) test -run '^$$' -bench 'BenchmarkShardedStep' -benchtime 500x ./internal/serve
 	$(GO) test -run '^$$' -bench 'BenchmarkCheckpointCommit' -benchtime 100x ./internal/serve
 	$(GO) test -run '^$$' -bench 'BenchmarkBuild$$' -benchtime 10x ./internal/scenario
 
@@ -111,40 +116,45 @@ results-check:
 bench-serve:
 	$(GO) run ./cmd/lfscbench -benchserve BENCH_core.json
 
-# Short-mode shard-scaling smoke: run the Shards=1/2/4 curve end-to-end
-# (staged ingest, per-shard legs and merge, the slot close, real
-# loopback HTTP) on a few hundred slots and print the rps triple. The
-# result goes to a scratch file, not the committed artifact — the point
-# in CI is that the sharded serving plane boots, serves, and scales
-# sanely on every push; the gated numbers come from the full `make
-# bench-diff` run.
+# Short-mode shard-curve smoke: run Shards=1/2/4 end-to-end (staged
+# ingest, the shards' legs one after another and the merge, the slot
+# close, real loopback HTTP) on a few hundred slots and print the rps
+# triple. The result goes to a private scratch directory, removed
+# afterwards, not the committed artifact — the point in CI is that the
+# sharded serving plane boots and serves at every count on every push,
+# with no count far below Shards=1; the gated numbers come from the full
+# `make bench-diff` run.
 bench-serve-shards:
-	rm -f /tmp/BENCH_shards.json
-	$(GO) run ./cmd/lfscbench -benchshards /tmp/BENCH_shards.json -serve-http-slots 300
+	@tmp=$$(mktemp -d "$${TMPDIR:-/tmp}/lfsc-shards.XXXXXX") && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/lfscbench -benchshards "$$tmp/BENCH_shards.json" -serve-http-slots 300
 
 # Measure the working tree against the committed perf artifact: runs the
 # paper-horizon benchmark AND the serve-layer harness into a scratch file
-# and diffs it against BENCH_core.json. Fails (exit 1) on a >25%
+# (in a private directory, removed afterwards) and diffs it against
+# BENCH_core.json. Fails (exit 1) on a >25%
 # timing/allocation regression (core or serve), a serve-throughput drop
 # below 75% (serve_http_rps and serve_shard_rps_1 alike), a non-monotone
 # shard curve where the machine has the cores, a dropped serve key, or
 # ANY reward-ratio drift — the simulation is deterministic, so a ratio
 # change means the computation itself changed.
 bench-diff:
-	rm -f /tmp/BENCH_head.json
-	$(GO) run ./cmd/lfscbench -benchjson /tmp/BENCH_head.json
-	$(GO) run ./cmd/lfscbench -benchserve /tmp/BENCH_head.json
-	$(GO) run ./cmd/benchdiff BENCH_core.json /tmp/BENCH_head.json
+	@tmp=$$(mktemp -d "$${TMPDIR:-/tmp}/lfsc-diff.XXXXXX") && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/lfscbench -benchjson "$$tmp/BENCH_head.json" && \
+	$(GO) run ./cmd/lfscbench -benchserve "$$tmp/BENCH_head.json" && \
+	$(GO) run ./cmd/benchdiff BENCH_core.json "$$tmp/BENCH_head.json"
 
-# Short fuzz passes over the decoders that parse untrusted bytes: the
-# checkpoint loader, the JSON and binary-frame wire request decoders, and
-# the scenario config parser. Go allows one fuzz target per invocation
-# (hence the anchored patterns: FuzzWireDecode is a prefix of
+# Short fuzz passes over the decoders that parse untrusted bytes (the
+# checkpoint loader, the JSON and binary-frame wire request decoders, the
+# scenario config parser) and over the serving slot machine, driven
+# through fuzzed event sequences of 2-3 lockstep clients with invalid
+# reports among them (FuzzSlotWalk). Go allows one fuzz target per
+# invocation (hence the anchored patterns: FuzzWireDecode is a prefix of
 # FuzzWireDecodeBinary), so each gets its own run.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointLoad$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 5s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecodeBinary$$' -fuzztime 5s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzSlotWalk$$' -fuzztime 5s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioParse$$' -fuzztime 5s ./internal/scenario
 
 # The serving-layer smoke: boot lfscd on an ephemeral port, drive 200
@@ -169,7 +179,7 @@ serve-smoke:
 # untouched, an error and a crash injected at every file operation of a
 # commit at Shards 1, 2 and 4, fresh and after a restore (each restored
 # bit-identically), and the failure counters — all under the race
-# detector (the shard fan-out runs Decide/Observe on parallel goroutines).
+# detector, beside the status and metrics readers of the shards' timings.
 serve-smoke-shards:
 	$(GO) test -race -count=1 -run 'TestServeSmokeShards|TestShardedLockstepThreeWayIdentity|TestCheckpointReshardMatrix|TestFailedRestoreLeavesEngineUntouched|TestCheckpointCommitFaults|TestCheckpointFailuresCounted' ./internal/serve
 
@@ -241,8 +251,8 @@ perfbench-smoke:
 # smokes (unsharded and Shards=4), the client connection-lifecycle
 # smoke, the observability scrape smoke, the scenario churn smoke, the
 # quick perf kernels (which also assert 0 allocs/op on the steady-state
-# paths), the short-mode shard-scaling curve, a short fuzz pass over
-# the untrusted-input decoders, every examples/ program, the perfbench
+# paths), the short-mode shard curve, a short fuzz pass over the
+# untrusted-input decoders and the slot machine, every examples/ program, the perfbench
 # module's own vet and tests, and a paper-scale served slot stream
 # through perfbench's client == daemon == offline gate.
 ci: vet deps-check test test-race serve-smoke serve-smoke-shards client-smoke obs-smoke scenario-smoke bench-short bench-serve-shards fuzz-short examples-smoke perfbench-test perfbench-smoke

@@ -23,10 +23,11 @@
 //	      [-slo-window 60] [-slo-shed-budget 0.01]
 //	      [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
-// -shards splits the learner into consistent-hash SCN groups that decide
-// and observe in parallel; decisions stay bit-identical at any shard
-// count, and the default single shard runs on the goroutine closing the
-// slot (DESIGN.md §11).
+// -shards splits the learner into consistent-hash SCN groups, each with
+// its own learner state, that decide and observe one after another on
+// the goroutine closing the slot; decisions stay bit-identical at any
+// shard count (DESIGN.md §11). Shards buy no speed in one process: they
+// are the seam along which the learner would split across processes.
 //
 // -scenario imposes a timeline of SCN dynamics (sleep schedules, random
 // churn, capacity and budget cycles — see DESIGN.md §13) on serving:
@@ -89,7 +90,7 @@ func main() {
 		horizon  = flag.Int("T", 10000, "schedule horizon (slots)")
 		seed     = flag.Uint64("seed", 42, "master seed (policy stream = Derive(3))")
 		latCtx   = flag.Bool("latency-ctx", false, "use the 4-D context with the latency class")
-		shards   = flag.Int("shards", 1, "learner shards (consistent-hash SCN groups; decisions are bit-identical at any count)")
+		shards   = flag.Int("shards", 1, "learner shards (consistent-hash SCN groups, run one after another on the slot's goroutine; decisions are bit-identical at any count)")
 		scenFile = flag.String("scenario", "", "scenario config file: SCN sleep/churn/capacity/budget dynamics over slots")
 
 		slotEvery  = flag.Duration("slot-every", 100*time.Millisecond, "slot clock (0 = close only at KMax/MaxBatch/explicit close)")

@@ -23,7 +23,8 @@ import (
 // The server runs on its own goroutine and its own mux, so it never
 // interferes with the simulation loop beyond the atomic counter reads the
 // handlers perform. Every route but /debug/pprof/symbol, which reads a
-// POST body, is wrapped in CloseOnBody.
+// POST body, is wrapped in CloseOnBody; the symbol lookup reads its body
+// under bodyReadTimeout (BodyWithin).
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
@@ -31,11 +32,13 @@ type Server struct {
 
 // Connection limits against slow or idle clients. A client must finish
 // its request headers within readHeaderTimeout, a body it sends is not
-// waited for (CloseOnBody), and a kept-alive connection may sit idle
-// between requests for idleTimeout. There is no write timeout:
+// waited for (CloseOnBody) except by the symbol lookup, which waits
+// bodyReadTimeout for it (BodyWithin), and a kept-alive connection may
+// sit idle between requests for idleTimeout. There is no write timeout:
 // /debug/pprof/profile streams for 30 s.
 var (
 	readHeaderTimeout = 10 * time.Second
+	bodyReadTimeout   = 10 * time.Second
 	idleTimeout       = 2 * time.Minute
 )
 
@@ -94,7 +97,7 @@ func StartServer(addr string, probe *Probe, reg *Registry, metrics *Metrics) (*S
 		WriteStatus(w, probe, reg, time.Since(start))
 	})
 	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.Handle("/debug/pprof/symbol", BodyWithin(bodyReadTimeout, http.HandlerFunc(pprof.Symbol)))
 	mux.Handle("/", CloseOnBody(noBody))
 
 	s := &Server{ln: ln, srv: &http.Server{
@@ -123,6 +126,23 @@ func CloseOnBody(h http.Handler) http.Handler {
 			// This fails only on a writer with no connection, which has no
 			// drain to bound.
 			http.NewResponseController(w).SetReadDeadline(time.Unix(1, 0)) //nolint:errcheck // see above
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// BodyWithin wraps a handler that reads a request body: the body must
+// arrive within d of the handler starting, or its reads fail. A request
+// that declares a body gets that read deadline on its connection, so a
+// client that drips one cannot hold the handler longer than d; the
+// deadline, once expired, also ends net/http's drain of the unread rest
+// at once, and the connection closes after the reply.
+func BodyWithin(d time.Duration, h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.ContentLength != 0 {
+			// As in CloseOnBody: this fails only on a writer with no
+			// connection, which has no body to wait for.
+			http.NewResponseController(w).SetReadDeadline(time.Now().Add(d)) //nolint:errcheck // see above
 		}
 		h.ServeHTTP(w, r)
 	})

@@ -5,9 +5,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"syscall"
@@ -183,12 +185,57 @@ func TestServerClosesOnIgnoredBody(t *testing.T) {
 	}
 	defer srv.Close()
 
-	conn, err := net.Dial("tcp", srv.Addr())
+	reply, _ := dripRequest(t, srv.Addr(), "GET /metrics HTTP/1.1\r\nHost: lfsc\r\nContent-Length: 4096\r\n\r\n")
+	if !bytes.HasPrefix(reply, []byte("HTTP/1.1 200")) {
+		t.Fatalf("dripping connection got %q, want a 200", reply)
+	}
+	keptAlive(t, srv.Addr(), "GET /metrics HTTP/1.1\r\nHost: lfsc\r\n\r\n")
+}
+
+// TestServerBoundsSymbolBody bounds the one route that reads a body,
+// pprof's symbol lookup: a POST that declares a 4096-byte body and drips
+// it, one byte every 50 ms, is answered once bodyReadTimeout passes and
+// its connection closed, instead of holding the handler for as long as
+// the client drips. A lookup whose body arrives resolves its address and
+// keeps the connection alive.
+func TestServerBoundsSymbolBody(t *testing.T) {
+	defer func(d time.Duration) { bodyReadTimeout = d }(bodyReadTimeout)
+	bodyReadTimeout = 300 * time.Millisecond
+	srv, err := StartServer("127.0.0.1:0", NewProbe(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	reply, elapsed := dripRequest(t, srv.Addr(), "POST /debug/pprof/symbol HTTP/1.1\r\nHost: lfsc\r\nContent-Length: 4096\r\n\r\n")
+	if elapsed < bodyReadTimeout/2 {
+		t.Fatalf("dripping connection answered after %v, before the body timeout", elapsed)
+	}
+	if !bytes.HasPrefix(reply, []byte("HTTP/1.1 200")) || !bytes.Contains(reply, []byte("timeout")) {
+		t.Fatalf("dripping connection got %q, want a 200 naming the timeout", reply)
+	}
+
+	pc := fmt.Sprintf("%#x", reflect.ValueOf(TestServerBoundsSymbolBody).Pointer())
+	for _, body := range keptAlive(t, srv.Addr(), fmt.Sprintf(
+		"POST /debug/pprof/symbol HTTP/1.1\r\nHost: lfsc\r\nContent-Length: %d\r\n\r\n%s", len(pc), pc)) {
+		if !strings.Contains(body, "TestServerBoundsSymbolBody") {
+			t.Fatalf("symbol lookup of %s answered %q", pc, body)
+		}
+	}
+}
+
+// dripRequest sends head, which declares a 4096-byte body, then drips the
+// body one byte every 50 ms until the server answers and closes the
+// connection. It returns the reply and how long it took, and fails the
+// test when no close comes within 3 s.
+func dripRequest(t *testing.T, addr, head string) ([]byte, time.Duration) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := io.WriteString(conn, "GET /metrics HTTP/1.1\r\nHost: lfsc\r\nContent-Length: 4096\r\n\r\n"); err != nil {
+	if _, err := io.WriteString(conn, head); err != nil {
 		t.Fatal(err)
 	}
 	answered := make(chan struct{})
@@ -219,29 +266,35 @@ func TestServerClosesOnIgnoredBody(t *testing.T) {
 	if err != nil && !errors.Is(err, syscall.ECONNRESET) {
 		t.Fatalf("dripping connection neither answered nor closed after %v: %v (read %q)", elapsed.Round(time.Millisecond), err, reply)
 	}
-	if !bytes.HasPrefix(reply, []byte("HTTP/1.1 200")) {
-		t.Fatalf("dripping connection got %q, want a 200", reply)
-	}
+	return reply, elapsed
+}
 
-	ka, err := net.Dial("tcp", srv.Addr())
+// keptAlive sends request twice on one connection and requires a 200 on
+// a connection kept alive each time. It returns the two reply bodies.
+func keptAlive(t *testing.T, addr, request string) []string {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ka.Close()
-	br := bufio.NewReader(ka)
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	var bodies []string
 	for i := 0; i < 2; i++ {
-		if _, err := io.WriteString(ka, "GET /metrics HTTP/1.1\r\nHost: lfsc\r\n\r\n"); err != nil {
+		if _, err := io.WriteString(conn, request); err != nil {
 			t.Fatal(err)
 		}
-		ka.SetReadDeadline(time.Now().Add(3 * time.Second)) //nolint:errcheck
+		conn.SetReadDeadline(time.Now().Add(3 * time.Second)) //nolint:errcheck
 		resp, err := http.ReadResponse(br, nil)
 		if err != nil {
 			t.Fatalf("request %d on a kept-alive connection: %v", i, err)
 		}
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK || resp.Close {
-			t.Fatalf("request %d without a body: status %d, close %v; want 200 on a kept-alive connection", i, resp.StatusCode, resp.Close)
+			t.Fatalf("request %d: status %d, close %v; want 200 on a kept-alive connection", i, resp.StatusCode, resp.Close)
 		}
+		bodies = append(bodies, string(body))
 	}
+	return bodies
 }

@@ -4,8 +4,8 @@ import "sync/atomic"
 
 // SlotSpan is the lifecycle record of one served slot: how long each
 // stage of the batch→Decide→collect→Observe→checkpoint protocol took,
-// including the per-shard breakdown of the two parallel stages — the
-// record that makes shard stragglers and barrier stalls visible.
+// including the per-shard breakdown of the decide and observe stages —
+// the record that shows which shard's SCN group a slot's time went to.
 // Durations are nanoseconds.
 type SlotSpan struct {
 	// Seq is the ring's monotone publish counter (gaps in a snapshot
@@ -44,11 +44,12 @@ type SlotSpan struct {
 	ObserveOverlapNS uint64 `json:"observe_overlap_ns,omitempty"`
 	CheckpointNS     uint64 `json:"checkpoint_ns,omitempty"`
 
-	// Per-shard durations of the parallel stages (index = shard id;
-	// empty at one shard, where the slot totals say it). A shard whose
-	// entry dominates the others is the straggler serialising the
-	// barrier; ShardStageNS attributes staging time to the submission's
-	// home shard.
+	// Per-shard durations of the decide and observe stages (index =
+	// shard id; empty at one shard, where the slot totals say it). The
+	// shards run one after another, so their entries sum to the stage,
+	// and one whose entry dominates the others owns the heavy SCNs;
+	// ShardStageNS attributes staging time to the submission's home
+	// shard.
 	ShardDecideNS  []uint64 `json:"shard_decide_ns,omitempty"`
 	ShardObserveNS []uint64 `json:"shard_observe_ns,omitempty"`
 	ShardStageNS   []uint64 `json:"shard_stage_ns,omitempty"`

@@ -1,7 +1,8 @@
 // Package parallel provides the repository's one fan-out loop, ForDynamic.
-// It runs independent units of work: the policies of sim.RunAll, the
-// seeds of sim.RunReplicas and the shard legs of the serving engine's
-// slot. Inside a slot the LFSC learner itself is serial. The loop is
+// It runs independent whole runs: the policies of sim.RunAll and the
+// seeds of sim.RunReplicas. Nothing inside a slot fans out: the LFSC
+// learner is serial, and the serving engine runs its shards' legs one
+// after another on the slot's goroutine. The loop is
 // stdlib-only (sync + runtime) and deterministic in its results:
 // parallelism never changes *what* is computed, only *when* — callers
 // give each index its own state and RNG stream (rng.Stream.Derive), so

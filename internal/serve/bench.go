@@ -564,9 +564,10 @@ func benchHTTPScenario(sc ReplayScenario, slots, shards int) (float64, error) {
 
 // ShardBenchResult carries the shard-scaling figures BENCH_core.json pins
 // (serve_shard_rps_1/2/4): end-to-end /v1/step throughput on the SAME
-// scenario as the headline serve_http_rps figure at Shards = 1, 2, 4. On
-// a single-core runner the three are expected flat (the parallel phase
-// has nowhere to go); benchdiff gates them num_cpu-aware.
+// scenario as the headline serve_http_rps figure at Shards = 1, 2, 4. The
+// shards' legs run one after another on the slot's goroutine, so the
+// three are expected flat, a few percent apart; benchdiff gates them
+// num_cpu-aware.
 type ShardBenchResult struct {
 	Rps1 float64
 	Rps2 float64

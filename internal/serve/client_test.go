@@ -331,6 +331,26 @@ func TestClientConcurrentCallers(t *testing.T) {
 	}
 }
 
+// stepCohorts generates the first 16 slots' task cohorts of sc, copied
+// out of the replayer's buffers, so a benchmark can replay them in turn
+// with trace generation outside its clock.
+func stepCohorts(b *testing.B, sc ReplayScenario) [][]TaskSpec {
+	rep, err := NewReplayer(sc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cohorts := make([][]TaskSpec, 16)
+	for i := range cohorts {
+		rep.env.Advance(i)
+		rep.gen.NextInto(i, &rep.slotBuf)
+		rep.buildSpecs()
+		for _, s := range rep.specs {
+			cohorts[i] = append(cohorts[i], TaskSpec{Ctx: slices.Clone(s.Ctx), SCNs: slices.Clone(s.SCNs)})
+		}
+	}
+	return cohorts
+}
+
 // BenchmarkClientStep measures one lockstep /v1/step round trip over
 // loopback against an in-process daemon, at the 4-SCN serving shape and
 // the paper's Sec. 5 shape (~2000 tasks): the frame encode, the write,
@@ -348,19 +368,7 @@ func BenchmarkClientStep(b *testing.B) {
 		{"paper", paperScenario(1<<20, 42)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			rep, err := NewReplayer(bc.sc)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cohorts := make([][]TaskSpec, 16)
-			for i := range cohorts {
-				rep.env.Advance(i)
-				rep.gen.NextInto(i, &rep.slotBuf)
-				rep.buildSpecs()
-				for _, s := range rep.specs {
-					cohorts[i] = append(cohorts[i], TaskSpec{Ctx: slices.Clone(s.Ctx), SCNs: slices.Clone(s.SCNs)})
-				}
-			}
+			cohorts := stepCohorts(b, bc.sc)
 			eng, srv, client := bootDaemon(b, bc.sc, nil)
 			defer srv.Close()
 			defer eng.Stop()

@@ -49,10 +49,10 @@ type Config struct {
 	Scenario *scenario.Timeline
 
 	// Shards splits the learner across N partial learners (consistent-hash
-	// SCN groups), run in parallel for the per-SCN stages of Decide and
-	// Observe and joined by a k-way-merged resolution stage; 0 means 1,
-	// whose lone shard runs on the goroutine closing the slot. Decisions
-	// are bit-identical at any shard count; a checkpoint is one file at
+	// SCN groups), whose per-SCN stages of Decide and Observe run one
+	// shard after another on the goroutine closing the slot and are joined
+	// by a k-way-merged resolution stage; 0 means 1. Decisions are
+	// bit-identical at any shard count; a checkpoint is one file at
 	// CheckpointPath, the same bytes at every shard count, and restores at
 	// any shard count (see DESIGN.md §11).
 	Shards int
@@ -98,7 +98,7 @@ type Config struct {
 	SnapshotSink  obs.SnapshotSink
 	// Metrics, when set, receives the engine's Prometheus metric
 	// families at NewEngine (per-endpoint latency histograms, pipeline
-	// counters, per-shard routing/shed/straggler series, SLO gauges) and
+	// counters, per-shard routing/shed/leg-duration series, SLO gauges) and
 	// backs the HTTP server's /metrics endpoint. Scrapes read the same
 	// atomics the engine already maintains — enabling metrics adds no
 	// hot-path work, so instrumented serving stays bit-identical and at
@@ -106,7 +106,7 @@ type Config struct {
 	Metrics *obs.Metrics
 	// SlotRing, when set, records one lifecycle span per served slot
 	// (view/decide/merge/report-wait/observe/checkpoint durations plus
-	// the per-shard breakdown of the parallel stages), exposed at
+	// the per-shard breakdown of the decide and observe stages), exposed at
 	// /lfsc/slots. Build it with obs.NewSlotRing(n, Shards).
 	SlotRing *obs.SlotRing
 	// SLO, when set, tracks rolling-window request-latency percentiles
@@ -182,14 +182,10 @@ type Engine struct {
 	cfg Config
 	// The learner plane (shard.go): one partial learner per non-empty
 	// shard, the merger resolving across them, and the SCN→shard layout.
-	// decideLeg and observeLeg are the per-shard halves of a slot, bound
-	// once so the fan-out allocates nothing per slot.
-	shards     []*engineShard
-	merger     *core.Merger
-	owner      []int
-	router     *Router
-	decideLeg  func(int)
-	observeLeg func(int)
+	shards []*engineShard
+	merger *core.Merger
+	owner  []int
+	router *Router
 	// Checkpoint commit state (guarded by mu): the file and encode buffer
 	// every commit reuses, and the file operations.
 	ckpt    checkpointFile
@@ -378,7 +374,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.decideLeg, e.observeLeg = e.decideShard, e.observeShard
 	e.batch.init(cfg.SCNs)
 	for i := range e.stages {
 		e.stages[i].cov = make([][]int, cfg.SCNs)

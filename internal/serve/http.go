@@ -40,11 +40,11 @@ type Server struct {
 }
 
 // Connection limits against slow or idle clients. A client must finish
-// its request headers within readHeaderTimeout and, on the data plane,
-// its body within bodyReadTimeout of the handler starting to read it; a
-// body sent to a route that reads none is not waited for at all
-// (obs.CloseOnBody). A kept-alive connection may sit idle between
-// requests for idleTimeout. There is no write timeout:
+// its request headers within readHeaderTimeout and, on the data plane and
+// pprof's symbol lookup, its body within bodyReadTimeout of the handler
+// starting to read it; a body sent to a route that reads none is not
+// waited for at all (obs.CloseOnBody). A kept-alive connection may sit
+// idle between requests for idleTimeout. There is no write timeout:
 // /debug/pprof/profile streams for 30 s.
 var (
 	readHeaderTimeout = 10 * time.Second
@@ -94,8 +94,8 @@ func StartServer(addr string, eng *Engine) (*Server, error) {
 	start := time.Now()
 	// The routes that read no body answer a request that declares one and
 	// close its connection instead of draining it (obs.CloseOnBody). The
-	// data plane reads its bodies under bodyReadTimeout, and pprof's symbol
-	// lookup reads its POST body.
+	// data plane and pprof's symbol lookup read their bodies under
+	// bodyReadTimeout.
 	noBody := http.NewServeMux()
 	noBody.HandleFunc("/v1/stats", eng.handleStats)
 	if eng.cfg.Metrics != nil {
@@ -117,7 +117,7 @@ func StartServer(addr string, eng *Engine) (*Server, error) {
 	mux.HandleFunc("/v1/submit", eng.handleSubmit)
 	mux.HandleFunc("/v1/report", eng.handleReport)
 	mux.HandleFunc("/v1/step", eng.handleStep)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.Handle("/debug/pprof/symbol", obs.BodyWithin(bodyReadTimeout, http.HandlerFunc(pprof.Symbol)))
 	mux.Handle("/", obs.CloseOnBody(noBody))
 
 	s := &Server{ln: ln, srv: &http.Server{

@@ -99,12 +99,14 @@ func TestObsInstrumentedThreeWayIdentity(t *testing.T) {
 // TestServeWireZeroAllocObs extends the zero-allocation pin to the
 // instrumented daemon: with metrics, slot tracing, SLO tracking, and the
 // probe all enabled, steady-state step handling still allocates nothing,
-// in JSON and in binary frames.
+// in JSON and in binary frames, at Shards 1, 2 and 4.
 // The instrumentation publishes via atomic stores into pre-allocated
 // records; an allocation here means it leaked onto the wire path.
 func TestServeWireZeroAllocObs(t *testing.T) {
-	_, mutate := withObs(1)
-	pinZeroAlloc(t, mutate)
+	pinZeroAlloc(t, func(c *Config, shards int) {
+		_, mutate := withObs(shards)
+		mutate(c)
+	})
 }
 
 // promMetrics is the parsed form of one /metrics scrape: family types

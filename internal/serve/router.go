@@ -11,7 +11,7 @@ import (
 // building and searching it is negligible.
 const routerVNodes = 128
 
-// maxShards bounds Config.Shards, far past any useful fan-out, so a
+// maxShards bounds Config.Shards, far past any useful SCN grouping, so a
 // mistyped shard count cannot make NewEngine build a huge ring.
 const maxShards = 1 << 10
 

@@ -7,7 +7,6 @@ import (
 
 	"lfsc/internal/core"
 	"lfsc/internal/obs"
-	"lfsc/internal/parallel"
 	"lfsc/internal/rng"
 )
 
@@ -30,9 +29,10 @@ type engineShard struct {
 	shedTasks   atomic.Uint64
 
 	// Last-slot durations of this shard's DecideLocal and Observe legs
-	// (written by the fan-out workers, read by status/metrics/trace): the
-	// per-shard view of the two-phase barrier, where a straggling shard
-	// shows up as the one entry dominating the slot.
+	// (written under the engine's mu, read by status/metrics/trace): the
+	// per-shard split of the slot's decide and observe stages, where a
+	// shard that owns a heavy SCN group shows up as the entry dominating
+	// the slot.
 	lastDecideNS  atomic.Uint64
 	lastObserveNS atomic.Uint64
 
@@ -49,8 +49,9 @@ type engineShard struct {
 // over the given shard count, one partial learner per non-empty shard
 // (every shard's learner derives its per-SCN streams from the same root —
 // rng Derive is pure, so the streams are bit-identical to an unsharded
-// learner's), and the merger stitched over all of them. The engine fans
-// out across shards; each learner runs its own SCNs serially.
+// learner's), and the merger stitched over all of them. The engine runs
+// the shards' legs one after another; each learner runs its own SCNs
+// serially.
 func buildShards(coreCfg core.Config, seed uint64, shards int) ([]*engineShard, *core.Merger, []int, *Router, error) {
 	router := NewRouter(shards)
 	owner, ownedOf := router.OwnerMap(coreCfg.SCNs)
@@ -87,46 +88,50 @@ func (e *Engine) slotsSeen() int {
 	return 0
 }
 
-// decide runs the slot's decision across the learner plane as a
-// two-phase barrier: every shard computes its SCNs' probabilities,
-// candidate samples, and pre-sorted edge lists (phase one, in parallel),
-// then the merger's resolution produces the global greedy assignment
-// (phase two). The resolver code is the unsharded Decide's own, so the
-// assignment is bit-identical at any shard count. ForDynamic runs a lone
-// shard inline on the closing goroutine.
+// decide runs the slot's decision across the learner plane in two
+// phases: every shard, in shard order, computes its SCNs' probabilities,
+// candidate samples and pre-sorted edge lists, then the merger's
+// resolution produces the global greedy assignment. The resolver code is
+// the unsharded Decide's own, so the assignment is bit-identical at any
+// shard count. Both phases run on the goroutine closing the slot: a
+// shard's leg touches only its own SCNs, and at the paper's scale a leg
+// is too short for a goroutine per leg to pay for itself (DESIGN.md §11).
+// The legs are timed from shared boundary reads, the last of which
+// starts the merge timer.
 func (e *Engine) decide() []int {
-	parallel.ForDynamic(len(e.shards), len(e.shards), e.decideLeg)
 	t0 := time.Now()
+	for _, sh := range e.shards {
+		if sh.pol != nil {
+			sh.pol.DecideLocal(&e.view)
+			t0 = lap(&sh.lastDecideNS, t0)
+		}
+	}
 	assigned := e.merger.Resolve(&e.view)
 	e.lastMergeNS = uint64(time.Since(t0))
 	e.mergeLat.Record(e.lastMergeNS)
 	return assigned
 }
 
-// decideShard is shard k's phase-one leg over the slot's published view.
-func (e *Engine) decideShard(k int) {
-	if sh := e.shards[k]; sh.pol != nil {
-		t0 := time.Now()
-		sh.pol.DecideLocal(&e.view)
-		sh.lastDecideNS.Store(uint64(time.Since(t0)))
-	}
-}
-
-// observe feeds the open slot's realised feedback to the learner plane.
-// Each shard updates only its own SCNs' weights and multipliers (fb is
-// read-only; every learner buckets it with private scratch), so shards
-// run in parallel with no synchronisation beyond the barrier.
+// observe feeds the open slot's realised feedback to the learner plane,
+// shard by shard. Each shard updates only its own SCNs' weights and
+// multipliers (fb is read-only; every learner buckets it with private
+// scratch), so the order of the legs does not matter.
 func (e *Engine) observe() {
-	parallel.ForDynamic(len(e.shards), len(e.shards), e.observeLeg)
+	t0 := time.Now()
+	for _, sh := range e.shards {
+		if sh.pol != nil {
+			sh.pol.Observe(e.openView, e.openAssigned, &e.fb)
+			t0 = lap(&sh.lastObserveNS, t0)
+		}
+	}
 }
 
-// observeShard is shard k's Observe leg over the open slot.
-func (e *Engine) observeShard(k int) {
-	if sh := e.shards[k]; sh.pol != nil {
-		t0 := time.Now()
-		sh.pol.Observe(e.openView, e.openAssigned, &e.fb)
-		sh.lastObserveNS.Store(uint64(time.Since(t0)))
-	}
+// lap stores the time elapsed since t0 in d and returns the clock read it
+// took, which starts the next leg's timer.
+func lap(d *atomic.Uint64, t0 time.Time) time.Time {
+	t1 := time.Now()
+	d.Store(uint64(t1.Sub(t0)))
+	return t1
 }
 
 // snapshotPolicy aggregates the learner plane into one policy snapshot.

@@ -11,7 +11,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"lfsc/internal/env"
 	"lfsc/internal/obs"
@@ -483,55 +482,5 @@ func TestShardedStatusAndSnapshots(t *testing.T) {
 		if k != router.Shard(m) {
 			t.Fatalf("snapshot owner[%d] = %d, router says %d", m, k, router.Shard(m))
 		}
-	}
-}
-
-// BenchmarkShardedEngineSlot mirrors BenchmarkEngineSlot at Shards=4 so
-// the sharded slot path shows up in `go test -bench` sweeps.
-func BenchmarkShardedEngineSlot(b *testing.B) {
-	sc := testScenario(1<<30, 9)
-	cfg, err := sc.EngineConfig()
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg.ReportWait = 5 * time.Second
-	cfg.Shards = 4
-	eng, err := NewEngine(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng.Start()
-	defer eng.Stop()
-	rep, err := NewReplayer(sc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var reports []TaskReport
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep.env.Advance(i)
-		rep.gen.NextInto(i, &rep.slotBuf)
-		rep.buildSpecs()
-		resp, err := eng.Submit(&SubmitRequest{Tasks: rep.specs, Close: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		reports = reports[:0]
-		for idx, m := range resp.Assigned {
-			if m >= 0 {
-				reports = append(reports, TaskReport{Task: idx, U: 0.5, V: 1, Q: 1.5})
-			}
-		}
-		if len(reports) > 0 {
-			if _, err := eng.Report(&ReportRequest{Slot: resp.Slot, Reports: reports}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.StopTimer()
-	awaitSlots(b, eng, b.N)
-	if eng.Slot() != b.N {
-		b.Fatalf("served %d slots, want %d", eng.Slot(), b.N)
 	}
 }

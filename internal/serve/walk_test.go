@@ -2,6 +2,8 @@ package serve
 
 import (
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,6 +54,65 @@ func TestSlotMachineWalk(t *testing.T) {
 	}
 }
 
+// FuzzSlotWalk drives the slot machine from fuzzed bytes instead of
+// TestSlotMachineWalk's seeded stream. The first byte seeds the engine
+// and the walk's task contexts and outcomes, and its low bits pick the
+// walk's shape as a seed's do: expiry events, 1 or 2 shards, 2 or 3
+// clients, and drain or stop at the end. Each later byte makes one of the
+// walk's choices: the event and its client, a step's task count and close
+// flag, and the make-up of an invalid report. Fuzzed walks add two
+// invalid events (see bad): a report for a slot that is not open and that
+// the client was not told, and a report naming a task the open slot did
+// not assign, does not have, or has had reported. Each must be refused
+// with no change to the machine, and every walk invariant must hold after
+// every event. The corpus holds the first 32 seeds, two per shape, each
+// followed by 240 bytes of its stream.
+func FuzzSlotWalk(f *testing.F) {
+	const maxEvents = 400
+	for seed := uint64(1); seed <= 32; seed++ {
+		r := rng.New(seed)
+		data := []byte{byte(seed)}
+		for range 240 {
+			data = append(data, byte(r.Intn(256)))
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		seed := uint64(data[0])
+		w := newSlotWalk(t, seed)
+		picks := fuzzPicks(data[1:])
+		w.pick, w.invalid = &picks, true
+		ev := 0
+		for ; len(picks) > 0 && ev < maxEvents; ev++ {
+			w.event(ev)
+		}
+		if seed/8%2 == 1 {
+			w.drain(ev)
+		}
+		w.stop()
+	})
+}
+
+// picker makes a walk's choices: the event and its client, a step's task
+// count and close flag, and the make-up of an invalid report.
+type picker interface{ Intn(n int) int }
+
+// fuzzPicks is a fuzzed walk's picker: each choice takes the next input
+// byte modulo its range, and 0 once the input is spent.
+type fuzzPicks []byte
+
+func (p *fuzzPicks) Intn(n int) int {
+	if len(*p) == 0 {
+		return 0
+	}
+	v := int((*p)[0]) % n
+	*p = (*p)[1:]
+	return v
+}
+
 // walkClient is one virtual lockstep client: at most one submission in
 // flight, and the outcomes it owes for the slot it was last told.
 type walkClient struct {
@@ -59,15 +120,20 @@ type walkClient struct {
 	told int      // the slot of the client's last decision
 	owed []TaskReport
 	// The report part of q: the outcome expected on arrival.
-	expAcc  int
-	expLate bool
+	expAcc     int
+	expRefused bool
 }
 
 type slotWalk struct {
-	t       *testing.T
-	seed    uint64
-	eng     *Engine
+	t    *testing.T
+	seed uint64
+	eng  *Engine
+	// r draws the walk's task contexts and outcomes; pick makes its
+	// choices, from r itself in a seeded walk. invalid adds the invalid
+	// report events.
 	r       *rng.Stream
+	pick    picker
+	invalid bool
 	expiry  bool
 	clients []walkClient
 	// arrivals holds the entered submissions awaiting replies in arrival
@@ -107,6 +173,7 @@ func newSlotWalk(t *testing.T, seed uint64) *slotWalk {
 	}
 	eng.Start()
 	w.eng = eng
+	w.pick = w.r
 	return w
 }
 
@@ -123,6 +190,9 @@ const (
 	evReport
 	evTick
 	evExpire
+	// The invalid events of fuzzed walks.
+	evBadSlot
+	evBadTask
 )
 
 // event picks one enabled event at random, runs it, collects the replies
@@ -143,15 +213,23 @@ func (w *slotWalk) event(ev int) {
 	if w.expiry {
 		opts = append(opts, choice{evExpire, -1})
 	}
-	switch ch := opts[w.r.Intn(len(opts))]; ch.kind {
+	for c := range w.clients {
+		if w.invalid && w.clients[c].q == nil {
+			opts = append(opts, choice{evBadSlot, c}, choice{evBadTask, c})
+		}
+	}
+	switch ch := opts[w.pick.Intn(len(opts))]; ch.kind {
 	case evStep:
-		w.step(ev, ch.c)
+		q, acc, late := w.request(ch.c)
+		w.step(ev, ch.c, q, acc, late)
 	case evReport:
 		w.report(ev, ch.c)
 	case evTick:
 		w.eng.tick()
 	case evExpire:
 		w.expire(ev)
+	case evBadSlot, evBadTask:
+		w.bad(ev, ch.c, ch.kind)
 	}
 	w.collect(ev)
 	w.check(ev)
@@ -159,7 +237,7 @@ func (w *slotWalk) event(ev int) {
 
 // tasks draws 1–3 tasks, each seen by one or two distinct SCNs.
 func (w *slotWalk) tasks() []TaskSpec {
-	specs := make([]TaskSpec, 1+w.r.Intn(3))
+	specs := make([]TaskSpec, 1+w.pick.Intn(3))
 	for i := range specs {
 		ctx := make([]float64, w.eng.shape.dims)
 		for d := range ctx {
@@ -202,9 +280,10 @@ func (w *slotWalk) request(c int) (q *wireReq, acc int, late bool) {
 	return q, acc, late
 }
 
-func (w *slotWalk) step(ev, c int) {
-	q, acc, late := w.request(c)
-	q.close = w.r.Intn(5) < 3
+// step sends client c's step: q carries its report part, which must be
+// accepted acc reports or refused on arrival, and new tasks.
+func (w *slotWalk) step(ev, c int, q *wireReq, acc int, refused bool) {
+	q.close = w.pick.Intn(5) < 3
 	specs := w.tasks()
 	if err := q.acceptSpecs(specs); err != nil {
 		w.fail(ev, "client %d: %v", c, err)
@@ -214,12 +293,12 @@ func (w *slotWalk) step(ev, c int) {
 	case err == nil:
 		// The report part is absorbed on arrival, whether the tasks joined
 		// the batch or the queue.
-		if q.repAccepted != acc || (q.repErr != nil) != late {
-			w.fail(ev, "client %d step: report part accepted %d (err %v) on arrival, want %d (late %v)",
-				c, q.repAccepted, q.repErr, acc, late)
+		if q.repAccepted != acc || (q.repErr != nil) != refused {
+			w.fail(ev, "client %d step: report part accepted %d (err %v) on arrival, want %d (refused %v)",
+				c, q.repAccepted, q.repErr, acc, refused)
 		}
 		cl := &w.clients[c]
-		cl.q, cl.expAcc, cl.expLate = q, acc, late
+		cl.q, cl.expAcc, cl.expRefused = q, acc, refused
 		w.arrivals = append(w.arrivals, q)
 		w.owner[q] = c
 		w.specs[q] = specs
@@ -228,8 +307,8 @@ func (w *slotWalk) step(ev, c int) {
 		w.retired = append(w.retired, q)
 		if len(q.reports) > 0 {
 			got, rerr := w.eng.report(q)
-			if got != acc || (rerr != nil) != late {
-				w.fail(ev, "client %d shed step: report part accepted %d (err %v), want %d (late %v)", c, got, rerr, acc, late)
+			if got != acc || (rerr != nil) != refused {
+				w.fail(ev, "client %d shed step: report part accepted %d (err %v), want %d (refused %v)", c, got, rerr, acc, refused)
 			}
 		}
 	default:
@@ -244,6 +323,132 @@ func (w *slotWalk) report(ev, c int) {
 		w.fail(ev, "client %d report: accepted %d (err %v), want %d (late %v)", c, got, err, acc, late)
 	}
 	w.retired = append(w.retired, q)
+}
+
+// bad sends client c an invalid report. For evBadSlot it is for a slot
+// that is not open and that c was not told: one after the open or next
+// slot, or one before c's. For evBadTask it is for the open slot (between
+// slots, for c's, which is late) and names, among any reports c owes for
+// that slot, a task the slot did not assign, does not have, or has had
+// reported already. The engine must refuse the whole report, late or
+// invalid, and change nothing: a pure report leaves the machine exactly
+// as it was, a step's report part leaves the open slot's reports as they
+// were, and c still owes what it owed. A client that owes nothing may
+// send it as a step's report part; one that owes reports sends it as a
+// pure report, since a lockstep client whose step lost its owed reports
+// would wait on a slot that waits on it.
+func (w *slotWalk) bad(ev, c, kind int) {
+	e := w.eng
+	cl := &w.clients[c]
+	before := w.state()
+	asStep := len(cl.owed) == 0 && w.pick.Intn(2) == 0
+	slot, late := cl.told, true
+	var reps []TaskReport
+	if kind == evBadSlot {
+		slot = len(w.finished) + 1 + w.pick.Intn(3)
+		if cl.told > 0 && w.pick.Intn(2) == 0 {
+			slot = w.pick.Intn(cl.told)
+		}
+		reps = append(reps, cl.owed...)
+		if len(reps) == 0 {
+			reps = append(reps, TaskReport{Task: 0, U: 0.5, V: 1, Q: 1})
+		}
+	} else {
+		open := before.reports
+		if open.open {
+			slot, late = open.slot, false
+		}
+		if slot == cl.told {
+			reps = append(reps, cl.owed...)
+		}
+		task := open.n + w.pick.Intn(3)
+		switch w.pick.Intn(4) {
+		case 0:
+			task = -1 - w.pick.Intn(2)
+		case 1:
+			// A task the open slot did not assign, when it has one.
+			e.mu.Lock()
+			if i := slices.IndexFunc(e.openAssigned, func(m int) bool { return m < 0 }); open.open && i >= 0 {
+				task = i
+			}
+			e.mu.Unlock()
+		case 2:
+			// A task already reported, when there is one.
+			if i := strings.IndexByte(open.got, '1'); open.open && i >= 0 {
+				task = i
+			}
+		}
+		reps = slices.Insert(reps, w.pick.Intn(len(reps)+1), TaskReport{Task: task, U: 0.5, V: 1, Q: 1})
+	}
+	q := newWireReq(&e.shape)
+	q.slot, q.hasSlot = slot, true
+	q.reports = append(q.reports[:0], reps...)
+	q.hasReps = true
+	lates := e.lateReports.Load()
+	if !asStep {
+		got, err := e.report(q)
+		if got != 0 || err == nil || IsLateReport(err) != late {
+			w.fail(ev, "client %d invalid report for slot %d: accepted %d (err %v), want it refused (late %v)",
+				c, slot, got, err, late)
+		}
+		if after := w.state(); after != before {
+			w.fail(ev, "client %d invalid report for slot %d changed the machine: %+v, was %+v", c, slot, after, before)
+		}
+		w.retired = append(w.retired, q)
+	} else {
+		w.step(ev, c, q, 0, true)
+		if q.repErr != nil && IsLateReport(q.repErr) != late {
+			w.fail(ev, "client %d invalid report part for slot %d refused with %v, want late %v", c, slot, q.repErr, late)
+		}
+		if after := w.state(); before.reports.open && after.reports != before.reports {
+			w.fail(ev, "client %d invalid report part for slot %d changed the open slot's reports: %+v, was %+v",
+				c, slot, after.reports, before.reports)
+		}
+	}
+	if n := e.lateReports.Load() - lates; late != (n == 1) || n > 1 {
+		w.fail(ev, "client %d invalid report for slot %d counted %d late reports (late %v)", c, slot, n, late)
+	}
+}
+
+// reportState is the open slot's report bookkeeping.
+type reportState struct {
+	open               bool
+	slot, n, remaining int
+	reported           uint64
+	got                string // the reported marks, '0' or '1' per task
+}
+
+// machineState is what a refused report must leave as it was.
+type machineState struct {
+	reports                   reportState
+	batched, queued, finished int
+	pending, waiting          int64
+	submitted, decided        uint64
+	tickDue                   bool
+}
+
+// state reads the machine under mu.
+func (w *slotWalk) state() machineState {
+	e := w.eng
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	got := make([]byte, len(e.repGot))
+	for i, g := range e.repGot {
+		got[i] = '0'
+		if g {
+			got[i] = '1'
+		}
+	}
+	return machineState{
+		reports: reportState{
+			open: e.openActive, slot: e.openSlot, n: e.openN, remaining: e.openRemaining,
+			reported: e.reportedTasks.Load(), got: string(got),
+		},
+		batched: e.batch.n, queued: len(e.queue), finished: len(w.finished),
+		pending: e.pending.Load(), waiting: e.waiting.Load(),
+		submitted: e.submittedTasks.Load(), decided: e.decidedTasks.Load(),
+		tickDue: e.tickDue,
+	}
 }
 
 func (w *slotWalk) expire(ev int) {
@@ -291,9 +496,9 @@ func (w *slotWalk) collect(ev int) {
 			w.fail(ev, "slot %d base %d decided after slot %d", rep.slot, rep.base, w.lastSlot)
 		case len(rep.assigned) != len(q.cells):
 			w.fail(ev, "%d decisions for %d tasks", len(rep.assigned), len(q.cells))
-		case rep.accepted != cl.expAcc || (rep.repErr != nil) != cl.expLate:
-			w.fail(ev, "reply carries report part accepted %d (err %v), want %d (late %v)",
-				rep.accepted, rep.repErr, cl.expAcc, cl.expLate)
+		case rep.accepted != cl.expAcc || (rep.repErr != nil) != cl.expRefused:
+			w.fail(ev, "reply carries report part accepted %d (err %v), want %d (refused %v)",
+				rep.accepted, rep.repErr, cl.expAcc, cl.expRefused)
 		}
 		if rep.slot != w.lastSlot {
 			w.validate(ev, slotSpecs, slotAssigned)

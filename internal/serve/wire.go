@@ -165,7 +165,7 @@ type Stats struct {
 	SLO *obs.SLOReport `json:"slo,omitempty"`
 	// Shards is the per-shard breakdown, one line per shard at every
 	// shard count: routing and shed attribution by home shard, plus each
-	// shard's last-slot leg durations of the two-phase barrier.
+	// shard's last-slot leg durations of the decide and observe stages.
 	Shards []ShardStat `json:"shards,omitempty"`
 	// Scenario describes the active scenario timeline at the current
 	// slot (present only when the engine was configured with one).
@@ -204,7 +204,7 @@ type ShardStat struct {
 	// shard (first task's first SCN) was this one.
 	ShedTasks uint64 `json:"shed_tasks"`
 	// LastDecideNS / LastObserveNS are the durations of this shard's
-	// legs of the most recent slot's parallel Decide and Observe stages.
+	// legs of the most recent slot's Decide and Observe stages.
 	LastDecideNS  uint64 `json:"last_decide_ns"`
 	LastObserveNS uint64 `json:"last_observe_ns"`
 	// LastStageNS is the ingest-staging time attributed to this shard

@@ -463,45 +463,54 @@ func FuzzWireDecode(f *testing.F) {
 // TestServeWireZeroAlloc is the tentpole pin: steady-state request
 // handling on the batched step path allocates nothing — not in the
 // handler (decode, validate, dispatch, encode), not in the engine's
-// Decide/Observe slot work it blocks on, and not in the client-side
-// encode/parse/realise around it — in either request encoding.
-// AllocsPerRun counts mallocs across all goroutines, so the engine
-// goroutine is inside the measurement.
+// Decide/Observe slot work it runs, and not in the client-side
+// encode/parse/realise around it — in either request encoding, at every
+// shard count. AllocsPerRun counts mallocs across all goroutines, so
+// anything the slot starts is inside the measurement.
 func TestServeWireZeroAlloc(t *testing.T) {
 	pinZeroAlloc(t, nil)
 }
 
 // pinZeroAlloc runs the step harness to steady state once per encoding
-// (JSON, binary frames) on an engine adjusted by mutate and requires 0
-// allocations per request.
-func pinZeroAlloc(t *testing.T, mutate func(*Config)) {
+// (JSON, binary frames) and shard count (1, 2, 4) on an engine adjusted
+// by mutate, and requires 0 allocations per request.
+func pinZeroAlloc(t *testing.T, mutate func(c *Config, shards int)) {
 	for _, codec := range []struct {
 		name  string
 		frame bool
 	}{{"json", false}, {"binary", true}} {
 		t.Run(codec.name, func(t *testing.T) {
-			h, err := newStepHarness(1<<20, 9, codec.frame, mutate)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer h.eng.Stop()
-			// Warm every pooled buffer across the workload's size range.
-			for i := 0; i < 400; i++ {
-				if err := h.step(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var stepErr error
-			allocs := testing.AllocsPerRun(200, func() {
-				if err := h.step(); err != nil && stepErr == nil {
-					stepErr = err
-				}
-			})
-			if stepErr != nil {
-				t.Fatal(stepErr)
-			}
-			if allocs != 0 {
-				t.Fatalf("steady-state step = %v allocs/request, want 0", allocs)
+			for _, shards := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+					h, err := newStepHarness(1<<20, 9, codec.frame, func(c *Config) {
+						c.Shards = shards
+						if mutate != nil {
+							mutate(c, shards)
+						}
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer h.eng.Stop()
+					// Warm every pooled buffer across the workload's size range.
+					for i := 0; i < 400; i++ {
+						if err := h.step(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					var stepErr error
+					allocs := testing.AllocsPerRun(200, func() {
+						if err := h.step(); err != nil && stepErr == nil {
+							stepErr = err
+						}
+					})
+					if stepErr != nil {
+						t.Fatal(stepErr)
+					}
+					if allocs != 0 {
+						t.Fatalf("steady-state step = %v allocs/request, want 0", allocs)
+					}
+				})
 			}
 		})
 	}
@@ -541,43 +550,49 @@ func (c *engineConn) StepInto(repSlot int, reports []TaskReport, tasks []TaskSpe
 
 // TestPaperStepSerialLearnerZeroAlloc pins the serial serving learner:
 // lockstep paper-scale slots (~2000 tasks, 30 SCNs) replayed in process
-// through Engine.StepInto at Shards=1 allocate nothing per step once
-// warm — the learner's per-SCN Decide and Observe stages run on the
-// slot's own goroutine, with no fan-out to pay for.
+// through Engine.StepInto allocate nothing per step once warm, at Shards
+// 1, 2 and 4 — the learner's per-SCN Decide and Observe stages and every
+// shard's legs run on the slot's own goroutine, with no fan-out to pay
+// for.
 func TestPaperStepSerialLearnerZeroAlloc(t *testing.T) {
-	sc := paperScenario(1<<20, 42)
-	cfg, err := sc.EngineConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.ReportWait = time.Hour
-	eng, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Start()
-	defer eng.Stop()
-	rep, err := NewReplayer(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn := &engineConn{eng: eng}
-	for range 200 {
-		if _, err := rep.Step(conn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var stepErr error
-	allocs := testing.AllocsPerRun(50, func() {
-		if res, err := rep.Step(conn); (err != nil || res.Shed) && stepErr == nil {
-			stepErr = fmt.Errorf("slot %d: shed %v: %v", res.Slot, res.Shed, err)
-		}
-	})
-	if stepErr != nil {
-		t.Fatal(stepErr)
-	}
-	if allocs != 0 {
-		t.Fatalf("paper-scale in-process step = %v allocs, want 0", allocs)
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			sc := paperScenario(1<<20, 42)
+			cfg, err := sc.EngineConfig()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.ReportWait = time.Hour
+			cfg.Shards = shards
+			eng, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.Start()
+			defer eng.Stop()
+			rep, err := NewReplayer(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn := &engineConn{eng: eng}
+			for range 200 {
+				if _, err := rep.Step(conn); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var stepErr error
+			allocs := testing.AllocsPerRun(50, func() {
+				if res, err := rep.Step(conn); (err != nil || res.Shed) && stepErr == nil {
+					stepErr = fmt.Errorf("slot %d: shed %v: %v", res.Slot, res.Shed, err)
+				}
+			})
+			if stepErr != nil {
+				t.Fatal(stepErr)
+			}
+			if allocs != 0 {
+				t.Fatalf("paper-scale in-process step = %v allocs, want 0", allocs)
+			}
+		})
 	}
 }
 
