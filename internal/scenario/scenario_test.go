@@ -355,33 +355,43 @@ period = 2000
 min-cap = 0.6
 `
 
-// timelineBytes is the memory a timeline keeps: its slot records and
+// timelineBytes is the memory a timeline keeps: its stored changes and
 // its interned rows.
 func timelineBytes(tl *Timeline) int {
-	return cap(tl.slot)*int(reflect.TypeOf(slotRec{}).Size()) + cap(tl.upRows) +
+	return cap(tl.changes)*int(reflect.TypeOf(change{}).Size()) + cap(tl.upRows) +
 		cap(tl.capRows)*int(reflect.TypeOf(0).Size()) + cap(tl.mulRows)*8
 }
 
 // TestBuildCost pins what Build costs. On the paper topology (30 SCNs,
-// c = 20), scenarios/churn.scn at T = 10⁴ allocates under 2 MB; the
-// slot-by-SCN layout allocated 8.4 MB. Scaled to 300 SCNs over 4×10⁴
-// slots it keeps at most 15 MB, where that layout kept 109 MB.
+// c = 20), scenarios/churn.scn at T = 10⁴ allocates under 2 MB (the
+// slot-by-SCN layout allocated 8.4 MB) and keeps at most 128 KiB, one
+// record per change (a 40-byte record per slot kept 0.45 MB). At T = 10⁶
+// it keeps at most 12 MB, where records per slot alone would keep 40 MB.
+// Scaled to 300 SCNs over 4×10⁴ slots it keeps at most 15 MB, where the
+// slot-by-SCN layout kept 109 MB.
 func TestBuildCost(t *testing.T) {
-	cfg, err := Parse([]byte(shippedScenario(t, "churn.scn")))
+	src := shippedScenario(t, "churn.scn")
+	cfg, err := Parse([]byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	if _, err := Build(cfg, 30, 10000, 20, 42); err != nil {
+	tl, err := Build(cfg, 30, 10000, 20, 42)
+	if err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&m1)
 	if bytes := m1.TotalAlloc - m0.TotalAlloc; bytes >= 2<<20 {
 		t.Errorf("T=10⁴: Build allocated %d bytes, want < 2 MiB", bytes)
 	}
-	tl := mustBuild(t, churn300, 300, 40000, 20, 42)
-	if n := timelineBytes(tl); n > 15e6 {
+	if n := timelineBytes(tl); n > 128<<10 {
+		t.Errorf("T=10⁴: the timeline keeps %d bytes, want ≤ 128 KiB", n)
+	}
+	if n := timelineBytes(mustBuild(t, src, 30, 1000000, 20, 42)); n > 12e6 {
+		t.Errorf("T=10⁶: the timeline keeps %d bytes, want ≤ 12 MB", n)
+	}
+	if n := timelineBytes(mustBuild(t, churn300, 300, 40000, 20, 42)); n > 15e6 {
 		t.Errorf("300 SCNs × 4×10⁴ slots: the timeline keeps %d bytes, want ≤ 15 MB", n)
 	}
 }
@@ -395,7 +405,7 @@ const maxBuildAllocs = 58
 // the paper topology. The entry groups, the per-SCN down counts and the
 // member states are allocated once per Build, never per slot, so the
 // count stays within maxBuildAllocs at T = 10⁴ and grows by no more than
-// the row stores' doublings at T = 4×10⁴.
+// the row and change stores' growth at T = 4×10⁴.
 func TestBuildAllocs(t *testing.T) {
 	cfg, err := Parse([]byte(shippedScenario(t, "churn.scn")))
 	if err != nil {
@@ -421,8 +431,9 @@ var buildSink *Timeline
 
 // BenchmarkBuild times Build on scenarios/churn.scn. The paper case is the
 // paper topology at T = 10⁴, what lfscd, lfscsim and lfscload pay at
-// start-up under -scenario; the scale300 case scales its SCN sets tenfold
-// over 300 SCNs at T = 4×10⁴, the scale point of DESIGN.md §13's table.
+// start-up under -scenario; paper-1e6 is the same topology at T = 10⁶;
+// the scale300 case scales its SCN sets tenfold over 300 SCNs at
+// T = 4×10⁴, the scale point of DESIGN.md §13's table.
 func BenchmarkBuild(b *testing.B) {
 	for _, c := range []struct {
 		name        string
@@ -430,6 +441,7 @@ func BenchmarkBuild(b *testing.B) {
 		scns, slots int
 	}{
 		{"paper", shippedScenario(b, "churn.scn"), 30, 10000},
+		{"paper-1e6", shippedScenario(b, "churn.scn"), 30, 1000000},
 		{"scale300", churn300, 300, 40000},
 	} {
 		cfg, err := Parse([]byte(c.src))
