@@ -5,9 +5,9 @@ GO ?= go
 
 # Packages that carry the concurrency contract (bit-identical results
 # under parallel.ForDynamic, the fan-out of sim.RunAll and
-# sim.RunReplicas, and under concurrent shared-trace replay) and
+# sim.RunReplicas, whose runs each generate their own workload) and
 # therefore must stay clean under the race detector, including the
-# RunAll workers and replay tests in internal/sim. internal/obs is
+# concurrent RunAll tests in internal/sim. internal/obs is
 # included because its probe/registry/ring types are shared across
 # RunAll goroutines, and internal/metrics because RunAll aggregates its
 # Series concurrently. internal/serve is the serving daemon: HTTP
@@ -83,14 +83,16 @@ bench-short:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# Regenerate the perf-trajectory artifact (ns/slot, allocs/slot,
-# LFSC/Oracle ratio at the paper horizon).
+# Regenerate the perf-trajectory artifact at the paper horizon: the
+# kernel's ns/slot (the Decide and Observe probe phases of the fastest of
+# five live LFSC runs), allocs/slot and the LFSC/Oracle ratio. The serve
+# keys already in the file are kept.
 json:
 	$(GO) run ./cmd/lfscbench -benchjson BENCH_core.json
 
 # Regenerate all 14 results/ CSVs (every experiment at the paper's
 # horizon, seed 42) into a temporary directory and compare each byte for
-# byte with the committed file. It takes about 6 minutes on 2 vCPUs, so it
+# byte with the committed file. It takes about 5 minutes on 2 vCPUs, so it
 # stays out of `make ci`; a change to behaviour or to the hot path runs it
 # and reports the outcome. The tier-1 counterpart is
 # internal/experiments' TestSeriesDigestGoldens (T=600, bit-exact).

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"time"
 
 	"lfsc/internal/obs"
@@ -26,21 +25,22 @@ type benchResult struct {
 
 	TSlots int    `json:"t_slots"`
 	Seed   uint64 `json:"seed"`
-	// Workers is the worker count of the headline run — always 1: the
-	// LFSC replay runs on one goroutine (the serve block overlays this
-	// key with its shard count).
+	// Workers is the worker count of the headline run — always 1: each
+	// LFSC pass is one sim.Run on one goroutine (the serve block overlays
+	// this key with its shard count).
 	Workers int `json:"workers"`
 
-	// NsPerSlot is wall time of the LFSC replay loop (Decide + environment
-	// + Observe) divided by T. Workload generation and context indexing
-	// happen once, up front, in an eagerly materialized shared trace
-	// (sim.NewSharedTraceEager) and are excluded from the timed region —
-	// the figure is the decision kernel, not the workload source.
+	// NsPerSlot is the decision kernel's time per slot: the Decide and
+	// Observe phases of the obs.Probe that sim.Run feeds, summed over the
+	// fastest LFSC pass and divided by T. Each pass generates its workload
+	// live; generation, view building and outcome realisation are the
+	// probe's other phases and fall outside the figure.
 	NsPerSlot float64 `json:"ns_per_slot"`
-	// AllocsPerSlot is the heap-allocation count of the same loop divided
-	// by T. The policy hot path itself is allocation-free in steady state
-	// (see internal/core/alloc_test.go); what remains is trace replay
-	// bookkeeping and the metrics series.
+	// AllocsPerSlot is the heap-allocation count of the same whole pass
+	// (set-up included) divided by T. The policy hot path and the pooled
+	// generator are allocation-free in steady state (see
+	// internal/core/alloc_test.go and internal/trace/alloc_test.go); what
+	// remains is set-up and the metrics series.
 	AllocsPerSlot float64 `json:"allocs_per_slot"`
 
 	LFSCTotalReward   float64 `json:"lfsc_total_reward"`
@@ -51,59 +51,47 @@ type benchResult struct {
 	LFSCOracleRatio float64 `json:"lfsc_oracle_ratio"`
 }
 
-// runBenchJSON measures the paper scenario against an eagerly materialized
-// shared trace: the workload (and its hypercube context indexing) is
-// generated once before any clock starts, then replayed by LFSC benchReps
-// times — every pass must earn the bit-identical reward, or the bench
-// fails — and once by the oracle for the reward ratio. obsOpts (from
-// -observe) is plumbed into every run so a paper-horizon benchmark can be
-// watched live; it is nil in the default measurement configuration — the
-// numbers BENCH_core.json pins are taken with the probe's nil fast path,
-// like every production run. The -workers flag does not apply here: each
-// replay is one sim.Run.
+// benchReps is the number of timed LFSC passes of -benchjson. The fastest
+// is scored (the standard guard against scheduler interference), and every
+// pass must earn the bit-identical reward.
+const benchReps = 5
+
+// runBenchJSON measures LFSC on the paper scenario: benchReps live sim.Runs,
+// each generating its own slots, timed by the obs.Probe every run feeds —
+// a pass that earns a different reward fails the bench — and one oracle
+// run for the reward ratio. The probe is -observe's when obsOpts is set,
+// so a paper-horizon benchmark can be watched live, and a private one
+// otherwise. The -workers flag does not apply here: each pass is one
+// sim.Run.
 func runBenchJSON(path string, horizon int, seed uint64, obsOpts *obs.Options) error {
 	sc := sim.PaperScenario()
 	sc.Cfg.T = horizon
-	sc.Cfg.Obs = obsOpts
-
-	// LFSC is replayed benchReps times and scored by its fastest pass (the
-	// standard guard against scheduler interference); the oracle needs one
-	// more replay pass.
-	const benchReps = 5
-	fmt.Printf("bench: materializing workload trace (T=%d, seed=%d)...\n", horizon, seed)
-	shared, err := sim.NewSharedTraceEager(sc, seed, benchReps+1)
-	if err != nil {
-		return fmt.Errorf("shared trace: %w", err)
+	if obsOpts == nil {
+		obsOpts = &obs.Options{Probe: obs.NewProbe()}
 	}
-	sc.Shared = shared
+	sc.Cfg.Obs = obsOpts
+	probe := obsOpts.Probe
+	kernelNS := func() uint64 {
+		return probe.Phase(obs.PhaseDecide).TotalNS() + probe.Phase(obs.PhaseObserve).TotalNS()
+	}
 
-	// timedRun replays the shared trace under LFSC and reports (total
-	// reward, ns/slot, allocs/slot). The collector
-	// is paused for the timed region: the resident trace is a large
-	// pointer-dense heap the GC would otherwise rescan mid-measurement,
-	// charging the workload source's memory to the kernel's clock. The
-	// replay loop itself allocates almost nothing (allocs/slot ≪ 1), so
-	// the heap barely moves while the GC is off.
+	// timedRun runs LFSC once and reports (total reward, kernel ns/slot,
+	// allocs/slot).
 	timedRun := func() (float64, float64, float64, error) {
-		runtime.GC()
-		gcPct := debug.SetGCPercent(-1)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		start := time.Now()
+		ns := kernelNS()
 		series, err := sim.Run(sc, sim.LFSCFactory(nil), seed)
-		elapsed := time.Since(start)
+		ns = kernelNS() - ns
 		runtime.ReadMemStats(&after)
-		debug.SetGCPercent(gcPct)
 		if err != nil {
 			return 0, 0, 0, err
 		}
 		return series.TotalReward(),
-			float64(elapsed.Nanoseconds()) / float64(horizon),
+			float64(ns) / float64(horizon),
 			float64(after.Mallocs-before.Mallocs) / float64(horizon), nil
 	}
-	// Keep the fastest pass; every pass must earn the identical reward
-	// (replays are deterministic in the seed).
-	fmt.Printf("bench: LFSC replay x%d...\n", benchReps)
+	fmt.Printf("bench: LFSC x%d (T=%d, seed=%d)...\n", benchReps, horizon, seed)
 	var reward1, ns1, allocs1 float64
 	for i := 0; i < benchReps; i++ {
 		r, ns, al, err := timedRun()
@@ -111,7 +99,7 @@ func runBenchJSON(path string, horizon int, seed uint64, obsOpts *obs.Options) e
 			return fmt.Errorf("lfsc run: %w", err)
 		}
 		if i > 0 && r != reward1 {
-			return fmt.Errorf("lfsc replay %d earned %v, first pass %v (determinism broken)", i, r, reward1)
+			return fmt.Errorf("lfsc pass %d earned %v, first pass %v (determinism broken)", i, r, reward1)
 		}
 		if i == 0 || ns < ns1 {
 			reward1, ns1, allocs1 = r, ns, al

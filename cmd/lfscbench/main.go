@@ -14,9 +14,10 @@
 // base run is shared across fig2a/fig2b/fig2c/ratio.
 //
 // -benchjson runs the single-policy perf harness instead of the
-// experiment suite: one LFSC pass over the paper scenario measured for
-// ns/slot and allocs/slot, one oracle pass for the reward ratio, written
-// as JSON (see benchResult in bench.go). -benchserve runs the serve-layer
+// experiment suite: five live LFSC runs over the paper scenario, scored
+// by the fastest one's Decide and Observe probe phases per slot and its
+// allocs/slot, and one oracle run for the reward ratio, written as JSON
+// (see benchResult in bench.go). -benchserve runs the serve-layer
 // harness (internal/serve RunBench: in-process handler loop + real-HTTP
 // round trips) and merges its serve_* keys into the same artifact — both
 // modes merge rather than overwrite, so they share one BENCH_core.json.
@@ -96,8 +97,9 @@ func main() {
 
 	// -observe watches any long run live: the per-phase probe and run
 	// registry are threaded through every simulation the experiment suite
-	// (or the perf harness) starts. The probe is only created alongside
-	// the server — without -observe the hot loop keeps its nil fast path.
+	// (or the perf harness) starts. Without -observe the experiment suite
+	// keeps the probe's nil fast path; -benchjson attaches a private probe,
+	// since its figure is read off the probe's phases.
 	var obsOpts *obs.Options
 	if *observe != "" {
 		obsOpts = &obs.Options{Probe: obs.NewProbe(), Registry: obs.NewRegistry()}

@@ -57,8 +57,11 @@ func DefaultWorkers() int {
 // ForDynamic runs fn(i) for each i in [0,n) with dynamic (work-stealing-ish)
 // scheduling: workers pull the next index from a shared counter. Use it when
 // iteration costs are highly uneven, e.g. simulation replicas with different
-// horizons. Every index still runs exactly once even when some panic; the
-// first panic propagates to the caller after all workers have stopped.
+// horizons. With two or more workers, every index still runs exactly once
+// even when some panic; the first panic propagates to the caller after all
+// workers have stopped. With one worker (workers == 1, or a default or an n
+// that clamps it to 1) the loop runs inline on the caller, and a panic
+// propagates at once: the indices after it do not run.
 func ForDynamic(n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return

@@ -54,8 +54,8 @@ func BenchmarkRunLFSCProbeOn(b *testing.B) {
 	}
 }
 
-// BenchmarkRunAllStandard measures the five-policy comparison with the
-// shared-trace replay path RunAll installs automatically.
+// BenchmarkRunAllStandard measures the five-policy comparison on one
+// worker, each run generating its own workload.
 func BenchmarkRunAllStandard(b *testing.B) {
 	sc := PaperScenario()
 	sc.Cfg.T = b.N

@@ -60,7 +60,7 @@ func newMSTracker(cfg *MultiSlotConfig) *msTracker {
 
 // inject returns the slot augmented with continuation requests for every
 // in-flight task, each visible to the SCN holding its state. The original
-// slot is never mutated (replayed traces share slot objects).
+// slot is never mutated (a pooled slot aliases the generator's arena).
 func (ms *msTracker) inject(s *trace.Slot) *trace.Slot {
 	if len(ms.inflight) == 0 {
 		return s

@@ -2,9 +2,12 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"lfsc/internal/metrics"
+	"lfsc/internal/rng"
+	"lfsc/internal/trace"
 )
 
 // seriesFields enumerates the per-slot series of a run for bit-exact
@@ -38,78 +41,12 @@ func assertSeriesEqual(t *testing.T, label string, a, b *metrics.Series) {
 	}
 }
 
-// TestSharedTraceReplayBitIdentical is the correctness contract of the
-// shared-trace substrate: replaying a materialized trace must be
-// indistinguishable from generating the workload live inside the run. For
-// every standard policy the full per-slot series (reward, violations,
-// assignment and completion counts) must match bit for bit, because the
-// trace is a pure function of (scenario, seed) and the replay hands the
-// policies the exact same slots in the exact same order.
-func TestSharedTraceReplayBitIdentical(t *testing.T) {
-	const seed = 42
-	factories := StandardFactories()
-
-	live := PaperScenario()
-	live.Cfg.T = 80
-
-	replay := PaperScenario()
-	replay.Cfg.T = 80
-	shared, err := NewSharedTrace(replay, seed, len(factories))
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay.Shared = shared
-
-	for fi, f := range factories {
-		a, err := Run(live, f, seed)
-		if err != nil {
-			t.Fatalf("live run %d: %v", fi, err)
-		}
-		b, err := Run(replay, f, seed)
-		if err != nil {
-			t.Fatalf("replay run %d: %v", fi, err)
-		}
-		if a.Policy != b.Policy {
-			t.Fatalf("policy name mismatch: %q vs %q", a.Policy, b.Policy)
-		}
-		assertSeriesEqual(t, fmt.Sprintf("policy %s", a.Policy), a, b)
-	}
-}
-
-// TestSharedTraceSeedMismatchFallsBack pins the fallback contract: a
-// Shared trace whose seed differs from the run's seed is ignored and the
-// run regenerates the workload live — results must equal a run with no
-// shared trace at all.
-func TestSharedTraceSeedMismatchFallsBack(t *testing.T) {
-	plain := PaperScenario()
-	plain.Cfg.T = 40
-
-	mismatched := PaperScenario()
-	mismatched.Cfg.T = 40
-	shared, err := NewSharedTrace(mismatched, 7, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mismatched.Shared = shared
-
-	a, err := Run(plain, LFSCFactory(nil), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(mismatched, LFSCFactory(nil), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSeriesEqual(t, "seed-mismatch fallback", a, b)
-}
-
-// TestRunAllSharedReplayConcurrent drives the concurrent replay path:
-// RunAll materializes one SharedTrace and several worker goroutines read
-// it simultaneously, each at its own position. Results must be
-// bit-identical to fully serial runs with live generation — and running
-// this test under -race (make test-race / make ci) proves the chunked
-// replay window is properly synchronized.
-func TestRunAllSharedReplayConcurrent(t *testing.T) {
+// TestRunAllConcurrentBitIdentical drives RunAll's concurrent path:
+// several worker goroutines run policies at once, each generating its own
+// workload. Results must be bit-identical to fully serial runs — and
+// running this test under -race (make test-race / make ci) proves the runs
+// share no mutable state.
+func TestRunAllConcurrentBitIdentical(t *testing.T) {
 	const seed = 42
 	factories := StandardFactories()
 	sc := PaperScenario()
@@ -131,34 +68,63 @@ func TestRunAllSharedReplayConcurrent(t *testing.T) {
 	}
 }
 
-// TestRunAllEagerSharedTraceConcurrent runs two LFSC passes concurrently
-// over one eager shared trace, the path that replays pre-realised
-// outcomes. Under -race it catches any per-run state kept at package
-// level; both passes must still match a serial live run bit for bit.
-func TestRunAllEagerSharedTraceConcurrent(t *testing.T) {
-	const seed = 42
-	sc := PaperScenarioWithT(20)
-	shared, err := NewSharedTraceEager(sc, seed, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.Shared = shared
-	factories := []Factory{LFSCFactory(nil), LFSCFactory(nil)}
-	got, err := RunAll(sc, factories, seed, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := Run(PaperScenarioWithT(20), LFSCFactory(nil), seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range got {
-		assertSeriesEqual(t, fmt.Sprintf("eager RunAll[%d]", i), ref, s)
+// countingGen is a paper-scale synthetic generator that counts the slots
+// it serves through each path.
+type countingGen struct {
+	*trace.Synthetic
+	into, next int
+}
+
+func (g *countingGen) NextInto(t int, s *trace.Slot) {
+	g.into++
+	g.Synthetic.NextInto(t, s)
+}
+
+func (g *countingGen) Next(t int) *trace.Slot {
+	g.next++
+	return g.Synthetic.Next(t)
+}
+
+// TestRunAllGeneratesLive pins where RunAll's slots come from: each of its
+// k runs builds its own generator and draws exactly T slots from it through
+// the pooled NextInto, so no run waits on, copies or regenerates another's
+// workload.
+func TestRunAllGeneratesLive(t *testing.T) {
+	const T, seed = 100, 42
+	factories := StandardFactories()
+	for _, workers := range []int{1, 2} {
+		var mu sync.Mutex
+		var gens []*countingGen
+		sc := PaperScenarioWithT(T)
+		sc.NewGenerator = func(r *rng.Stream) (trace.Generator, error) {
+			g, err := trace.NewSynthetic(trace.DefaultSyntheticConfig(), r)
+			if err != nil {
+				return nil, err
+			}
+			cg := &countingGen{Synthetic: g}
+			mu.Lock()
+			gens = append(gens, cg)
+			mu.Unlock()
+			return cg, nil
+		}
+		if _, err := RunAll(sc, factories, seed, workers); err != nil {
+			t.Fatal(err)
+		}
+		if len(gens) != len(factories) {
+			t.Fatalf("workers=%d: RunAll of %d policies built %d generators, want %d",
+				workers, len(factories), len(gens), len(factories))
+		}
+		for i, g := range gens {
+			if g.into != T || g.next != 0 {
+				t.Errorf("workers=%d: generator %d served %d NextInto and %d Next calls, want %d and 0",
+					workers, i, g.into, g.next, T)
+			}
+		}
 	}
 }
 
 // PaperScenarioWithT is a test helper: the paper scenario truncated to T
-// slots with no shared trace installed.
+// slots.
 func PaperScenarioWithT(T int) *Scenario {
 	sc := PaperScenario()
 	sc.Cfg.T = T

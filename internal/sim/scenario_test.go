@@ -111,39 +111,6 @@ func TestScenarioChurnDeterministic(t *testing.T) {
 	}
 }
 
-// TestScenarioReplayBitIdentical extends the shared-trace contract to
-// scenario runs: replaying a materialized trace under an active timeline
-// must match live generation bit for bit, for every standard policy. This
-// is what guarantees RunAll comparisons under churn use common dynamics.
-func TestScenarioReplayBitIdentical(t *testing.T) {
-	const seed = 42
-	factories := StandardFactories()
-	tl := buildTimeline(t, churnScenarioText, 80, DefaultConfig().Capacity, 7)
-
-	live := PaperScenarioWithT(80)
-	live.Dyn = tl
-
-	replay := PaperScenarioWithT(80)
-	replay.Dyn = tl
-	shared, err := NewSharedTrace(replay, seed, len(factories))
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay.Shared = shared
-
-	for fi, f := range factories {
-		a, err := Run(live, f, seed)
-		if err != nil {
-			t.Fatalf("live run %d: %v", fi, err)
-		}
-		b, err := Run(replay, f, seed)
-		if err != nil {
-			t.Fatalf("replay run %d: %v", fi, err)
-		}
-		assertSeriesEqual(t, fmt.Sprintf("scenario replay[%s]", a.Policy), a, b)
-	}
-}
-
 // TestScenarioRunAllWorkersBitIdentical drives the concurrent path under
 // churn: RunAll with several workers must equal serial runs, so the
 // timeline is read-race-free and position-independent (this test runs

@@ -137,12 +137,6 @@ type Scenario struct {
 	// EnvCfg is the environment configuration; Cells is overwritten with
 	// the partition size and SCNs with the generator's SCN count.
 	EnvCfg env.Config
-	// Shared optionally replays a pre-materialized workload trace instead
-	// of regenerating it per run. Run uses it only when its seed matches
-	// the run's seed (the trace is a pure function of (scenario, seed), so
-	// a mismatched seed silently falls back to live generation, which is
-	// bit-identical anyway). RunAll installs one automatically.
-	Shared *SharedTrace
 	// Dyn optionally imposes a scenario timeline (SCN availability,
 	// capacity c_n(t), and α/β budget dynamics — see internal/scenario)
 	// on the run. The timeline is consulted at the view-build layer, so
@@ -152,137 +146,6 @@ type Scenario struct {
 	// read-only and safe to share across RunAll/RunReplicas goroutines.
 	// Nil keeps the static topology, bit-identical to previous releases.
 	Dyn *scenario.Timeline
-}
-
-// SharedTrace binds a materialized workload trace (trace.SharedTrace) to
-// the seed it was generated from, so runs can tell whether replaying it
-// reproduces their own generation pass.
-type SharedTrace struct {
-	// Seed is the master seed the trace was derived from.
-	Seed uint64
-	tr   *trace.SharedTrace
-	// Optional per-slot hypercube indices precomputed by NewSharedTraceEager
-	// (cells[t][i] = cell of slot t's task i). Runs whose partition matches
-	// (cellsDims, cellsH) skip the per-task context indexing entirely.
-	cells     [][]int
-	cellsDims int
-	cellsH    int
-	// Optional pre-realised environment outcomes, also from
-	// NewSharedTraceEager. Outcomes are common random numbers: each is a
-	// pure function of (slot, SCN, task) drawn from its own derived stream,
-	// so the realisation for every covered (SCN, task) pair can be drawn up
-	// front regardless of which policy later selects it. outs[t] holds slot
-	// t's outcomes SCN-major in coverage order; outOffs[t][m] is SCN m's
-	// segment start (len SCNs+1, the last entry the slot total). Runs whose
-	// environment configuration differs from outEnvCfg (or that enable the
-	// MBS extension, which consumes extra draws) fall back to live draws —
-	// which are bit-identical anyway.
-	outs      [][]env.Outcome
-	outOffs   [][]int32
-	outEnvCfg env.Config
-}
-
-// NewSharedTrace materializes the scenario's workload at the given seed for
-// `readers` replay passes (one per policy run that will consume it). The
-// generator is built from the same derived stream Run would use, so replayed
-// slots are bit-identical to live generation.
-func NewSharedTrace(sc *Scenario, seed uint64, readers int) (*SharedTrace, error) {
-	if err := sc.Cfg.Validate(); err != nil {
-		return nil, err
-	}
-	gen, err := sc.NewGenerator(rng.New(seed).Derive(1))
-	if err != nil {
-		return nil, fmt.Errorf("sim: generator: %w", err)
-	}
-	tr, err := trace.NewSharedTrace(gen, sc.Cfg.T, trace.SharedTraceConfig{Readers: readers})
-	if err != nil {
-		return nil, err
-	}
-	return &SharedTrace{Seed: seed, tr: tr}, nil
-}
-
-// NewSharedTraceEager is NewSharedTrace with the whole horizon materialized
-// up front and held in memory (no chunk eviction), plus per-slot hypercube
-// indices and common-random-number environment outcomes precomputed for
-// every covered (SCN, task) pair. Replay passes then pay neither generation
-// nor context indexing nor realisation draws — the configuration benchmarks
-// use this so the measured figure is the decision kernel, not the workload
-// or environment source. Memory is O(T · tasks/slot · coverage); prefer
-// NewSharedTrace when the horizon is large and runs advance together.
-func NewSharedTraceEager(sc *Scenario, seed uint64, readers int) (*SharedTrace, error) {
-	if err := sc.Cfg.Validate(); err != nil {
-		return nil, err
-	}
-	part, err := sc.Cfg.Partition()
-	if err != nil {
-		return nil, err
-	}
-	gen, err := sc.NewGenerator(rng.New(seed).Derive(1))
-	if err != nil {
-		return nil, fmt.Errorf("sim: generator: %w", err)
-	}
-	// The environment is reconstructed exactly as Run would build it (same
-	// config overrides, same derived stream), so the pre-drawn outcomes are
-	// the ones a live run realises. Each outcome draws from its own
-	// (slot, SCN, task)-derived stream, so drawing outcomes for covered
-	// pairs a policy never selects does not perturb any other draw.
-	envCfg := sc.EnvCfg
-	envCfg.Cells = part.Cells()
-	envCfg.SCNs = gen.SCNs()
-	e, err := env.New(envCfg, rng.New(seed).Derive(2))
-	if err != nil {
-		return nil, fmt.Errorf("sim: environment: %w", err)
-	}
-	realRoot := rng.New(seed).Derive(4)
-	// One extra reader performs the materialization walk; the unbounded
-	// cache keeps every chunk resident for the declared replay passes.
-	tr, err := trace.NewSharedTrace(gen, sc.Cfg.T, trace.SharedTraceConfig{Readers: readers + 1, MaxCachedChunks: -1})
-	if err != nil {
-		return nil, err
-	}
-	walker, err := tr.NewReader()
-	if err != nil {
-		return nil, err
-	}
-	cells := make([][]int, sc.Cfg.T)
-	outs := make([][]env.Outcome, sc.Cfg.T)
-	outOffs := make([][]int32, sc.Cfg.T)
-	lat := sc.Cfg.UseLatencyContext
-	numSCNs := gen.SCNs()
-	var slotReal, taskReal rng.Stream
-	for t := 0; t < sc.Cfg.T; t++ {
-		s := walker.Next(t) // closes itself on the final slot
-		row := make([]int, len(s.Tasks))
-		for i, tk := range s.Tasks {
-			row[i] = part.IndexTask(tk, lat)
-		}
-		cells[t] = row
-		e.Advance(t)
-		realRoot.DeriveInto(uint64(t), &slotReal)
-		total := 0
-		for m := 0; m < numSCNs; m++ {
-			total += len(s.Coverage[m])
-		}
-		offs := make([]int32, numSCNs+1)
-		outRow := make([]env.Outcome, total)
-		pos := int32(0)
-		for m := 0; m < numSCNs; m++ {
-			offs[m] = pos
-			for _, taskIdx := range s.Coverage[m] {
-				slotReal.DeriveInto(uint64(m)<<32|uint64(taskIdx), &taskReal)
-				outRow[pos] = e.Draw(m, row[taskIdx], &taskReal)
-				pos++
-			}
-		}
-		offs[numSCNs] = pos
-		outs[t] = outRow
-		outOffs[t] = offs
-	}
-	return &SharedTrace{
-		Seed: seed, tr: tr,
-		cells: cells, cellsDims: part.Dims(), cellsH: part.H(),
-		outs: outs, outOffs: outOffs, outEnvCfg: envCfg,
-	}, nil
 }
 
 // PaperScenario returns the full evaluation setup of Sec. 5: 30 SCNs,
@@ -400,25 +263,9 @@ func Run(sc *Scenario, factory Factory, seed uint64) (*metrics.Series, error) {
 		return nil, err
 	}
 	master := rng.New(seed)
-	// Workload source: replay the shared trace when one is installed for
-	// this seed (skipping master.Derive(1) is safe — Derive does not advance
-	// the parent, so the other streams are unaffected), otherwise generate
-	// live. Both paths produce bit-identical slots.
-	var gen trace.Generator
-	var reader *trace.TraceReader
-	if sc.Shared != nil && sc.Shared.Seed == seed && sc.Shared.tr.Horizon() >= sc.Cfg.T {
-		if r, rerr := sc.Shared.tr.NewReader(); rerr == nil {
-			reader = r
-			gen = r
-			defer reader.Close()
-		}
-	}
-	if gen == nil {
-		var err error
-		gen, err = sc.NewGenerator(master.Derive(1))
-		if err != nil {
-			return nil, fmt.Errorf("sim: generator: %w", err)
-		}
+	gen, err := sc.NewGenerator(master.Derive(1))
+	if err != nil {
+		return nil, fmt.Errorf("sim: generator: %w", err)
 	}
 	envCfg := sc.EnvCfg
 	envCfg.Cells = part.Cells()
@@ -486,24 +333,6 @@ func Run(sc *Scenario, factory Factory, seed uint64) (*metrics.Series, error) {
 	// per-task streams are derived into stack values instead of allocating
 	// a child stream per draw. Draw consumption is identical either way.
 	into, pooled := gen.(trace.IntoGenerator)
-	// Precomputed hypercube rows from an eager shared trace are usable only
-	// when this run replays that trace verbatim (same reader, matching
-	// partition, and no multi-slot injection mutating the slot contents).
-	var preCells [][]int
-	if reader != nil && ms == nil && sc.Shared.cells != nil &&
-		sc.Shared.cellsDims == part.Dims() && sc.Shared.cellsH == part.H() {
-		preCells = sc.Shared.cells
-	}
-	// Pre-realised outcomes are usable under the same conditions plus a
-	// matching environment configuration; the MBS extension draws extra
-	// realisations from the slot stream, so it forces the live path.
-	var preOuts [][]env.Outcome
-	var preOffs [][]int32
-	var preCur []int32
-	if preCells != nil && sc.Cfg.MBS == nil && sc.Shared.outs != nil && sc.Shared.outEnvCfg == envCfg {
-		preOuts, preOffs = sc.Shared.outs, sc.Shared.outOffs
-		preCur = make([]int32, numSCNs)
-	}
 	var slotBuf trace.Slot
 	var slotReal rng.Stream
 	var taskReal rng.Stream
@@ -523,15 +352,11 @@ func Run(sc *Scenario, factory Factory, seed uint64) (*metrics.Series, error) {
 			slot = ms.inject(slot)
 		}
 		span = probe.Lap(obs.PhaseGen, span)
-		var pc []int
-		if preCells != nil {
-			pc = preCells[t]
-		}
 		if sc.Dyn != nil {
 			sc.Dyn.ViewInto(t, &scen)
 			scenp = &scen
 		}
-		view, cells := scratch.buildView(t, slot, part, sc.Cfg.UseLatencyContext, pc, scenp)
+		view, cells := scratch.buildView(t, slot, part, sc.Cfg.UseLatencyContext, scenp)
 		span = probe.Lap(obs.PhaseView, span)
 		assigned := pol.Decide(view)
 		if sc.Cfg.Strict {
@@ -551,54 +376,18 @@ func Run(sc *Scenario, factory Factory, seed uint64) (*metrics.Series, error) {
 			completed[m], consumed[m] = 0, 0
 		}
 		totalAssigned, totalCompleted := 0, 0
-		if preOuts != nil {
-			for m := range preCur {
-				preCur[m] = 0
-			}
-			// Walk the slot's outcome row once, sequentially, before the
-			// lookups below: the realisation table is far larger than cache,
-			// and the per-task accesses hop between 30 SCN segments — cold,
-			// they each stall on memory. A streaming pass pulls the whole
-			// row (tens of KB) into cache at bandwidth instead. The checksum
-			// is stored in this run's scratch so the loads cannot be elided.
-			row := preOuts[t]
-			touch := 0.0
-			for i := 0; i < len(row); i += 2 {
-				touch += row[i].Q
-			}
-			scratch.touch = touch
-		}
 		for taskIdx, m := range assigned {
 			if m < 0 {
 				continue
 			}
 			cell := cells[taskIdx]
-			var out env.Outcome
-			if preOuts == nil {
-				slotReal.DeriveInto(uint64(m)<<32|uint64(taskIdx), &taskReal)
-				out = e.Draw(m, cell, &taskReal)
-			} else {
-				// Look the outcome up in the pre-realised table: assigned
-				// tasks arrive in ascending index order and coverage lists
-				// are ascending, so a per-SCN cursor finds each task's
-				// coverage position in amortised O(1).
-				cov := slot.Coverage[m]
-				j := preCur[m]
-				for int(j) < len(cov) && cov[j] != taskIdx {
-					j++
-				}
-				if int(j) == len(cov) {
-					return nil, fmt.Errorf("sim: slot %d: task %d assigned to SCN %d outside its coverage", t, taskIdx, m)
-				}
-				preCur[m] = j + 1
-				out = preOuts[t][preOffs[t][m]+j]
-			}
+			slotReal.DeriveInto(uint64(m)<<32|uint64(taskIdx), &taskReal)
+			out := e.Draw(m, cell, &taskReal)
 			fbU := out.U
 			totalAssigned++
 			consumed[m] += out.Q
 			// The task pointer is only needed on the multislot path; the
-			// common path skips the dereference (a cache miss per task on
-			// replayed traces).
+			// common path skips the dereference.
 			if ms != nil && slot.Tasks[taskIdx].Duration() > 1 {
 				res := ms.process(slot.Tasks[taskIdx], m, out)
 				reward += res.reward
@@ -728,9 +517,8 @@ func runMBSFallback(cfg *MBSConfig, slot *trace.Slot, assigned, cells []int,
 // slotScratch is the view's policy.CtxSource: the context vectors are built
 // lazily, the first time a policy calls SlotView.Ctxs. Cell-driven policies
 // (LFSC and the tabular baselines) never ask, so the common path skips the
-// context packing entirely — cells come either from the shared trace's
-// precomputed rows or from Partition.IndexTask, which indexes off a stack
-// buffer without materializing the vector.
+// context packing entirely — cells come from Partition.IndexTask, which
+// indexes straight from the task's fields without materializing the vector.
 type slotScratch struct {
 	cells   []int
 	ctxBuf  []float64
@@ -738,7 +526,6 @@ type slotScratch struct {
 	view    policy.SlotView
 	curSlot *trace.Slot
 	latency bool
-	touch   float64 // checksum of the pre-realised outcome row's warming pass
 }
 
 // MaterializeCtxs implements policy.CtxSource: it packs every task's context
@@ -768,22 +555,18 @@ func (s *slotScratch) MaterializeCtxs() []task.Context {
 }
 
 // buildView converts a workload slot into the policy-facing view, indexing
-// every task's context exactly once (or not at all when preCells carries the
-// shared trace's precomputed row). The returned view and cell slice alias
+// every task's context exactly once. The returned view and cell slice alias
 // the scratch and are valid until the next buildView call; the coverage rows
 // are aliased directly from the slot.
-func (s *slotScratch) buildView(t int, slot *trace.Slot, part *hypercube.Partition, latencyCtx bool, preCells []int, dyn *scenario.View) (*policy.SlotView, []int) {
+func (s *slotScratch) buildView(t int, slot *trace.Slot, part *hypercube.Partition, latencyCtx bool, dyn *scenario.View) (*policy.SlotView, []int) {
 	n := len(slot.Tasks)
-	cells := preCells
-	if cells == nil {
-		if cap(s.cells) < n {
-			s.cells = make([]int, n)
-		}
-		s.cells = s.cells[:n]
-		for i, tk := range slot.Tasks {
-			s.cells[i] = part.IndexTask(tk, latencyCtx)
-		}
-		cells = s.cells
+	if cap(s.cells) < n {
+		s.cells = make([]int, n)
+	}
+	cells := s.cells[:n]
+	s.cells = cells
+	for i, tk := range slot.Tasks {
+		cells[i] = part.IndexTask(tk, latencyCtx)
 	}
 	numSCNs := len(slot.Coverage)
 	if cap(s.view.SCNs) < numSCNs {
@@ -820,21 +603,11 @@ func (s *slotScratch) buildView(t int, slot *trace.Slot, part *hypercube.Partiti
 }
 
 // RunAll simulates several policies on the identical scenario and seed.
-// Policies run in parallel — each run rebuilds its own environment and RNG
-// streams from the shared seed, so results are independent of scheduling.
-// The workload itself is materialized once into a SharedTrace (unless the
-// scenario already carries one) and replayed read-only by every run: common
-// random numbers with a single generation pass instead of one per policy.
+// Policies run in parallel — each run rebuilds its own workload generator,
+// environment and RNG streams from the shared seed, so every policy sees the
+// same task sequence (common random numbers) and results are independent of
+// scheduling.
 func RunAll(sc *Scenario, factories []Factory, seed uint64, workers int) ([]*metrics.Series, error) {
-	if sc.Shared == nil && len(factories) > 1 {
-		if shared, err := NewSharedTrace(sc, seed, len(factories)); err == nil {
-			cp := *sc
-			cp.Shared = shared
-			sc = &cp
-		}
-		// On error fall through to per-run generation: Run reports any
-		// real scenario problem with full context.
-	}
 	out := make([]*metrics.Series, len(factories))
 	errs := make([]error, len(factories))
 	parallel.ForDynamic(len(factories), workers, func(i int) {
@@ -849,10 +622,7 @@ func RunAll(sc *Scenario, factories []Factory, seed uint64, workers int) ([]*met
 }
 
 // RunReplicas simulates one policy across independent seeds in parallel
-// and returns the per-seed series. A Scenario.Shared trace is honoured only
-// by the replica whose seed matches it — common random numbers deduplicate
-// generation across policies, not across seeds, so the other replicas
-// generate their workload live.
+// and returns the per-seed series.
 func RunReplicas(sc *Scenario, factory Factory, seeds []uint64, workers int) ([]*metrics.Series, error) {
 	out := make([]*metrics.Series, len(seeds))
 	errs := make([]error, len(seeds))

@@ -7,8 +7,8 @@ import "lfsc/internal/task"
 // allocating a fresh slot. The filled slot aliases the generator's arena and
 // is valid only until the next NextInto call on the same generator — the
 // same arena-ownership rule as the policy scratch buffers (DESIGN.md §8).
-// Callers that must retain a slot (checkpointing, shared traces) either deep
-// copy it or use the allocating Next.
+// Callers that must retain a slot either deep copy it or use the allocating
+// Next.
 type IntoGenerator interface {
 	Generator
 	// NextInto fills s with the workload of slot t (0-based, strictly

@@ -227,23 +227,3 @@ func (s *Stress) flashCrowdCounts(t int) (inBurst bool) {
 	}
 	return inBurst
 }
-
-// stressState is the Snapshot payload of Stress.
-type stressState struct {
-	r         rng.Stream
-	burstFrom int
-	inner     GenState
-}
-
-// SnapshotState implements Snapshottable.
-func (s *Stress) SnapshotState() GenState {
-	return stressState{r: *s.r, burstFrom: s.burstFrom, inner: s.inner.SnapshotState()}
-}
-
-// RestoreState implements Snapshottable.
-func (s *Stress) RestoreState(st GenState) {
-	v := st.(stressState)
-	*s.r = v.r
-	s.burstFrom = v.burstFrom
-	s.inner.RestoreState(v.inner)
-}

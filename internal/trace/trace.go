@@ -228,24 +228,6 @@ func (g *Synthetic) fillTask(tk *task.Task) {
 	}
 }
 
-// syntheticState is the Snapshot payload of Synthetic.
-type syntheticState struct {
-	r      rng.Stream
-	nextID int64
-}
-
-// SnapshotState implements Snapshottable.
-func (g *Synthetic) SnapshotState() GenState {
-	return syntheticState{r: *g.r, nextID: g.nextID}
-}
-
-// RestoreState implements Snapshottable.
-func (g *Synthetic) RestoreState(st GenState) {
-	s := st.(syntheticState)
-	*g.r = s.r
-	g.nextID = s.nextID
-}
-
 func clampf(v, lo, hi float64) float64 {
 	if v < lo {
 		return lo
@@ -407,33 +389,6 @@ func (g *Geo) genInto(t int, s *Slot, pooled bool) {
 	}
 	g.LastPositions = positions
 	g.LastWDs = wdIdx
-}
-
-// geoState is the Snapshot payload of Geo: the task stream plus every WD's
-// mobility state (Waypoint is a pure value, so copying suffices).
-type geoState struct {
-	r      rng.Stream
-	nextID int64
-	wds    []geo.Waypoint
-}
-
-// SnapshotState implements Snapshottable.
-func (g *Geo) SnapshotState() GenState {
-	wds := make([]geo.Waypoint, len(g.wds))
-	for i, w := range g.wds {
-		wds[i] = *w
-	}
-	return geoState{r: *g.r, nextID: g.nextID, wds: wds}
-}
-
-// RestoreState implements Snapshottable.
-func (g *Geo) RestoreState(st GenState) {
-	v := st.(geoState)
-	*g.r = v.r
-	g.nextID = v.nextID
-	for i := range v.wds {
-		*g.wds[i] = v.wds[i]
-	}
 }
 
 // --- CSV trace I/O -------------------------------------------------------

@@ -67,17 +67,7 @@ type (
 	// MultiSlotConfig enables the multi-slot execution extension (paper
 	// Sec. 3.3/6 future work) via Config.MultiSlot.
 	MultiSlotConfig = sim.MultiSlotConfig
-	// SharedTrace is a materialized workload trace replayed read-only
-	// across runs (common random numbers, one generation pass).
-	SharedTrace = sim.SharedTrace
 )
-
-// NewSharedTrace materializes a scenario's workload at a seed for the given
-// number of replay passes; install it via Scenario.Shared (RunAll does this
-// automatically).
-func NewSharedTrace(sc *Scenario, seed uint64, readers int) (*SharedTrace, error) {
-	return sim.NewSharedTrace(sc, seed, readers)
-}
 
 // Policy contract (implement this to plug in your own algorithm).
 type (
@@ -141,7 +131,8 @@ func Run(sc *Scenario, factory Factory, seed uint64) (*Series, error) {
 	return sim.Run(sc, factory, seed)
 }
 
-// RunAll simulates several policies on identical workload/environment.
+// RunAll simulates several policies on identical workload/environment: each
+// run regenerates both from the seed.
 func RunAll(sc *Scenario, factories []Factory, seed uint64, workers int) ([]*Series, error) {
 	return sim.RunAll(sc, factories, seed, workers)
 }
